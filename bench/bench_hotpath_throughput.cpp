@@ -1,7 +1,8 @@
 // Hot-path throughput bench: vehicle-steps per wall-clock second on square
 // grids from 1x1 to 8x8, for both simulators, over a 2-hour simulated run.
-// Each simulator runs once serial and once on a 4-way thread pool, so the
-// JSON exposes the parallel-sweep scaling next to the serial baseline.
+// The queue sim runs serial (its tick has no threads); the micro sim runs
+// once serial and once on a 4-way thread pool, so the JSON exposes its
+// parallel-sweep scaling next to the serial baseline.
 //
 // A "vehicle-step" is one vehicle being inside the network for one simulator
 // tick — the unit of useful work a simulator performs. Reporting throughput
@@ -95,14 +96,12 @@ Row run_micro(const net::Network& net, double duration_s, std::uint64_t seed, in
   return drive(sim, "micro", grid, threads, duration_s, config.dt_s);
 }
 
-Row run_queue(const net::Network& net, double duration_s, std::uint64_t seed, int grid,
-              int threads) {
+Row run_queue(const net::Network& net, double duration_s, std::uint64_t seed, int grid) {
   core::ControllerSpec spec;
   traffic::DemandGenerator demand(net, traffic::DemandConfig{}, seed);
-  queuesim::QueueSimConfig config;
-  config.threads = threads;
+  const queuesim::QueueSimConfig config;
   queuesim::QueueSim sim(net, config, core::make_controllers(spec, net), demand);
-  return drive(sim, "queue", grid, threads, duration_s, config.step_s);
+  return drive(sim, "queue", grid, 1, duration_s, config.step_s);
 }
 
 // Batch-throughput row: a replication fleet through the experiment runner
@@ -238,19 +237,16 @@ int main(int argc, char** argv) {
     grid_cfg.rows = n;
     grid_cfg.cols = n;
     const net::Network net = net::build_grid(grid_cfg);
-    for (int threads : sim_threads) {
-      emit(run_queue(net, duration_s, seed, n, threads));
-    }
+    emit(run_queue(net, duration_s, seed, n));
     for (int threads : sim_threads) {
       emit(run_micro(net, duration_s, seed, n, threads));
     }
   }
-  // Metro-scale rows (shard-payoff baseline, same schema): 16x16 and 32x32
-  // carry 4x / 16x the vehicles of the 8x8, so they run a proportionally
-  // shorter horizon to keep the bench's wall time bounded. Throughput in
-  // vehicle-steps/s is horizon-independent once the grid is loaded, and each
-  // row records its own sim_seconds, so compare_hotpath.py gates them like
-  // any other row.
+  // Metro-scale rows (same schema): 16x16 and 32x32 carry 4x / 16x the
+  // vehicles of the 8x8, so they run a proportionally shorter horizon to
+  // keep the bench's wall time bounded. Throughput in vehicle-steps/s is
+  // horizon-independent once the grid is loaded, and each row records its
+  // own sim_seconds, so compare_hotpath.py gates them like any other row.
   struct BigGrid {
     int n;
     double horizon_scale;
@@ -262,9 +258,7 @@ int main(int argc, char** argv) {
     grid_cfg.cols = bg.n;
     const net::Network net = net::build_grid(grid_cfg);
     const double big_duration_s = duration_s * bg.horizon_scale;
-    for (int threads : sim_threads) {
-      emit(run_queue(net, big_duration_s, seed, bg.n, threads));
-    }
+    emit(run_queue(net, big_duration_s, seed, bg.n));
     for (int threads : sim_threads) {
       emit(run_micro(net, big_duration_s, seed, bg.n, threads));
     }

@@ -11,7 +11,7 @@
 //           [--pattern I|II|III|IV|mixed] [--controller util|cap|orig|fixed]
 //           [--duration SECONDS] [--period SECONDS] [--seed N]
 //           [--simulator micro|queue] [--rows N] [--cols N]
-//           [--mixed-lanes] [--threads N] [--shards N] [--replications N]
+//           [--mixed-lanes] [--threads N] [--replications N]
 //           [--jobs N] [--allow-oversubscribe] [--csv PREFIX]
 //           [--incident T] [--fault-capacity R,C,SIDE,START,END,FACTOR]
 //           [--fault-sensor R,C,KIND,START,END[,BIAS[,MAG]]]
@@ -35,21 +35,16 @@
 // --print-schema-fields lists every schema field path, one per line (the
 // docs lint, tools/check_scenario_docs.py, consumes this).
 //
-// Three parallelism axes, which multiply (see docs/PERFORMANCE.md,
-// "Run-level vs tick-level parallelism", and docs/SHARDING.md):
-//   --threads N  tick-level: the selected simulator's road-partitioned
-//                parallel sweep (the micro-sim's Krauss lane sweep, the
-//                queue-sim's service sweep). Worth it for one big run.
-//   --shards N   process-level: split the grid into N row bands, one forked
-//                worker process per band exchanging boundary traffic per
-//                tick. Worth it for metro-scale grids where one process's
-//                memory system is the wall.
+// Two parallelism axes, which multiply (see docs/PERFORMANCE.md,
+// "Run-level vs tick-level parallelism"):
+//   --threads N  tick-level: the micro sim's road-partitioned Krauss lane
+//                sweep. The queue sim's tick is serial and ignores it.
 //   --jobs N     run-level: concurrent replications in --replications mode.
 //                Worth it for many independent runs.
-// Metrics are bit-identical at every --threads, --shards, and --jobs value.
-// Each of the N concurrent runs uses --threads x --shards workers, so the
-// CLI rejects combinations that oversubscribe hardware_concurrency unless
-// --allow-oversubscribe is passed (oversubscribing only adds contention).
+// Metrics are bit-identical at every --threads and --jobs value. Each of the
+// N concurrent runs uses --threads workers, so the CLI rejects combinations
+// that oversubscribe hardware_concurrency unless --allow-oversubscribe is
+// passed (oversubscribing only adds contention).
 //
 // Fault injection (docs/ROBUSTNESS.md): the repeatable --fault-* flags add
 // timed incidents to the run's FaultSchedule; --incident T is a canned
@@ -117,7 +112,7 @@ namespace {
                "               [--duration S] [--period S] [--seed N] "
                "[--simulator micro|queue]\n"
                "               [--rows N] [--cols N] [--mixed-lanes] [--threads N]\n"
-               "               [--shards N] [--replications N] [--jobs N]\n"
+               "               [--replications N] [--jobs N]\n"
                "               [--allow-oversubscribe]\n"
                "               [--csv PREFIX]\n"
                "               [--incident T] "
@@ -256,13 +251,12 @@ int main(int argc, char** argv) {
   scenario::SimulatorKind simulator = scenario::SimulatorKind::Micro;
   int rows = 3, cols = 3;
   int threads = 1;
-  int shards = 1;
   // Which base-config fields were explicitly set on the command line. With
   // --scenario the file is the base and only explicit flags override it;
   // without, the paper defaults are the base and the distinction is invisible.
   bool pattern_set = false, controller_set = false, period_set = false;
   bool seed_set = false, simulator_set = false;
-  bool rows_set = false, cols_set = false, threads_set = false, shards_set = false;
+  bool rows_set = false, cols_set = false, threads_set = false;
   bool guard_set = false, guard_interval_set = false;
   std::string scenario_file;
   bool dump_scenario_flag = false;
@@ -335,9 +329,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       threads = parse_int(value(), "--threads");
       threads_set = true;
-    } else if (arg == "--shards") {
-      shards = parse_int(value(), "--shards");
-      shards_set = true;
     } else if (arg == "--replications") {
       replications = parse_int(value(), "--replications");
     } else if (arg == "--jobs") {
@@ -440,7 +431,6 @@ int main(int argc, char** argv) {
   }
 
   if (threads < 1 || threads > 256) usage_error("--threads must be in [1, 256]");
-  if (shards < 1 || shards > 256) usage_error("--shards must be in [1, 256]");
   if (replications < 1) usage_error("--replications must be >= 1");
   if (jobs < 1 || jobs > 256) usage_error("--jobs must be in [1, 256]");
   if (jobs > 1 && replications == 1 && !calibrate_mode && !sweep_mode) {
@@ -495,12 +485,7 @@ int main(int argc, char** argv) {
   if (rows_set) cfg.grid.rows = rows;
   if (cols_set) cfg.grid.cols = cols;
   if (mixed_lanes) cfg.micro.dedicated_turn_lanes = false;
-  if (threads_set) {
-    cfg.micro.threads = threads;
-    cfg.queue.threads = threads;
-  }
-  if (shards_set) cfg.shard.count = shards;
-  if (allow_oversubscribe) cfg.shard.allow_oversubscribe = true;
+  if (threads_set) cfg.micro.threads = threads;
   if (duration > 0.0) cfg.duration_s = duration;
   if (guard_set) {
     cfg.guard.enabled = true;
@@ -621,10 +606,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The two axes multiply: each of the concurrent runs spins up the selected
-  // backend's tick-level sweep workers. At most min(jobs, replications) runs
-  // are ever in flight, so judge that; reject silent oversubscription here
-  // with a friendlier message than the experiment runner's exception.
+  // The two axes multiply: each of the concurrent micro runs spins up its
+  // tick-level sweep workers. At most min(jobs, replications) runs are ever
+  // in flight, so judge that; reject silent oversubscription here with a
+  // friendlier message than the experiment runner's exception.
   const int tick = scenario::tick_threads(cfg);
   const int concurrent_runs = jobs < replications ? jobs : replications;
   const unsigned hc = std::thread::hardware_concurrency();

@@ -253,10 +253,6 @@ const core::IntersectionObservation& MicroSim::observe(const net::Intersection& 
 
 void MicroSim::control_step() {
   for (const net::Intersection& node : net_.intersections()) {
-    // Sharded: decide only owned junctions. Skipping a junction cannot desync
-    // the sensor stream — sharded construction requires a perfect sensor
-    // model, under which measure_queue never draws from rng_.
-    if (masked_junction(node.id.index())) continue;
     const net::PhaseIndex phase = controllers_[node.id.index()]->decide(observe(node));
     if (phase < 0 || phase >= static_cast<int>(node.phases.size())) {
       throw std::logic_error("controller returned an out-of-range phase");
@@ -283,15 +279,8 @@ VehicleId MicroSim::alloc_vehicle() {
 }
 
 void MicroSim::admit_spawns() {
-  // Sharded: every worker polls the full demand stream (identical draws keep
-  // spawn_seq a global ordinal and the generated count exact in each worker)
-  // but only materializes vehicles bound for its own entry roads.
   demand_.poll_into(now_, now_ + config_.dt_s, spawn_buffer_);
   for (const traffic::SpawnRequest& req : spawn_buffer_) {
-    if (masked_road(req.entry.index())) {
-      result_.metrics.generated += 1;
-      continue;
-    }
     const VehicleId vid = alloc_vehicle();
     VehMeta& m = veh_meta_[vid.index()];
     m.route = req.route;
@@ -301,10 +290,7 @@ void MicroSim::admit_spawns() {
     result_.metrics.generated += 1;
     roads_[req.entry.index()].buffer.push_back(vid);
   }
-  std::uint32_t entry_index = 0;
   for (RoadId entry : net_.entry_roads()) {
-    const std::uint32_t entry_order = entry_index++;
-    if (masked_road(entry.index())) continue;
     RoadRt& rt = roads_[entry.index()];
     const int capacity = road_capacity_[entry.index()];
     // Per-lane FIFO admission: dedicated turning lanes run the full road
@@ -342,11 +328,6 @@ void MicroSim::admit_spawns() {
     }
     result_.metrics.entry_blocked_time_s +=
         static_cast<double>(rt.buffer.size()) * config_.dt_s;
-    // Journal nonzero blocked counts for the coordinator's metric replay;
-    // the zero adds above are the bitwise identity and need no record.
-    if (shard_ != nullptr && !rt.buffer.empty()) {
-      shard_->blocked.push_back({entry_order, static_cast<std::uint32_t>(rt.buffer.size())});
-    }
   }
 }
 
@@ -430,7 +411,6 @@ void MicroSim::service_junctions() {
   // sequentially, before the parallel sweep.
   for (const net::Intersection& node : net_.intersections()) {
     const std::size_t ni = node.id.index();
-    if (masked_junction(ni)) continue;
     const std::uint32_t slot =
         phase_slot_base_[ni] + static_cast<std::uint32_t>(displayed_[ni]);
     const std::uint32_t slot_end = phase_link_offsets_[slot + 1];
@@ -459,29 +439,8 @@ void MicroSim::service_junctions() {
       m.junction_exit = now_ + config_.junction_crossing_s;
       rt.occupancy -= 1;
       lane.pop_head();
-      if (shard_ != nullptr && !shard_->own_road[m.road.index()]) {
-        // Granted onto a remote boundary road: hand the vehicle to the owner
-        // instead of this worker's junction box. try_grant already committed
-        // the grant's effects on the mirror (occupancy reservation, headway);
-        // the owner re-materializes the vehicle at ingest, so the slot here
-        // is done.
-        shard::MicroTransfer t;
-        t.road = static_cast<std::uint32_t>(m.road.index());
-        t.lane = m.lane;
-        t.spawn_seq = m.spawn_seq;
-        t.next_turn = m.next_turn;
-        t.junction_exit = m.junction_exit;
-        t.entry_time = m.entry_time;
-        t.waiting = veh_waiting_[vid.index()];
-        t.turns = m.route.turns;
-        shard_->micro_outbox.push_back(std::move(t));
-        m.loc = Loc::Done;
-        in_network_count_ -= 1;
-        free_slots_.push_back(vid.value());
-      } else {
-        m.loc = Loc::Junction;
-        in_junction_.push_back(vid);
-      }
+      m.loc = Loc::Junction;
+      in_junction_.push_back(vid);
     }
   }
 }
@@ -606,9 +565,6 @@ void MicroSim::sweep_roads() {
       roads.size(), [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         LaneKernelScratch& scratch = sweep_scratch_[chunk];
         for (std::size_t r = begin; r < end; ++r) {
-          // Sharded: remote roads are mirrors — nonzero occupancy but no
-          // simulated lanes here. Mask before the occupancy fast path.
-          if (masked_road(r)) continue;
           RoadRt& rt = roads_[r];
           if (rt.occupancy == 0) {  // occupancy >= vehicles on lanes
             if (memo_pending_ && memo_dirty_[r]) {
@@ -642,18 +598,9 @@ void MicroSim::zero_memo_rows(std::size_t road_index) {
 }
 
 void MicroSim::apply_completions() {
-  std::uint32_t exit_index = 0;
   for (RoadId exit : net_.exit_roads()) {
-    const std::uint32_t exit_order = exit_index++;
     RoadRt& rt = roads_[exit.index()];
     if (!rt.completed.valid()) continue;
-    if (shard_ != nullptr) {
-      // Journal the completion for the coordinator's metric replay, with the
-      // exact doubles the local accumulation below adds.
-      const VehMeta& m = veh_meta_[rt.completed.index()];
-      shard_->completions.push_back(
-          {exit_order, veh_waiting_[rt.completed.index()], now_ - m.entry_time});
-    }
     complete_vehicle(rt.completed);
     rt.completed = VehicleId{};
   }
@@ -682,7 +629,7 @@ void MicroSim::sample_watches() {
   result_.in_network_series.push(now_, static_cast<double>(vehicles_in_network()));
 }
 
-void MicroSim::step_begin() {
+void MicroSim::step() {
   if (now_ >= next_control_) {
     control_step();
     next_control_ += config_.control_interval_s;
@@ -693,93 +640,9 @@ void MicroSim::step_begin() {
   }
   admit_spawns();
   release_junction_vehicles();
-  // Everything in the box from here on is this tick's own grants; next
-  // tick's lower-band transfers insert at this point (see ingest_transfer).
-  junction_mark_ = in_junction_.size();
-}
-
-void MicroSim::step_service() { service_junctions(); }
-
-void MicroSim::step_finish() {
+  service_junctions();
   sweep_roads();
   now_ += config_.dt_s;
-}
-
-void MicroSim::step() {
-  step_begin();
-  step_service();
-  step_finish();
-}
-
-void MicroSim::ingest_transfer(const shard::MicroTransfer& t, bool from_lower_band) {
-  const VehicleId vid = alloc_vehicle();
-  VehMeta& m = veh_meta_[vid.index()];
-  m.route.turns = t.turns;
-  m.route.entry = RoadId{};  // only admission reads the entry; already past it
-  m.spawn_seq = t.spawn_seq;
-  m.next_turn = static_cast<std::size_t>(t.next_turn);
-  m.loc = Loc::Junction;
-  m.road = RoadId(t.road);
-  m.lane = t.lane;
-  m.junction_exit = t.junction_exit;
-  m.entry_time = t.entry_time;
-  veh_waiting_[vid.index()] = t.waiting;
-  // The grantor's try_grant resolved the *next* movement before extraction
-  // was decided; redo that resolution here (same inputs, same result).
-  if (!net_.road(m.road).is_exit()) {
-    if (const std::optional<LinkId> movement = movement_of(m, m.road)) {
-      veh_next_link_[vid.index()] = *movement;
-    }
-  }
-  roads_[m.road.index()].occupancy += 1;
-  in_network_count_ += 1;
-  // Box-entry order must replay the monolithic grant order: [survivors of
-  // last tick's release | lower band's grants | own grants | upper band's
-  // grants] — node index grows with grid row, so the lower-numbered band's
-  // junctions granted first in the monolithic service pass. junction_mark_
-  // is the survivors/own-grants split recorded by step_begin.
-  if (from_lower_band) {
-    in_junction_.insert(
-        in_junction_.begin() + static_cast<std::ptrdiff_t>(junction_mark_), vid);
-    junction_mark_ += 1;
-  } else {
-    in_junction_.push_back(vid);
-  }
-}
-
-void MicroSim::set_remote_occupancy(RoadId road, int occupancy) {
-  roads_[road.index()].occupancy = occupancy;
-}
-
-void MicroSim::set_remote_congestion(RoadId road, int congestion) {
-  road_queued_congestion_[road.index()] = congestion;
-}
-
-void MicroSim::set_remote_lane_rears(RoadId road,
-                                     const std::vector<shard::LaneRear>& rears) {
-  RoadRt& rt = roads_[road.index()];
-  for (std::size_t i = 0; i < rt.lanes.size(); ++i) {
-    Lane& lane = rt.lanes[i];
-    while (!lane.vehicles.empty()) lane.pop_head();
-    if (i < rears.size() && rears[i].occupied) {
-      // Phantom rear: an invalid VehicleId at the true rear position, enough
-      // for entry_clear (which reads only pos.back()). Remote lanes are never
-      // swept, serviced or flushed, so nothing dereferences the id.
-      lane.push_vehicle(VehicleId{}, rears[i].pos, 0.0, 0.0);
-    }
-  }
-}
-
-void MicroSim::collect_lane_rears(RoadId road, std::vector<shard::LaneRear>& out) const {
-  const RoadRt& rt = roads_[road.index()];
-  for (const Lane& lane : rt.lanes) {
-    shard::LaneRear rear;
-    if (!lane.vehicles.empty()) {
-      rear.occupied = true;
-      rear.pos = lane.pos.back();
-    }
-    out.push_back(rear);
-  }
 }
 
 stats::RunResult& MicroSim::run_until(double until_s) {
@@ -792,11 +655,9 @@ stats::RunResult MicroSim::finish(double duration_s) {
   run_until(duration_s);
   finished_ = true;
   // Flush the lane-carried waiting times of vehicles still on a lane back to
-  // the per-vehicle array before closing their records. Sharded: remote
-  // mirror lanes hold phantom rears with invalid ids — skip them.
-  for (std::size_t r = 0; r < roads_.size(); ++r) {
-    if (masked_road(r)) continue;
-    for (Lane& lane : roads_[r].lanes) {
+  // the per-vehicle array before closing their records.
+  for (RoadRt& rt : roads_) {
+    for (Lane& lane : rt.lanes) {
       for (std::size_t i = 0; i < lane.vehicles.size(); ++i) {
         veh_waiting_[lane.vehicles[i].index()] = lane.waiting[i];
       }
@@ -816,9 +677,6 @@ stats::RunResult MicroSim::finish(double duration_s) {
     result_.metrics.in_network_at_end += 1;
     result_.metrics.queuing_time_s.add(veh_waiting_[vid.index()]);
     result_.metrics.travel_time_s.add(now_ - m.entry_time);
-    if (shard_ != nullptr) {
-      shard_->opens.push_back({m.spawn_seq, veh_waiting_[vid.index()], now_ - m.entry_time});
-    }
     m.loc = Loc::Done;
   }
   for (stats::PhaseTrace& trace : result_.phase_traces) trace.finish(now_);

@@ -4,38 +4,6 @@
 #include <stdexcept>
 
 namespace abp::queuesim {
-namespace {
-
-// The serve-credit core shared by the staged path (arbitrate_service) and
-// the fused serial path (arbitrate_and_serve), so the credit/burst/capacity
-// arithmetic that QueueSimThreadInvariance pins equal across the two exists
-// exactly once. Replenishes the link's credit (capped at one burst), then
-// serves while credit, queue and downstream capacity allow, committing the
-// occupancy / queued-count deltas and invoking on_serve(k) for served
-// vehicle k = 0, 1, ... — staging bookkeeping in one caller, inline
-// pop-and-deliver in the other. Returns the serve count.
-template <typename OnServe>
-int run_serve_credit(double& credit, std::size_t queue_size, double rate_dt,
-                     int& downstream_occupancy, int downstream_cap,
-                     int& from_road_queued, int& from_road_occupancy, OnServe&& on_serve) {
-  // Service credit replenishes at mu while green; the cap prevents banking
-  // service across steps in which the queue was empty.
-  const double burst = std::max(1.0, rate_dt);
-  credit = std::min(credit + rate_dt, burst);
-  const int queued = static_cast<int>(queue_size);
-  int served = 0;
-  while (credit >= 1.0 && served < queued && downstream_occupancy < downstream_cap) {
-    credit -= 1.0;
-    from_road_queued -= 1;
-    from_road_occupancy -= 1;
-    downstream_occupancy += 1;
-    on_serve(served);
-    served += 1;
-  }
-  return served;
-}
-
-}  // namespace
 
 QueueSim::QueueSim(const net::Network& network, QueueSimConfig config,
                    std::vector<core::ControllerPtr> controllers,
@@ -46,11 +14,9 @@ QueueSim::QueueSim(const net::Network& network, QueueSimConfig config,
   if (config_.control_interval_s < config_.step_s) {
     throw std::invalid_argument("control interval must be >= step");
   }
-  if (config_.threads < 1) throw std::invalid_argument("threads must be >= 1");
   if (controllers_.size() != net_.intersections().size()) {
     throw std::invalid_argument("need exactly one controller per intersection");
   }
-  pool_ = std::make_unique<ThreadPool>(config_.threads);
   roads_.resize(net_.roads().size());
   links_.resize(net_.links().size());
   displayed_.assign(net_.intersections().size(), net::kTransitionPhase);
@@ -58,11 +24,6 @@ QueueSim::QueueSim(const net::Network& network, QueueSimConfig config,
   road_queued_.assign(net_.roads().size(), 0);
   road_capacity_.reserve(net_.roads().size());
   for (const net::Road& road : net_.roads()) road_capacity_.push_back(road.capacity);
-  serve_count_.assign(net_.links().size(), 0);
-  service_from_.assign(net_.roads().size(), 0);
-  staged_.resize(net_.links().size());
-  inbound_order_.resize(net_.roads().size());
-  completions_.resize(net_.roads().size());
   result_.phase_traces.resize(net_.intersections().size());
 }
 
@@ -114,9 +75,6 @@ const core::IntersectionObservation& QueueSim::observe(const net::Intersection& 
 
 void QueueSim::control_step() {
   for (const net::Intersection& node : net_.intersections()) {
-    // Sharded: decide only owned junctions (their observations read at most
-    // mirror state of remote downstream roads, injected before this phase).
-    if (masked_junction(node.id.index())) continue;
     const net::PhaseIndex phase = controllers_[node.id.index()]->decide(observe(node));
     if (phase < 0 || phase >= static_cast<int>(node.phases.size())) {
       throw std::logic_error("controller returned an out-of-range phase");
@@ -164,15 +122,8 @@ VehicleId QueueSim::alloc_vehicle() {
 }
 
 void QueueSim::admit_spawns(double from, double to) {
-  // Sharded: every worker polls the full demand stream (identical draws keep
-  // spawn_seq a global ordinal and the generated count exact in each worker)
-  // but only materializes vehicles bound for its own entry roads.
   demand_.poll_into(from, to, spawn_buffer_);
   for (const traffic::SpawnRequest& req : spawn_buffer_) {
-    if (masked_road(req.entry.index())) {
-      result_.metrics.generated += 1;
-      continue;
-    }
     const VehicleId vid = alloc_vehicle();
     VehicleRecord& rec = vehicles_[vid.index()];
     rec.route = req.route;
@@ -182,10 +133,7 @@ void QueueSim::admit_spawns(double from, double to) {
     entry_buffer_[req.entry.index()].push_back(vid);
   }
   // Admit buffered vehicles while their entry road has space.
-  std::uint32_t entry_index = 0;
   for (RoadId entry : net_.entry_roads()) {
-    const std::uint32_t entry_order = entry_index++;
-    if (masked_road(entry.index())) continue;
     auto& buffer = entry_buffer_[entry.index()];
     RoadState& road = roads_[entry.index()];
     const int capacity = road_capacity_[entry.index()];
@@ -203,227 +151,53 @@ void QueueSim::admit_spawns(double from, double to) {
     if (!buffer.empty()) {
       result_.metrics.entry_blocked_time_s +=
           static_cast<double>(buffer.size()) * config_.step_s;
-      if (shard_ != nullptr) {
-        shard_->blocked.push_back(
-            {entry_order, static_cast<std::uint32_t>(buffer.size())});
-      }
     }
   }
 }
 
-void QueueSim::arbitrate_service() {
+void QueueSim::arbitrate_and_serve() {
   for (const net::Intersection& node : net_.intersections()) {
-    if (masked_junction(node.id.index())) continue;
     const net::PhaseIndex phase = displayed_[node.id.index()];
     if (phase == net::kTransitionPhase) continue;
     for (LinkId lid : node.phases[static_cast<std::size_t>(phase)].links) {
       const net::Link& link = net_.link(lid);
       LinkQueueState& lq = links_[lid.index()];
-      // The serial loop's serve arithmetic (run_serve_credit), with the
-      // vehicle pops deferred to the parallel passes: identical comparisons
-      // and credit subtractions, so the served counts (and therefore every
-      // metric) match bit for bit.
-      const int served = run_serve_credit(
-          lq.credit, lq.queue.size(), link.service_rate * config_.step_s,
-          roads_[link.to_road.index()].occupancy, road_capacity_[link.to_road.index()],
-          road_queued_[link.from_road.index()], roads_[link.from_road.index()].occupancy,
-          [](int) {});
-      if (served > 0) {
-        serve_count_[lid.index()] = served;
-        service_from_[link.from_road.index()] = 1;
-        if (shard_ != nullptr && !shard_->own_road[link.to_road.index()]) {
-          // Served into a remote boundary road: the serve-credit arithmetic
-          // above already committed the mirror's occupancy deltas; the popped
-          // vehicles become transfers (stage_remote_transfers) instead of
-          // local transit pushes. Keeping them out of inbound_order_ keeps
-          // the masked delivery pass from ever touching the mirror.
-          remote_serve_order_.push_back(lid);
-        } else {
-          inbound_order_[link.to_road.index()].push_back(lid);
-        }
-      }
-    }
-  }
-}
-
-void QueueSim::sweep_pop_served(std::size_t begin, std::size_t end) {
-  for (std::size_t r = begin; r < end; ++r) {
-    if (!service_from_[r]) continue;
-    service_from_[r] = 0;
-    for (LinkId lid : net_.links_from(net_.roads()[r].id)) {
-      const int served = serve_count_[lid.index()];
-      if (served == 0) continue;
-      serve_count_[lid.index()] = 0;
-      LinkQueueState& lq = links_[lid.index()];
-      std::vector<VehicleId>& staged = staged_[lid.index()];
-      for (int k = 0; k < served; ++k) {
+      RoadState& upstream = roads_[link.from_road.index()];
+      RoadState& downstream = roads_[link.to_road.index()];
+      const int downstream_cap = road_capacity_[link.to_road.index()];
+      // Service credit replenishes at mu while green; the cap prevents banking
+      // service across steps in which the queue was empty.
+      const double rate_dt = link.service_rate * config_.step_s;
+      lq.credit = std::min(lq.credit + rate_dt, std::max(1.0, rate_dt));
+      // Arrival stamps use the pre-advance tick time; the division is
+      // deferred until the first vehicle actually serves.
+      double arrive = -1.0;
+      while (lq.credit >= 1.0 && !lq.queue.empty() && downstream.occupancy < downstream_cap) {
+        if (arrive < 0.0) arrive = now_ + net_.road(link.to_road).free_flow_time_s();
+        lq.credit -= 1.0;
+        road_queued_[link.from_road.index()] -= 1;
+        upstream.occupancy -= 1;
+        downstream.occupancy += 1;
         const VehicleId vid = lq.queue.front();
         lq.queue.pop_front();
         vehicles_[vid.index()].next_turn += 1;
-        staged.push_back(vid);
+        downstream.transit.push_back({arrive, vid});
       }
     }
   }
 }
 
-void QueueSim::stage_remote_transfers(double serve_time) {
-  if (shard_ == nullptr || remote_serve_order_.empty()) return;
-  // Serve order == the order arbitrate_service recorded the links, so the
-  // outbox (and therefore the owner's transit pushes after the
-  // canonical-order delivery) matches the monolithic serial push order.
-  for (LinkId lid : remote_serve_order_) {
-    const net::Link& link = net_.link(lid);
-    // Same arrival arithmetic as the local delivery pass: pre-advance tick
-    // time plus the destination road's free-flow time.
-    const double arrive = serve_time + net_.road(link.to_road).free_flow_time_s();
-    std::vector<VehicleId>& staged = staged_[lid.index()];
-    for (VehicleId vid : staged) {
-      VehicleRecord& v = vehicles_[vid.index()];
-      shard::QueueTransfer t;
-      t.road = static_cast<std::uint32_t>(link.to_road.index());
-      t.spawn_seq = v.spawn_seq;
-      t.next_turn = v.next_turn;  // pass 1 already bumped it past this node
-      t.arrive_time = arrive;
-      t.entry_time = v.entry_time;
-      t.queue_time = v.queue_time;
-      t.turns = std::move(v.route.turns);
-      shard_->queue_outbox.push_back(std::move(t));
-      // The vehicle now lives on the owning worker; retire the local record.
-      v.in_network = false;
-      in_network_count_ -= 1;
-      free_slots_.push_back(vid.value());
-    }
-    staged.clear();
-  }
-  remote_serve_order_.clear();
-}
-
-void QueueSim::ingest_transfer(const shard::QueueTransfer& t) {
-  const VehicleId vid = alloc_vehicle();
-  VehicleRecord& rec = vehicles_[vid.index()];
-  rec.route.turns = t.turns;
-  rec.route.entry = RoadId{};  // entry road is only read at admission
-  rec.spawn_seq = t.spawn_seq;
-  rec.next_turn = static_cast<std::size_t>(t.next_turn);
-  rec.entry_time = t.entry_time;
-  rec.queue_time = t.queue_time;
-  rec.in_network = true;
-  in_network_count_ += 1;
-  RoadState& state = roads_[t.road];
-  state.occupancy += 1;
-  state.transit.push_back({t.arrive_time, vid});
-}
-
-void QueueSim::set_remote_road_state(RoadId road, int occupancy, int queued) {
-  roads_[road.index()].occupancy = occupancy;
-  road_queued_[road.index()] = queued;
-}
-
-void QueueSim::sweep_deliver_and_transit(std::size_t begin, std::size_t end,
-                                         double serve_time) {
-  for (std::size_t r = begin; r < end; ++r) {
-    // Sharded: remote roads are mirrors (nonzero occupancy/queued counters,
-    // no local vehicles); their delivery happens on the owning worker.
-    if (masked_road(r)) continue;
-    RoadState& state = roads_[r];
-    std::vector<LinkId>& inbound = inbound_order_[r];
-    // Idle road: nothing served into it, nothing in flight, nothing queued.
-    if (inbound.empty() && state.transit.empty() && road_queued_[r] == 0) continue;
-    const net::Road& road = net_.roads()[r];
-    if (!inbound.empty()) {
-      // Arrival timestamps use the pre-advance tick time, exactly as the
-      // serial loop pushed them during service.
-      const double arrive = serve_time + road.free_flow_time_s();
-      for (LinkId lid : inbound) {
-        std::vector<VehicleId>& staged = staged_[lid.index()];
-        for (VehicleId vid : staged) state.transit.push_back({arrive, vid});
-        staged.clear();
-      }
-      inbound.clear();
-    }
-    drain_due_transits(r, road);
-    if (road_queued_[r] > 0) {
-      for (LinkId lid : net_.links_from(road.id)) {
-        for (VehicleId vid : links_[lid.index()].queue) {
-          vehicles_[vid.index()].queue_time += config_.step_s;
-        }
-      }
-    }
-  }
-}
-
-void QueueSim::arbitrate_and_serve(double serve_time) {
-  // The threads == 1 tick, fused: at one thread the phase split buys nothing
-  // — the barrier is a no-op, the per-link staging is pure indirection, and
-  // the serve-count / from-road-flag / inbound-order bookkeeping exists only
-  // so road-partitioned passes can replay the arbitration order. The serial
-  // path is therefore the historical serial service loop itself:
-  // run_serve_credit — the one copy of the arithmetic arbitrate_service()
-  // also runs, which QueueSimThreadInvariance pins equal across the paths —
-  // walked in the same (intersection, phase-link) order, with each served
-  // vehicle popped and delivered into the downstream transit FIFO on the
-  // spot. Bit-identical to arbitration + staged passes by construction:
-  // arbitration never reads the deferred state (a link's serve loop reads
-  // its own queue's *size*, the downstream occupancy it updates itself, and
-  // its own credit), and in-order inline delivery produces exactly the
-  // transit FIFO contents pass 2 rebuilds from inbound_order_.
-  for (const net::Intersection& node : net_.intersections()) {
-    const net::PhaseIndex phase = displayed_[node.id.index()];
-    if (phase == net::kTransitionPhase) continue;
-    for (LinkId lid : node.phases[static_cast<std::size_t>(phase)].links) {
-      const net::Link& link = net_.link(lid);
-      LinkQueueState& lq = links_[lid.index()];
-      RoadState& downstream = roads_[link.to_road.index()];
-      // Arrival timestamps use the pre-advance tick time, exactly as the
-      // staged path stamps them in sweep_deliver_and_transit; the division
-      // is deferred until the first vehicle actually serves.
-      double arrive = 0.0;
-      run_serve_credit(lq.credit, lq.queue.size(), link.service_rate * config_.step_s,
-                       downstream.occupancy, road_capacity_[link.to_road.index()],
-                       road_queued_[link.from_road.index()],
-                       roads_[link.from_road.index()].occupancy, [&](int k) {
-                         if (k == 0) {
-                           arrive =
-                               serve_time + net_.road(link.to_road).free_flow_time_s();
-                         }
-                         const VehicleId vid = lq.queue.front();
-                         lq.queue.pop_front();
-                         vehicles_[vid.index()].next_turn += 1;
-                         downstream.transit.push_back({arrive, vid});
-                       });
-    }
-  }
-}
-
-void QueueSim::drain_due_transits(std::size_t r, const net::Road& road) {
-  RoadState& state = roads_[r];
+void QueueSim::drain_due_transits(const net::Road& road) {
+  RoadState& state = roads_[road.id.index()];
   while (!state.transit.empty() && state.transit.front().arrive_time <= now_) {
     const VehicleId vid = state.transit.front().vehicle;
     state.transit.pop_front();
     if (road.is_exit()) {
       state.occupancy -= 1;
-      completions_[r].push_back(vid);
+      complete_vehicle(vid);
     } else {
       route_vehicle_into_queue(vid, road.id);
     }
-  }
-}
-
-void QueueSim::apply_completions() {
-  std::uint32_t exit_index = 0;
-  for (RoadId exit : net_.exit_roads()) {
-    const std::uint32_t exit_order = exit_index++;
-    std::vector<VehicleId>& staged = completions_[exit.index()];
-    for (VehicleId vid : staged) {
-      if (shard_ != nullptr) {
-        // Journal with the exact values complete_vehicle adds (now_ is
-        // already advanced here) so the coordinator's replay is bitwise.
-        const VehicleRecord& v = vehicles_[vid.index()];
-        shard_->completions.push_back({exit_order, v.queue_time, now_ - v.entry_time});
-      }
-      complete_vehicle(vid);
-    }
-    staged.clear();
   }
 }
 
@@ -435,7 +209,7 @@ void QueueSim::sample_watches() {
   result_.in_network_series.push(now_, static_cast<double>(vehicles_in_network()));
 }
 
-void QueueSim::step_begin() {
+void QueueSim::step() {
   if (now_ >= next_control_) {
     control_step();
     next_control_ += config_.control_interval_s;
@@ -445,64 +219,20 @@ void QueueSim::step_begin() {
     next_sample_ += config_.sample_interval_s;
   }
   admit_spawns(now_, now_ + config_.step_s);
-}
-
-void QueueSim::step_service() { arbitrate_service(); }
-
-void QueueSim::step_finish() {
-  const double serve_time = now_;  // arrival stamps predate the advance
+  arbitrate_and_serve();
   now_ += config_.step_s;
-  // Road-partitioned parallel service sweep. Two passes with a barrier
-  // between them: pass 1 touches only from-road state (movement queues,
-  // vehicles being served), pass 2 only to-road state (transit FIFO, its
-  // own queues' waiting times) — the barrier is what lets a road's work
-  // unit drain the staging its upstream roads wrote.
-  const std::size_t road_count = net_.roads().size();
-  pool_->parallel_for(road_count,
-                      [this](std::size_t b, std::size_t e) { sweep_pop_served(b, e); });
-  // Sharded: vehicles served into remote roads leave through the outbox
-  // here, between the passes — popped by pass 1, never seen by pass 2.
-  stage_remote_transfers(serve_time);
-  pool_->parallel_for(road_count, [this, serve_time](std::size_t b, std::size_t e) {
-    sweep_deliver_and_transit(b, e, serve_time);
-  });
-  apply_completions();
-}
-
-void QueueSim::step() {
-  step_begin();
-  if (config_.threads == 1 && shard_ == nullptr) {
-    // Serial path: the fused sweep — arbitration serves inline (no staging,
-    // no bookkeeping, no barrier), then due transits in road order and one
-    // flat queue-time pass. Bit-identical to the staged path below;
-    // QueueSimThreadInvariance pins the two against each other at
-    // threads {1, 2, 8}.
-    arbitrate_and_serve(now_);
-    now_ += config_.step_s;
-    // Completions are staged rather than applied inline, sharing
-    // apply_completions() with the threaded path; road order here ==
-    // exit-road order there, so the metric accumulation order is identical
-    // anyway.
-    for (const net::Road& road : net_.roads()) {
-      drain_due_transits(road.id.index(), road);
+  // Completions happen in road order, so the floating-point metric sums
+  // accumulate in exit-road order.
+  for (const net::Road& road : net_.roads()) drain_due_transits(road);
+  // One contiguous pass over the movement queues. Every queued vehicle's
+  // accumulator is touched exactly once per tick, so the iteration order
+  // cannot change any sum; vehicles the drain above just routed into a queue
+  // count this tick, and completed vehicles are in no queue.
+  for (const LinkQueueState& lq : links_) {
+    for (VehicleId vid : lq.queue) {
+      vehicles_[vid.index()].queue_time += config_.step_s;
     }
-    // Queue-time accumulation as one contiguous pass over the movement
-    // queues instead of the road -> links_from indirection of the
-    // road-partitioned pass (which needs road-owned writes). Every queued
-    // vehicle's accumulator is touched exactly once per tick, so iteration
-    // order cannot change any sum: bit-identical, and measurably cheaper —
-    // newly-routed vehicles above are already queued and count, exactly as
-    // in the per-road pass.
-    for (const LinkQueueState& lq : links_) {
-      for (VehicleId vid : lq.queue) {
-        vehicles_[vid.index()].queue_time += config_.step_s;
-      }
-    }
-    apply_completions();
-    return;
   }
-  step_service();
-  step_finish();
 }
 
 stats::RunResult& QueueSim::run_until(double until_s) {
@@ -530,7 +260,6 @@ stats::RunResult QueueSim::finish(double duration_s) {
     result_.metrics.in_network_at_end += 1;
     result_.metrics.queuing_time_s.add(v.queue_time);
     result_.metrics.travel_time_s.add(now_ - v.entry_time);
-    if (shard_ != nullptr) shard_->opens.push_back({seq, v.queue_time, now_ - v.entry_time});
     v.in_network = false;
   }
   for (stats::PhaseTrace& trace : result_.phase_traces) trace.finish(now_);

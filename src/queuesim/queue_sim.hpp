@@ -14,40 +14,25 @@
 // safety) and by the model-level cross-check bench; the microscopic simulator
 // (src/microsim) is the SUMO substitute used for the headline experiments.
 //
-// --- Parallel tick architecture (see docs/PERFORMANCE.md) ---
-// Each tick is split into a short sequential phase and a road-partitioned
-// parallel service sweep, mirroring MicroSim. The sequential phase runs the
-// controllers, admits demand (batched: one DemandGenerator::poll_into per
-// tick into a reused buffer) and *arbitrates* service: the exact credit /
-// downstream-capacity arithmetic of the serial loop, in the serial
-// (intersection, phase-link) order, but recording only how many vehicles
-// each movement serves — the cross-road couplings (a serve pops upstream
-// state and reserves downstream capacity) all live here. The per-vehicle
-// work then runs on the ThreadPool in two road-partitioned passes: pass 1
-// pops each road's served vehicles out of its own movement queues into
-// per-link staging, and pass 2 (after a barrier, so every upstream road has
-// staged) delivers staged vehicles into the road's transit FIFO in the
-// recorded serial order, processes due transits, and accumulates queue time
-// over the road's own queues. Exit completions are staged per road and
-// applied sequentially in exit-road (= road id) order, keeping the
-// floating-point metric accumulation order thread-count independent. The
-// sweep consumes no randomness (all stochastic draws — arrival times, route
-// sampling — happen in the sequential admission phase on per-entry-road
-// streams), so fixed-seed metrics are bit-identical at every
-// QueueSimConfig::threads value, and identical to the serial loop.
+// --- Tick (see docs/PERFORMANCE.md) ---
+// One serial pass per tick: the controllers decide, demand is admitted
+// (batched: one DemandGenerator::poll_into per tick into a reused buffer),
+// then every green movement is served in (intersection, phase-link) order,
+// each served vehicle moving straight into the downstream road's transit
+// FIFO. Due transits are then drained in road order, routing arrivals into
+// their movement queues and completing vehicles that reach the end of an
+// exit road, and every queued vehicle accrues one step of queuing time. All
+// stochastic draws (arrival times, route sampling) happen at admission on
+// per-entry-road streams, so fixed-seed runs are bit-reproducible.
 #pragma once
 
 #include <optional>
 #include <vector>
 
-#include <memory>
-
 #include "src/core/controller.hpp"
 #include "src/net/network.hpp"
-#include "src/shard/sim_hooks.hpp"
 #include "src/stats/run_result.hpp"
 #include "src/traffic/demand.hpp"
-#include "src/util/thread_pool.hpp"
 #include "src/util/vec_queue.hpp"
 
 namespace abp::queuesim {
@@ -59,9 +44,6 @@ struct QueueSimConfig {
   double control_interval_s = 1.0;
   // Interval between samples pushed to registered road watches.
   double sample_interval_s = 10.0;
-  // Total parallelism of the per-road service sweep (1 = serial, no worker
-  // threads). Fixed-seed metrics are bit-identical at every value.
-  int threads = 1;
 };
 
 class QueueSim {
@@ -90,8 +72,7 @@ class QueueSim {
   // the road drain normally; occupancy above the new value blocks inflow
   // until it has drained, so occupancy never exceeds the design W.
   // Observations keep reporting the design capacity — controllers know the
-  // road geometry, not the incident. Called only between ticks, from the
-  // sequential phase.
+  // road geometry, not the incident. Called only between ticks.
   void set_road_capacity(RoadId road, int capacity);
   [[nodiscard]] int road_capacity(RoadId road) const {
     return road_capacity_[road.index()];
@@ -111,32 +92,6 @@ class QueueSim {
   // Vehicles queued at the stop line of `road`, over all its movements
   // (q_i of Eq. 1; O(1), maintained incrementally). Also a test hook.
   [[nodiscard]] int queued_on_road(RoadId road) const;
-
-  // --- Sharding surface (src/shard; docs/SHARDING.md) ---
-  // Installs the ownership masks and per-tick event staging. Must be called
-  // before the first step; null (the default) is the monolithic path. While
-  // hooks are installed, control/arbitration run at owned junctions only,
-  // admission and the delivery pass are masked to owned roads, serves into
-  // remote roads extract the vehicle into hooks->queue_outbox, and the tick
-  // always takes the staged (non-fused) path so arbitration and delivery are
-  // separable phases.
-  void set_shard_hooks(shard::SimShardHooks* hooks) { shard_ = hooks; }
-  // Phase split of one tick: begin = control/sample/admission, service =
-  // service arbitration (the cross-road coupling), finish = time advance +
-  // the two road-partitioned passes + completions. step() is begin; service;
-  // finish — except at threads == 1 without hooks, where service+finish fuse.
-  void step_begin();
-  void step_service();
-  void step_finish();
-  // Materializes a vehicle the neighbor served onto an owned boundary road:
-  // joins the road's transit FIFO with the grantor-stamped arrival time. A
-  // boundary road's transit receives pushes from exactly one grantor, so
-  // append order is FIFO order, as in the monolithic run.
-  void ingest_transfer(const shard::QueueTransfer& t);
-  // Mirror-state injection for remote boundary roads (grantor side):
-  // occupancy feeds the serve-credit downstream check, queued feeds the
-  // controllers' downstream_queue observations.
-  void set_remote_road_state(RoadId road, int occupancy, int queued);
 
  private:
   struct VehicleRecord {
@@ -158,7 +113,7 @@ class QueueSim {
   struct RoadState {
     // Vehicles driving toward the stop line (constant free-flow delay), FIFO.
     VecQueue<TransitEntry> transit;
-    // Occupancy counter: transit + all link queues + junction hand-off slots.
+    // Occupancy counter: transit + all link queues.
     int occupancy = 0;
   };
 
@@ -179,46 +134,18 @@ class QueueSim {
   // free so storage stays O(peak active + waiting), not O(history).
   [[nodiscard]] VehicleId alloc_vehicle();
   void admit_spawns(double from, double to);
-  // Sequential service arbitration: the serial loop's credit replenishment,
-  // burst clamp and downstream-capacity checks, in (intersection, phase-link)
-  // order, committing occupancy / queued-count deltas and recording per-link
-  // serve counts for the parallel passes. Touches cross-road state, so it
-  // stays single-threaded — the queue-sim analog of MicroSim's junction phase.
-  void arbitrate_service();
-  // Parallel pass 1 (partition by road): pop each road's served vehicles out
-  // of its own movement queues into per-link staging, bumping their routes.
-  void sweep_pop_served(std::size_t begin, std::size_t end);
-  // Parallel pass 2 (partition by road): deliver staged vehicles into the
-  // road's transit FIFO (serial arrival order), process transits that are
-  // due, stage exit completions, and accumulate queue time. `serve_time` is
-  // the pre-advance tick time (arrival timestamps match the serial loop).
-  void sweep_deliver_and_transit(std::size_t begin, std::size_t end, double serve_time);
-  // Shared by pass 2 and the fused serial path: pop a road's due transits,
-  // routing arrivals into its own movement queues and staging exit
-  // completions for apply_completions().
-  void drain_due_transits(std::size_t r, const net::Road& road);
-  // The threads == 1 tick's service phase, fused: the historical serial
-  // loop — arbitrate_service()'s exact credit arithmetic with each served
-  // vehicle popped and delivered inline (no staging, no bookkeeping, no
-  // barrier). Bit-identical to arbitration + the two staged passes; recovers
-  // the phase split's serial-only overhead.
-  void arbitrate_and_serve(double serve_time);
-  // Applies the completions staged by pass 2, in exit-road (road id) order.
-  void apply_completions();
+  // Service phase, run before the tick advances now_: replenishes each green
+  // movement's credit (capped at one burst), then serves while credit, queue
+  // and downstream capacity allow, in (intersection, phase-link) order,
+  // pushing each served vehicle into the downstream transit FIFO stamped
+  // with now_ plus the road's free-flow time.
+  void arbitrate_and_serve();
+  // Pops a road's due transits: arrivals join their movement queue, and on
+  // an exit road the vehicle completes.
+  void drain_due_transits(const net::Road& road);
   void sample_watches();
   void route_vehicle_into_queue(VehicleId vid, RoadId road);
   void complete_vehicle(VehicleId vid);
-  // Drains the staging of links that served into remote roads this tick into
-  // hooks->queue_outbox, in the recorded serve order — the queue-sim analog
-  // of MicroSim's transfer extraction. Runs sequentially between the passes.
-  void stage_remote_transfers(double serve_time);
-  // Shard masks: true when hooks are installed and the entity is remote.
-  [[nodiscard]] bool masked_road(std::size_t r) const {
-    return shard_ != nullptr && !shard_->own_road[r];
-  }
-  [[nodiscard]] bool masked_junction(std::size_t j) const {
-    return shard_ != nullptr && !shard_->own_junction[j];
-  }
   // Fills and returns the reusable observation buffer (valid until the next
   // observe() call); avoids re-allocating the link array per decision.
   [[nodiscard]] const core::IntersectionObservation& observe(const net::Intersection& node);
@@ -227,8 +154,6 @@ class QueueSim {
   QueueSimConfig config_;
   std::vector<core::ControllerPtr> controllers_;
   traffic::DemandGenerator& demand_;
-  // Sweep-phase worker pool, sized config_.threads (inline when 1).
-  std::unique_ptr<ThreadPool> pool_;
 
   double now_ = 0.0;
   double next_control_ = 0.0;
@@ -255,38 +180,11 @@ class QueueSim {
   // Reused per-tick spawn buffer filled by DemandGenerator::poll_into.
   std::vector<traffic::SpawnRequest> spawn_buffer_;
 
-  // --- Per-tick staging between arbitration and the parallel passes ---
-  // Vehicles each link serves this tick; written by arbitrate_service(),
-  // consumed and zeroed by pass 1 (every serving link is visited via its
-  // from_road's work unit, so no separate clear is needed).
-  std::vector<int> serve_count_;
-  // Roads with at least one serving outgoing link this tick; lets pass 1
-  // skip the per-link scan on the (common) roads that serve nothing.
-  // Written by arbitrate_service(), consumed and cleared by pass 1.
-  std::vector<char> service_from_;
-  // Served vehicles popped by pass 1, keyed by link; a link's staging is
-  // written only by its from_road's work unit and drained (after the
-  // barrier) only by its to_road's, so the passes never race.
-  std::vector<std::vector<VehicleId>> staged_;
-  // Links that served into each road this tick, in the serial serve order;
-  // pass 2 drains staging in exactly this order so the downstream transit
-  // FIFO matches the serial loop's push order bit for bit.
-  std::vector<std::vector<LinkId>> inbound_order_;
-  // Exit completions staged by pass 2 (FIFO per road), applied sequentially
-  // by apply_completions(): metric accumulation is floating-point
-  // order-sensitive and mutates shared counters.
-  std::vector<std::vector<VehicleId>> completions_;
-
   std::vector<Watch> watches_;
   // Reused by observe() so the per-decision link array is allocated once.
   core::IntersectionObservation obs_scratch_;
   stats::RunResult result_;
   bool finished_ = false;
-  // Sharding masks + event staging; null in a monolithic run.
-  shard::SimShardHooks* shard_ = nullptr;
-  // Links that served into *remote* roads this tick, in serve order — the
-  // sharded counterpart of inbound_order_, drained by stage_remote_transfers.
-  std::vector<LinkId> remote_serve_order_;
 };
 
 }  // namespace abp::queuesim

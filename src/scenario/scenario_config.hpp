@@ -52,31 +52,6 @@ struct ControllerOverride {
   core::ControllerSpec spec;
 };
 
-// Multi-process sharding of the grid (src/shard/; docs/SHARDING.md). The
-// grid is split into `count` contiguous row bands, each simulated by a forked
-// worker process; workers exchange only boundary traffic per tick and the
-// result is pinned bit-identical to the 1-shard run (ShardInvariance).
-struct ShardConfig {
-  // Number of shard processes; 1 = monolithic (no shard layer at all).
-  int count = 1;
-  // Allow count x backend-threads to exceed hardware_concurrency. Off by
-  // default for the same reason ExperimentRunner rejects oversubscribed
-  // batches: a silently timesliced "speedup" measurement is worse than an
-  // error. The invariance tests enable it (correctness is schedule-free).
-  bool allow_oversubscribe = false;
-  // Run the shard workers in-process (coordinator drives every worker's tick
-  // phases itself over deque channels) instead of forking. Same protocol,
-  // same frames, no processes — the transport the determinism tests pin and
-  // the only sharded mode usable under TSan. Programmatic-only, like the
-  // crash knobs below (scenario_io never serializes it).
-  bool in_process = false;
-  // Debug hook for the worker-crash test: worker `crash_worker` calls
-  // _exit() at simulated time `crash_at_s`. Negative = disabled. Not part of
-  // the scenario schema (scenario_io never serializes it).
-  int crash_worker = -1;
-  double crash_at_s = -1.0;
-};
-
 // Calibrated-surrogate parameters (src/surrogate/; docs/PERFORMANCE.md,
 // "Surrogate throughput"). When enabled and the run selects the queue
 // backend, the grid's uniform service-rate / transit-time / capacity scalars
@@ -123,26 +98,17 @@ struct ScenarioConfig {
   // (detect::JunctionMonitor via core::AdaptiveController; see
   // docs/CHANGEPOINT.md).
   detect::DetectorConfig detector;
-  // Multi-process sharding (count > 1 routes make_simulator through
-  // sim::ShardedSimulator; see docs/SHARDING.md).
-  ShardConfig shard;
   // Calibrated-surrogate rescaling of the queue backend (src/surrogate/).
   SurrogateConfig surrogate;
 };
 
 // Tick-level parallelism the config's *selected* backend will use: the
-// road-partitioned sweep width of the simulator that actually runs. The
-// experiment layer multiplies this by its run-level `jobs` when checking for
-// oversubscription (docs/PERFORMANCE.md, "Run-level vs tick-level
-// parallelism").
+// micro sim's road-partitioned lane-sweep width, or 1 for the queue sim,
+// whose tick is serial. The experiment layer multiplies this by its
+// run-level `jobs` when checking for oversubscription (docs/PERFORMANCE.md,
+// "Run-level vs tick-level parallelism").
 [[nodiscard]] inline int tick_threads(const ScenarioConfig& config) noexcept {
-  const int backend_threads = config.simulator == SimulatorKind::Micro
-                                  ? config.micro.threads
-                                  : config.queue.threads;
-  // A sharded run forks `count` workers, each with its own sweep pool, so
-  // the run's true hardware appetite is the product — the experiment layer's
-  // oversubscription guard must see all of it.
-  return backend_threads * (config.shard.count > 1 ? config.shard.count : 1);
+  return config.simulator == SimulatorKind::Micro ? config.micro.threads : 1;
 }
 
 }  // namespace abp::scenario

@@ -25,7 +25,7 @@ constexpr const char* kTopKeys[] = {
     "version", "name",  "description", "simulator",  "duration_s",
     "seed",    "grid",  "demand",      "controller", "controller_overrides",
     "micro",   "queue", "watches",     "faults",     "guard",
-    "detector", "shard", "surrogate"};
+    "detector", "surrogate"};
 constexpr const char* kGridKeys[] = {
     "rows",           "cols",     "road_length_m", "boundary_length_m",
     "speed_limit_mps", "capacity", "service_rate",  "handedness"};
@@ -62,7 +62,7 @@ constexpr const char* kSensorModelKeys[] = {"detection_probability", "quantizati
 constexpr const char* kVehicleKeys[] = {"length_m", "min_gap_m", "accel_mps2",
                                         "decel_mps2", "tau_s",   "sigma"};
 constexpr const char* kQueueKeys[] = {"step_s", "control_interval_s",
-                                      "sample_interval_s", "threads"};
+                                      "sample_interval_s"};
 constexpr const char* kWatchKeys[] = {"row", "col", "side", "name"};
 constexpr const char* kFaultsKeys[] = {"capacity", "sensors", "controllers"};
 constexpr const char* kRoadRefKeys[] = {"row", "col", "side"};
@@ -75,23 +75,29 @@ constexpr const char* kGuardKeys[] = {"enabled", "policy", "interval_s"};
 constexpr const char* kDetectorKeys[] = {
     "enabled",   "window_samples", "warmup_samples", "drift",      "threshold",
     "min_sigma", "min_links",      "fuse_window_s",  "cooldown_s", "adapt"};
-// crash_worker/crash_at_s are deliberately absent: the crash hook is a test
-// knob, not part of the declarative schema.
-constexpr const char* kShardKeys[] = {"count", "allow_oversubscribe"};
 constexpr const char* kSurrogateKeys[] = {"enabled", "service_scale", "transit_scale",
                                           "capacity_scale", "profile"};
 
+// Keys retired in schema v5, when sharding and the queue sim's tick threads
+// were removed. The loader still accepts them, holding the one value the
+// removed feature leaves, so v3/v4 files keep loading; they are never dumped
+// and are not in schema_field_paths().
+constexpr const char* kRetiredTopKeys[] = {"shard"};
+constexpr const char* kRetiredShardKeys[] = {"count", "allow_oversubscribe"};
+constexpr const char* kRetiredQueueKeys[] = {"threads"};
+
 void check_keys(const json::Value& obj, std::span<const char* const> allowed,
-                const std::string& path) {
-  for (const json::Member& m : obj.members()) {
-    bool known = false;
-    for (const char* k : allowed) {
-      if (m.first == k) {
-        known = true;
-        break;
-      }
+                const std::string& path, std::span<const char* const> retired = {}) {
+  const auto listed = [](std::span<const char* const> keys, const std::string& key) {
+    for (const char* k : keys) {
+      if (key == k) return true;
     }
-    if (!known) fail(path.empty() ? m.first : path + "." + m.first, "unknown key");
+    return false;
+  };
+  for (const json::Member& m : obj.members()) {
+    if (!listed(allowed, m.first) && !listed(retired, m.first)) {
+      fail(path.empty() ? m.first : path + "." + m.first, "unknown key");
+    }
   }
 }
 
@@ -545,10 +551,16 @@ void load_micro(const json::Value& v, microsim::MicroSimConfig& micro,
   }
 }
 
+// A retired count (shard.count, queue.threads): 1, the single-process,
+// serial value, is all that remains.
+void check_retired_count(const json::Value& v, const std::string& path) {
+  if (read_int(v, path) != 1) fail(path, "must be 1 (retired in schema v5)");
+}
+
 void load_queue(const json::Value& v, queuesim::QueueSimConfig& queue,
                 const std::string& path) {
   expect_object(v, path);
-  check_keys(v, kQueueKeys, path);
+  check_keys(v, kQueueKeys, path, kRetiredQueueKeys);
   if (const auto* f = v.find("step_s")) queue.step_s = read_double(*f, path + ".step_s");
   if (const auto* f = v.find("control_interval_s")) {
     queue.control_interval_s = read_double(*f, path + ".control_interval_s");
@@ -556,15 +568,12 @@ void load_queue(const json::Value& v, queuesim::QueueSimConfig& queue,
   if (const auto* f = v.find("sample_interval_s")) {
     queue.sample_interval_s = read_double(*f, path + ".sample_interval_s");
   }
-  if (const auto* f = v.find("threads")) queue.threads = read_int(*f, path + ".threads");
+  if (const auto* f = v.find("threads")) check_retired_count(*f, path + ".threads");
   if (!(queue.step_s > 0.0)) fail(path + ".step_s", "must be > 0");
   if (!(queue.control_interval_s >= queue.step_s)) {
     fail(path + ".control_interval_s", "must be >= step_s");
   }
   if (!(queue.sample_interval_s > 0.0)) fail(path + ".sample_interval_s", "must be > 0");
-  if (queue.threads < 1 || queue.threads > 256) {
-    fail(path + ".threads", "must be in [1, 256]");
-  }
 }
 
 void load_watches(const json::Value& v, std::vector<WatchSpec>& watches,
@@ -737,27 +746,18 @@ void load_detector(const json::Value& v, detect::DetectorConfig& det,
     det.cooldown_s = read_double(*f, path + ".cooldown_s");
   }
   if (const auto* f = v.find("adapt")) det.adapt = read_bool(*f, path + ".adapt");
-  if (det.window_samples < 1) fail(path + ".window_samples", "must be >= 1");
-  if (det.warmup_samples < 1) fail(path + ".warmup_samples", "must be >= 1");
-  if (!(det.drift >= 0.0)) fail(path + ".drift", "must be >= 0");
-  if (!(det.threshold > 0.0)) fail(path + ".threshold", "must be > 0");
-  if (!(det.min_sigma > 0.0)) fail(path + ".min_sigma", "must be > 0");
-  if (det.min_links < 1) fail(path + ".min_links", "must be >= 1");
-  if (!(det.fuse_window_s > 0.0)) fail(path + ".fuse_window_s", "must be > 0");
-  if (!(det.cooldown_s >= 0.0)) fail(path + ".cooldown_s", "must be >= 0");
+  validate_detector(det);
 }
 
-void load_shard(const json::Value& v, ShardConfig& shard, const std::string& path) {
+// The v3/v4 "shard" section: a single-process run, which is all that remains.
+// allow_oversubscribe never changed results, so either value loads.
+void load_retired_shard(const json::Value& v, const std::string& path) {
   expect_object(v, path);
-  check_keys(v, kShardKeys, path);
-  if (const auto* f = v.find("count")) shard.count = read_int(*f, path + ".count");
+  check_keys(v, kRetiredShardKeys, path);
+  if (const auto* f = v.find("count")) check_retired_count(*f, path + ".count");
   if (const auto* f = v.find("allow_oversubscribe")) {
-    shard.allow_oversubscribe = read_bool(*f, path + ".allow_oversubscribe");
+    (void)read_bool(*f, path + ".allow_oversubscribe");
   }
-  if (shard.count < 1) fail(path + ".count", "must be >= 1");
-  // The partitioner further requires count <= grid rows, but that depends on
-  // the grid section; sim::make_simulator owns cross-section validation.
-  if (shard.count > 256) fail(path + ".count", "must be <= 256");
 }
 
 void load_surrogate(const json::Value& v, SurrogateConfig& surrogate,
@@ -837,12 +837,23 @@ json::Value dump_controller_spec(const core::ControllerSpec& spec,
 
 }  // namespace
 
+void validate_detector(const detect::DetectorConfig& det) {
+  if (det.window_samples < 1) fail("detector.window_samples", "must be >= 1");
+  if (det.warmup_samples < 1) fail("detector.warmup_samples", "must be >= 1");
+  if (!(det.drift >= 0.0)) fail("detector.drift", "must be >= 0");
+  if (!(det.threshold > 0.0)) fail("detector.threshold", "must be > 0");
+  if (!(det.min_sigma > 0.0)) fail("detector.min_sigma", "must be > 0");
+  if (det.min_links < 1) fail("detector.min_links", "must be >= 1");
+  if (!(det.fuse_window_s > 0.0)) fail("detector.fuse_window_s", "must be > 0");
+  if (!(det.cooldown_s >= 0.0)) fail("detector.cooldown_s", "must be >= 0");
+}
+
 ScenarioConfig load_scenario(std::string_view json_text) {
   const json::Value doc = json::parse(json_text);
   if (!doc.is_object()) {
     fail("$", std::string("expected an object, got ") + doc.type_name());
   }
-  check_keys(doc, kTopKeys, "");
+  check_keys(doc, kTopKeys, "", kRetiredTopKeys);
 
   const json::Value* version = doc.find("version");
   if (version == nullptr) fail("version", "required field is missing");
@@ -903,7 +914,7 @@ ScenarioConfig load_scenario(std::string_view json_text) {
   if (const auto* f = doc.find("faults")) load_faults(*f, cfg.faults, "faults");
   if (const auto* f = doc.find("guard")) load_guard(*f, cfg.guard, "guard");
   if (const auto* f = doc.find("detector")) load_detector(*f, cfg.detector, "detector");
-  if (const auto* f = doc.find("shard")) load_shard(*f, cfg.shard, "shard");
+  if (const auto* f = doc.find("shard")) load_retired_shard(*f, "shard");
   if (const auto* f = doc.find("surrogate")) {
     load_surrogate(*f, cfg.surrogate, "surrogate");
   }
@@ -1021,7 +1032,6 @@ std::string dump_scenario(const ScenarioConfig& config) {
   queue.set("step_s", json::Value::number(config.queue.step_s));
   queue.set("control_interval_s", json::Value::number(config.queue.control_interval_s));
   queue.set("sample_interval_s", json::Value::number(config.queue.sample_interval_s));
-  queue.set("threads", json::Value::number(config.queue.threads));
   doc.set("queue", std::move(queue));
 
   json::Value watches = json::Value::array();
@@ -1093,12 +1103,6 @@ std::string dump_scenario(const ScenarioConfig& config) {
   detector.set("adapt", json::Value::boolean(config.detector.adapt));
   doc.set("detector", std::move(detector));
 
-  json::Value shard = json::Value::object();
-  shard.set("count", json::Value::number(config.shard.count));
-  shard.set("allow_oversubscribe",
-            json::Value::boolean(config.shard.allow_oversubscribe));
-  doc.set("shard", std::move(shard));
-
   json::Value surrogate = json::Value::object();
   surrogate.set("enabled", json::Value::boolean(config.surrogate.enabled));
   surrogate.set("service_scale", json::Value::number(config.surrogate.service_scale));
@@ -1146,7 +1150,6 @@ std::vector<std::string> schema_field_paths() {
   add("faults.controllers[].node", kNodeKeys);
   add("guard", kGuardKeys);
   add("detector", kDetectorKeys);
-  add("shard", kShardKeys);
   add("surrogate", kSurrogateKeys);
   return out;
 }

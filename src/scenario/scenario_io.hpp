@@ -46,7 +46,10 @@ namespace abp::scenario {
 // added the optional "detector" section (online changepoint detection);
 // version 3 the optional "shard" section (multi-process sharding); version 4
 // the optional "surrogate" section (calibrated queue-backend rescaling).
-inline constexpr int kScenarioSchemaVersion = 4;
+// Version 5 retired "shard" and "queue.threads": the loader still accepts
+// them at the one value that remains (shard.count 1, queue.threads 1, either
+// shard.allow_oversubscribe), and the dumper no longer writes them.
+inline constexpr int kScenarioSchemaVersion = 5;
 inline constexpr int kScenarioSchemaVersionMin = 1;
 
 // Load/validate failure with the dotted path of the offending field.
@@ -66,6 +69,12 @@ class ScenarioIoError : public std::invalid_argument {
 // schema violation (unknown key, wrong type, out-of-range value, overlapping
 // fault windows, ...) and json::ParseError on malformed JSON.
 [[nodiscard]] ScenarioConfig load_scenario(std::string_view json_text);
+
+// Validates the detector section with the loader's path-addressed messages
+// ("detector.window_samples: must be >= 1"). The loader runs it on every
+// document; sim::make_simulator runs it on enabled detectors, so
+// programmatic configs get the same checks. Throws ScenarioIoError.
+void validate_detector(const detect::DetectorConfig& detector);
 
 // Reads the file and calls load_scenario. Throws std::runtime_error when the
 // file cannot be opened.

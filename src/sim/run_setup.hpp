@@ -3,13 +3,12 @@
 // controller set (overrides, detector wrapping, fault decorators), capacity
 // fault expansion, watch resolution and the per-backend constructor calls.
 //
-// Split out of simulator.cpp so the sharding layer (src/shard) can construct
-// each worker's *full* network / demand / controller graph through exactly
-// the same code path as the monolithic BackendSimulator. Bit-identical
-// K-shard results (docs/SHARDING.md) depend on every worker seeding every
-// stream the same way the 1-shard run does; funneling all construction
-// through this one header makes that a structural property instead of a
-// convention.
+// Public so a harness that drives a backend directly (the benchmark's traced
+// run in perfbench/) builds the network / demand / controller graph through
+// exactly the same code path as make_simulator's BackendSimulator. A
+// bit-identical result depends on every stream being seeded the same way;
+// funneling all construction through this one header makes that a
+// structural property instead of a convention.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +46,8 @@ inline constexpr std::uint64_t kMicroSeedSalt = 0x5157ULL;
 // calibration scales applied when the config enables them AND selects the
 // queue backend. The micro backend always runs the design grid — it is the
 // calibration target, so attaching a profile to a scenario must not perturb
-// its micro pins. Every construction path (monolithic, sharded coordinator,
-// shard workers) must funnel through this so a calibrated run is bit-identical
-// at every shard/thread count.
+// its micro pins. Every construction path must funnel through this so a
+// calibrated run is bit-identical whichever path builds it.
 [[nodiscard]] net::GridConfig effective_grid(const scenario::ScenarioConfig& config);
 
 // Resolves a grid (row, col) reference; throws std::invalid_argument naming

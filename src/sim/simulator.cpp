@@ -14,7 +14,7 @@
 #include "src/net/grid.hpp"
 #include "src/net/validation.hpp"
 #include "src/queuesim/queue_sim.hpp"
-#include "src/shard/sharded_simulator.hpp"
+#include "src/scenario/scenario_io.hpp"
 #include "src/sim/run_setup.hpp"
 #include "src/sim/simulator_guard.hpp"
 
@@ -154,40 +154,9 @@ class BackendSimulator final : public Simulator {
 
 std::unique_ptr<Simulator> make_simulator(const scenario::ScenarioConfig& config) {
   scenario::validate_or_throw(config.faults);
-  if (config.detector.enabled) {
-    const detect::DetectorConfig& d = config.detector;
-    if (d.window_samples < 1) {
-      throw std::invalid_argument("detector window_samples must be at least 1");
-    }
-    if (d.warmup_samples < 1) {
-      throw std::invalid_argument("detector warmup_samples must be at least 1");
-    }
-    if (!(d.drift >= 0.0)) throw std::invalid_argument("detector drift must be >= 0");
-    if (!(d.threshold > 0.0)) {
-      throw std::invalid_argument("detector threshold must be positive");
-    }
-    if (!(d.min_sigma > 0.0)) {
-      throw std::invalid_argument("detector min_sigma must be positive");
-    }
-    if (d.min_links < 1) {
-      throw std::invalid_argument("detector min_links must be at least 1");
-    }
-    if (!(d.fuse_window_s > 0.0)) {
-      throw std::invalid_argument("detector fuse_window_s must be positive");
-    }
-    if (!(d.cooldown_s >= 0.0)) {
-      throw std::invalid_argument("detector cooldown_s must be >= 0");
-    }
-  }
-  if (config.shard.count < 1) {
-    throw std::invalid_argument("shard.count must be at least 1");
-  }
+  if (config.detector.enabled) scenario::validate_detector(config.detector);
   std::unique_ptr<Simulator> sim;
-  if (config.shard.count > 1) {
-    // Multi-process (or in-process multi-worker) sharded run; bit-identical
-    // to the monolithic path below (docs/SHARDING.md).
-    sim = shard::make_sharded_simulator(config);
-  } else if (config.simulator == scenario::SimulatorKind::Micro) {
+  if (config.simulator == scenario::SimulatorKind::Micro) {
     sim = std::make_unique<BackendSimulator<microsim::MicroSim>>(config);
   } else {
     sim = std::make_unique<BackendSimulator<queuesim::QueueSim>>(config);

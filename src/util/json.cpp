@@ -243,8 +243,17 @@ class Parser {
     if (at_end()) fail("unexpected end of document");
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // One recursion per level: bound it so a hostile document fails
+        // with a position instead of overflowing the stack.
+        if (++depth_ > kMaxNestingDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxNestingDepth) + " levels");
+        }
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value::string(parse_string());
       case 't':
         if (consume_literal("true")) return Value::boolean(true);
@@ -369,6 +378,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects currently open
 };
 
 }  // namespace

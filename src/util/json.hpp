@@ -119,8 +119,13 @@ class Value {
   std::vector<Member> members_;
 };
 
+// Deepest array/object nesting parse() accepts. Scenario and profile files
+// nest single-digit levels deep; the limit keeps the recursive parser's stack
+// bounded on hostile input.
+inline constexpr int kMaxNestingDepth = 256;
+
 // Parses one JSON document (trailing whitespace allowed, trailing garbage
-// rejected). Throws ParseError.
+// rejected). Throws ParseError, including past kMaxNestingDepth.
 [[nodiscard]] Value parse(std::string_view text);
 
 // Serializes with 2-space indentation, object keys in insertion order, and a

@@ -13,6 +13,7 @@
 #include "src/exp/experiment_runner.hpp"
 #include "src/scenario/scenario.hpp"
 #include "src/scenario/scenario_io.hpp"
+#include "src/sim/simulator.hpp"
 #include "src/stats/run_result.hpp"
 
 namespace abp::scenario {
@@ -97,6 +98,22 @@ TEST(ChangepointTest, MonitorOnlyDetectorIsPassive) {
   EXPECT_EQ(plain.detections.samples, 0u);
 }
 
+TEST(ChangepointTest, MakeSimulatorValidatesAnEnabledDetector) {
+  // Programmatic configs bypass the loader, so make_simulator runs the
+  // loader's detector validator itself, with the same path-addressed
+  // messages, but only when the detector is on.
+  ScenarioConfig cfg = Load("baseline_3x3.json");
+  cfg.detector.window_samples = 0;
+  EXPECT_NO_THROW((void)sim::make_simulator(cfg));
+  cfg.detector.enabled = true;
+  try {
+    (void)sim::make_simulator(cfg);
+    FAIL() << "expected ScenarioIoError";
+  } catch (const ScenarioIoError& e) {
+    EXPECT_STREQ(e.what(), "detector.window_samples: must be >= 1");
+  }
+}
+
 TEST(ChangepointTest, DetectionIsThreadInvariant) {
   // The monitor runs in the sequential control phase, so the event stream —
   // and the adaptive trajectory it steers — must be bit-identical at every
@@ -106,7 +123,6 @@ TEST(ChangepointTest, DetectionIsThreadInvariant) {
   for (const int threads : {2, 8}) {
     SCOPED_TRACE(threads);
     cfg.micro.threads = threads;
-    cfg.queue.threads = threads;
     const stats::RunResult r = run_scenario(cfg);
     EXPECT_EQ(r.metrics.completed, base.metrics.completed);
     EXPECT_EQ(r.metrics.average_queuing_time_s(),

@@ -163,23 +163,18 @@ TEST(FaultInjection, QueueIncidentPinnedMetrics) {
   EXPECT_EQ(r.metrics.entry_blocked_time_s, 0x0p+0);                 // 0.0
 }
 
-// The headline guarantee: a nonempty fault schedule must not give the thread
-// count any way to show up in the results. Faults execute in the sequential
-// phase; the parallel sweeps never see them.
+// The headline guarantee: a nonempty fault schedule must not give the micro
+// sim's thread count any way to show up in the results. Faults execute in
+// the sequential phase; the parallel lane sweep never sees them.
 TEST(FaultInjection, ThreadInvarianceWithFaults) {
-  for (const scenario::SimulatorKind kind :
-       {scenario::SimulatorKind::Queue, scenario::SimulatorKind::Micro}) {
-    SCOPED_TRACE(kind == scenario::SimulatorKind::Queue ? "queue" : "micro");
-    scenario::ScenarioConfig base = incident_config(kind);
-    const auto serial = scenario::run_scenario(base);
-    for (int threads : {2, 8}) {
-      scenario::ScenarioConfig cfg = base;
-      cfg.micro.threads = threads;
-      cfg.queue.threads = threads;
-      const auto parallel = scenario::run_scenario(cfg);
-      SCOPED_TRACE(threads);
-      expect_identical(serial.metrics, parallel.metrics);
-    }
+  const scenario::ScenarioConfig base = incident_config(scenario::SimulatorKind::Micro);
+  const auto serial = scenario::run_scenario(base);
+  for (int threads : {2, 8}) {
+    scenario::ScenarioConfig cfg = base;
+    cfg.micro.threads = threads;
+    const auto parallel = scenario::run_scenario(cfg);
+    SCOPED_TRACE(threads);
+    expect_identical(serial.metrics, parallel.metrics);
   }
 }
 
@@ -246,7 +241,6 @@ TEST(FaultInjection, InvariantsHoldThroughIncidents) {
                    << "/threads=" << threads);
       scenario::ScenarioConfig cfg = incident_config(kind);
       cfg.micro.threads = threads;
-      cfg.queue.threads = threads;
       cfg.guard.enabled = true;
       cfg.guard.policy = scenario::GuardPolicy::Record;
       const auto r = scenario::run_scenario(cfg);

@@ -13,11 +13,10 @@
 // queue count the simulator produces. Any refactor that perturbs queue
 // counting, observation order, or RNG call order shifts the sensor stream and
 // changes these numbers. Dawdling noise comes from per-road counter-based
-// streams (StreamRng), so the pins additionally assert that the parallel
-// sweeps are bit-identical at every thread count — the ThreadInvariance
-// tests run the same fixed seed at 1, 2 and 8 threads (both
-// MicroSimConfig::threads and QueueSimConfig::threads) and demand equal
-// metrics to the last bit.
+// streams (StreamRng), so the pins additionally assert that the micro sim's
+// parallel lane sweep is bit-identical at every thread count — the
+// ThreadInvariance test runs the same fixed seed at 1, 2 and 8
+// MicroSimConfig::threads and demands equal metrics to the last bit.
 //
 // If a deliberate behavior change invalidates the pins, re-capture them with
 // the printed actuals — but only after convincing yourself the change is
@@ -106,25 +105,6 @@ TEST(GoldenDeterminism, MicroSimThreadInvariance) {
   for (int threads : {2, 8}) {
     scenario::ScenarioConfig cfg = base;
     cfg.micro.threads = threads;
-    const auto parallel = scenario::run_scenario(cfg);
-    SCOPED_TRACE(threads);
-    expect_identical(serial.metrics, parallel.metrics);
-  }
-}
-
-// Same contract for the queue sim's road-partitioned service sweep (PR 3):
-// service arbitration runs sequentially in the serial loop's order, the
-// parallel passes touch only road-owned state, and completions are applied
-// in exit-road order — so the thread count may only change wall-clock time.
-// The sweep consumes no randomness at all (demand draws happen in the
-// sequential admission phase), which is why these pins are identical to the
-// serial values of the pre-parallel implementation, not re-captured.
-TEST(GoldenDeterminism, QueueSimThreadInvariance) {
-  scenario::ScenarioConfig base = golden_config(scenario::SimulatorKind::Queue);
-  const auto serial = scenario::run_scenario(base);
-  for (int threads : {2, 8}) {
-    scenario::ScenarioConfig cfg = base;
-    cfg.queue.threads = threads;
     const auto parallel = scenario::run_scenario(cfg);
     SCOPED_TRACE(threads);
     expect_identical(serial.metrics, parallel.metrics);

@@ -1,7 +1,7 @@
-// Deep bit-exact comparison of two RunResults, shared by the refactor pins
-// (memo-table elision) and the shard-invariance suite. Exact double equality
-// on purpose: the transformations under test must preserve the arithmetic
-// bit for bit, not approximately.
+// Deep bit-exact comparison of two RunResults for the refactor pins
+// (memo-table elision). Exact double equality on purpose: the
+// transformations under test must preserve the arithmetic bit for bit, not
+// approximately.
 #pragma once
 
 #include <gtest/gtest.h>

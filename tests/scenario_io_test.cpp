@@ -35,23 +35,45 @@ TEST(ScenarioIoTest, EmptyObjectNeedsVersion) {
 
 TEST(ScenarioIoTest, UnsupportedVersionIsRejected) {
   ExpectLoadError(
-      R"({"version": 5})",
-      "version: unsupported schema version 5 (this build reads versions 1 through 4)");
+      R"({"version": 6})",
+      "version: unsupported schema version 6 (this build reads versions 1 through 5)");
   ExpectLoadError(
       R"({"version": 0})",
-      "version: unsupported schema version 0 (this build reads versions 1 through 4)");
+      "version: unsupported schema version 0 (this build reads versions 1 through 5)");
 }
 
 TEST(ScenarioIoTest, OlderSchemaVersionsStillLoad) {
-  // Version 1 predates the detector (v2), shard (v3) and surrogate (v4)
-  // sections; a v1 document loads with all of them at their disabled
-  // defaults and re-dumps at the current version.
+  // Version 1 predates the detector (v2) and surrogate (v4) sections; a v1
+  // document loads with both at their disabled defaults and re-dumps at the
+  // current version.
   const ScenarioConfig cfg = load_scenario(R"({"version": 1})");
   EXPECT_FALSE(cfg.detector.enabled);
-  EXPECT_EQ(cfg.shard.count, 1);
   EXPECT_FALSE(cfg.surrogate.enabled);
   EXPECT_EQ(cfg.surrogate.service_scale, 1.0);
-  EXPECT_NE(dump_scenario(cfg).find("\"version\": 4"), std::string::npos);
+  EXPECT_NE(dump_scenario(cfg).find("\"version\": 5"), std::string::npos);
+}
+
+TEST(ScenarioIoTest, RetiredKeysLoadAtTheirRemainingValue) {
+  // Schema v5 removed sharding and the queue sim's tick threads. A v4 file
+  // that spells out the single-process values still loads, and its dump
+  // carries neither key.
+  const ScenarioConfig cfg = load_scenario(R"({"version": 4,
+    "queue": {"threads": 1},
+    "shard": {"count": 1, "allow_oversubscribe": true}})");
+  const json::Value doc = json::parse(dump_scenario(cfg));
+  EXPECT_EQ(doc.find("shard"), nullptr);
+  EXPECT_EQ(doc.find("queue")->find("threads"), nullptr);
+  EXPECT_NO_THROW((void)load_scenario(
+      R"({"version": 3, "shard": {"allow_oversubscribe": false}})"));
+}
+
+TEST(ScenarioIoTest, RetiredKeysRejectRemovedValues) {
+  ExpectLoadError(R"({"version": 4, "shard": {"count": 2}})",
+                  "shard.count: must be 1 (retired in schema v5)");
+  ExpectLoadError(R"({"version": 4, "queue": {"threads": 4}})",
+                  "queue.threads: must be 1 (retired in schema v5)");
+  ExpectLoadError(R"({"version": 4, "shard": {"in_process": true}})",
+                  "shard.in_process: unknown key");
 }
 
 TEST(ScenarioIoTest, MinimalScenarioLoadsDefaults) {
@@ -73,6 +95,24 @@ TEST(ScenarioIoTest, MalformedJsonReportsLineAndColumn) {
     EXPECT_EQ(e.line(), 3);
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
   }
+}
+
+TEST(ScenarioIoTest, DeepNestingFailsWithLineAndColumn) {
+  // The parser recurses once per level; past the limit it must report a
+  // position instead of overflowing the stack.
+  try {
+    (void)load_scenario(std::string(200000, '['));
+    FAIL() << "expected json::ParseError";
+  } catch (const json::ParseError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_EQ(e.column(), json::kMaxNestingDepth + 1);
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256 levels"),
+              std::string::npos);
+  }
+  // Exactly at the limit still parses.
+  const std::string deepest = std::string(json::kMaxNestingDepth, '[') +
+                              std::string(json::kMaxNestingDepth, ']');
+  EXPECT_NO_THROW((void)json::parse(deepest));
 }
 
 TEST(ScenarioIoTest, UnknownKeysAreRejectedWithFullPath) {
@@ -224,7 +264,6 @@ ScenarioConfig FullConfig() {
   cfg.micro.threads = 2;
   cfg.micro.sensor.detection_probability = 0.9;
   cfg.micro.vehicle.sigma = 0.25;
-  cfg.queue.threads = 3;
   cfg.watches.push_back({0, 3, net::Side::West, "exit"});
   cfg.faults.capacity.push_back({{0, 1, net::Side::North}, 100.0, kInf, 0.0});
   cfg.faults.sensors.push_back(
@@ -233,8 +272,6 @@ ScenarioConfig FullConfig() {
   cfg.guard.enabled = true;
   cfg.guard.policy = GuardPolicy::Record;
   cfg.guard.interval_s = 2.5;
-  cfg.shard.count = 2;
-  cfg.shard.allow_oversubscribe = true;
   return cfg;
 }
 
@@ -265,7 +302,6 @@ TEST(ScenarioIoTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.controller_overrides[0].spec.type, core::ControllerType::FixedTime);
   EXPECT_EQ(back.micro.threads, cfg.micro.threads);
   EXPECT_EQ(back.micro.vehicle.sigma, cfg.micro.vehicle.sigma);
-  EXPECT_EQ(back.queue.threads, cfg.queue.threads);
   ASSERT_EQ(back.watches.size(), 1u);
   EXPECT_EQ(back.watches[0].side, net::Side::West);
   EXPECT_EQ(back.watches[0].name, "exit");
@@ -280,8 +316,6 @@ TEST(ScenarioIoTest, RoundTripPreservesEveryField) {
   EXPECT_TRUE(back.guard.enabled);
   EXPECT_EQ(back.guard.policy, GuardPolicy::Record);
   EXPECT_EQ(back.guard.interval_s, cfg.guard.interval_s);
-  EXPECT_EQ(back.shard.count, 2);
-  EXPECT_TRUE(back.shard.allow_oversubscribe);
 }
 
 TEST(ScenarioIoTest, DumpIsByteStableUnderReload) {
