@@ -1,6 +1,7 @@
 // A2: ablation — which of UTIL-BP's ingredients buy the improvement?
 //
-// DESIGN.md calls out three design choices; each maps to a controller knob:
+// UTIL-BP (src/core/bp_util.hpp) rests on three design choices; each maps to
+// a controller knob:
 //   (a) hysteresis threshold g* (Eq. 12)        -> GStarPolicy::WStarMu vs Zero
 //   (b) full/empty sentinels alpha/beta (Eq. 8) -> paper values vs near-zero
 //   (c) fixed-length slots vs mini-slot control -> UTIL-BP vs CAP-BP/ORIG-BP

@@ -21,6 +21,11 @@ UtilBpController::UtilBpController(IntersectionPlan plan, UtilBpConfig config)
   gain_params_.pressure = config_.pressure;
 }
 
+bool UtilBpController::holds_when_idle(double time) const {
+  if (current_ == net::kTransitionPhase) return time < transition_until_;
+  return !plan_.phases[static_cast<std::size_t>(current_)].empty();
+}
+
 void UtilBpController::reset() {
   current_ = net::kTransitionPhase;
   transition_until_ = -1.0;
@@ -89,7 +94,8 @@ net::PhaseIndex UtilBpController::decide(const IntersectionObservation& obs) {
   if (static_cast<int>(obs.links.size()) != plan_.num_links) {
     throw std::invalid_argument("observation size does not match plan");
   }
-  const std::vector<double> gains = all_link_gains_util(obs, gain_params_);
+  all_link_gains_util(obs, gain_params_, gains_);
+  const std::span<const double> gains = gains_;
 
   // Case 1: transition phase still running (Lines 1-2).
   if (current_ == net::kTransitionPhase && obs.time < transition_until_) {

@@ -58,6 +58,11 @@ class UtilBpController final : public SignalController {
   UtilBpController(IntersectionPlan plan, UtilBpConfig config);
 
   [[nodiscard]] net::PhaseIndex decide(const IntersectionObservation& obs) override;
+  // On an idle observation every gain is alpha (Eq. 8), so Case 1 holds the
+  // running amber, and a non-empty control phase survives Cases 2 and 3
+  // (scenario 2's gmax ties go to the incumbent): true in exactly those two
+  // states.
+  [[nodiscard]] bool holds_when_idle(double time) const override;
   void reset() override;
   [[nodiscard]] std::string name() const override { return "UTIL-BP"; }
 
@@ -76,6 +81,9 @@ class UtilBpController final : public SignalController {
   net::PhaseIndex current_ = net::kTransitionPhase;
   // t_Deltak of Algorithm 1: expiry time of the running transition phase.
   double transition_until_ = -1.0;
+  // Per-link gains of the current decision, reused so decide() allocates
+  // nothing.
+  std::vector<double> gains_;
 };
 
 }  // namespace abp::core

@@ -22,6 +22,16 @@ class SignalController {
   // monotone in time: calls arrive with non-decreasing obs.time.
   [[nodiscard]] virtual net::PhaseIndex decide(const IntersectionObservation& obs) = 0;
 
+  // True when a decide() at `time` on an *idle* observation — every link's
+  // queue reading 0 and every outgoing road below its capacity, all other
+  // readings arbitrary — would return the phase the previous decide()
+  // returned and change no state. A simulator may then skip that call
+  // altogether (MicroSim does, with a perfect sensor). The default is the
+  // always-safe false; only a policy that can prove the property overrides
+  // it, and decorators keep the default because they have per-decision side
+  // effects of their own.
+  [[nodiscard]] virtual bool holds_when_idle(double /*time*/) const { return false; }
+
   // Restores the initial state so the controller can be reused for a new run.
   virtual void reset() = 0;
 

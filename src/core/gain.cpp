@@ -35,13 +35,18 @@ double link_gain_util(const LinkState& link, double wstar_value, const GainParam
 
 std::vector<double> all_link_gains_util(const IntersectionObservation& obs,
                                         const GainParams& params) {
-  const double w = wstar(obs);
   std::vector<double> gains;
-  gains.reserve(obs.links.size());
-  for (const LinkState& l : obs.links) {
-    gains.push_back(link_gain_util(l, w, params));
-  }
+  all_link_gains_util(obs, params, gains);
   return gains;
+}
+
+void all_link_gains_util(const IntersectionObservation& obs, const GainParams& params,
+                         std::vector<double>& gains) {
+  const double w = wstar(obs);
+  gains.resize(obs.links.size());
+  for (std::size_t i = 0; i < obs.links.size(); ++i) {
+    gains[i] = link_gain_util(obs.links[i], w, params);
+  }
 }
 
 double phase_gain(std::span<const int> phase_links, std::span<const double> link_gains) {

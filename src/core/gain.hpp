@@ -58,6 +58,10 @@ struct GainParams {
 // Gains of all links of an observation under Eq. (8), in link order.
 [[nodiscard]] std::vector<double> all_link_gains_util(const IntersectionObservation& obs,
                                                       const GainParams& params);
+// Same, written into `gains` (resized to the link count), so a caller that
+// keeps the buffer allocates nothing per decision.
+void all_link_gains_util(const IntersectionObservation& obs, const GainParams& params,
+                         std::vector<double>& gains);
 
 // Eq. (10): total gain of a phase given per-link gains. Empty phase -> 0.
 [[nodiscard]] double phase_gain(std::span<const int> phase_links,

@@ -1,6 +1,7 @@
 #include "src/microsim/micro_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -47,8 +48,10 @@ void MicroSim::build_runtime() {
     RoadRt& rt = roads_[road.id.index()];
     if (road.is_exit()) {
       rt.lanes.push_back(Lane{});  // single unsignalled lane
+      rt.to_junction = kNoJunction;
       continue;
     }
+    rt.to_junction = static_cast<std::uint32_t>(road.to.index());
     // The topology index guarantees turn order (Left, Straight, Right) —
     // exactly the dedicated-lane layout the paper assumes.
     const std::span<const LinkId> movements = net_.links_from(road.id);
@@ -94,10 +97,19 @@ void MicroSim::build_runtime() {
     }
   }
 
+  link_obs_.reserve(net_.links().size());
+  for (const net::Link& link : net_.links()) {
+    link_obs_.push_back({static_cast<std::uint32_t>(link.from_road.index()),
+                         static_cast<std::uint32_t>(link.to_road.index()),
+                         net_.road(link.from_road).capacity, net_.road(link.to_road).capacity,
+                         link.service_rate});
+  }
+
   road_queued_approach_.assign(net_.roads().size(), 0);
   road_queued_congestion_.assign(net_.roads().size(), 0);
   link_queued_approach_.assign(net_.links().size(), 0);
-  memo_dirty_.assign(net_.roads().size(), 0);
+  active_roads_.assign((net_.roads().size() + 63) / 64, 0);
+  approach_count_.assign(net_.intersections().size(), 0);
   sweep_scratch_.resize(static_cast<std::size_t>(config_.threads));
   std::size_t max_lanes = 1;
   for (const RoadRt& rt : roads_) max_lanes = std::max(max_lanes, rt.lanes.size());
@@ -231,28 +243,49 @@ const core::IntersectionObservation& MicroSim::observe(const net::Intersection& 
   obs.links.clear();
   obs.links.reserve(node.links.size());
   for (LinkId lid : node.links) {
-    const net::Link& link = net_.link(lid);
+    const LinkObs& link = link_obs_[lid.index()];
     core::LinkState state;
     // Queue readings pass through the detector model; occupancy and
     // capacities are physical state, never perturbed. True counts come from
-    // the control-step memo tables (refresh_queue_memo), not per-link scans.
+    // the control-step memo tables (rebuilt by sweep_roads), not per-link
+    // scans.
     state.queue =
         core::measure_queue(link_queued_approach_[lid.index()], config_.sensor, rng_);
-    state.upstream_total = core::measure_queue(road_queued_approach_[link.from_road.index()],
-                                               config_.sensor, rng_);
-    state.upstream_capacity = net_.road(link.from_road).capacity;
-    state.downstream_queue = core::measure_queue(
-        road_queued_congestion_[link.to_road.index()], config_.sensor, rng_);
-    state.downstream_total = roads_[link.to_road.index()].occupancy;
-    state.downstream_capacity = net_.road(link.to_road).capacity;
+    state.upstream_total =
+        core::measure_queue(road_queued_approach_[link.from_road], config_.sensor, rng_);
+    state.upstream_capacity = link.upstream_capacity;
+    state.downstream_queue =
+        core::measure_queue(road_queued_congestion_[link.to_road], config_.sensor, rng_);
+    state.downstream_total = roads_[link.to_road].occupancy;
+    state.downstream_capacity = link.downstream_capacity;
     state.service_rate = link.service_rate;
     obs.links.push_back(state);
   }
   return obs;
 }
 
+bool MicroSim::decision_idle(const net::Intersection& node) const {
+  // An imperfect sensor draws from rng_ on every reading, so a skipped
+  // observation would shift the stream. A perfect one hands the controller
+  // the memo counts as they are: every queue reading must be 0.
+  if (!config_.sensor.perfect()) return false;
+  for (LinkId lid : node.links) {
+    if (link_queued_approach_[lid.index()] != 0) return false;
+  }
+  // Eq. (8)'s full-road sentinel beta could make another phase win.
+  for (LinkId lid : node.links) {
+    const LinkObs& link = link_obs_[lid.index()];
+    if (roads_[link.to_road].occupancy >= link.downstream_capacity) return false;
+  }
+  return controllers_[node.id.index()]->holds_when_idle(now_);
+}
+
 void MicroSim::control_step() {
   for (const net::Intersection& node : net_.intersections()) {
+    // The decision would return the displayed phase and change no state; an
+    // unchanged phase would only extend the trace's end time, which finish()
+    // sets anyway.
+    if (decision_idle(node)) continue;
     const net::PhaseIndex phase = controllers_[node.id.index()]->decide(observe(node));
     if (phase < 0 || phase >= static_cast<int>(node.phases.size())) {
       throw std::logic_error("controller returned an out-of-range phase");
@@ -311,6 +344,8 @@ void MicroSim::admit_spawns() {
       }
       it = rt.buffer.erase(it);
       rt.occupancy += 1;
+      mark_active(entry.index());
+      approach_count_[rt.to_junction] += 1;
       m.loc = Loc::Lane;
       m.lane = lane;
       m.entry_time = now_;
@@ -344,6 +379,7 @@ void MicroSim::release_junction_vehicles() {
     RoadRt& target = roads_[m.road.index()];
     if (m.junction_exit <= now_ && entry_clear(target, m.lane)) {
       m.loc = Loc::Lane;
+      if (target.to_junction != kNoJunction) approach_count_[target.to_junction] += 1;
       target.lanes[static_cast<std::size_t>(m.lane)].push_vehicle(
           vid, 0.0, std::min(config_.insertion_speed_mps, net_.road(m.road).speed_limit_mps),
           veh_waiting_[vid.index()]);
@@ -382,6 +418,7 @@ bool MicroSim::try_grant(VehicleId vid, LinkId link) {
                                    : l.service_rate;
   lrt.next_grant = now_ + 1.0 / physical_rate;
   target.occupancy += 1;
+  mark_active(to_road.index());
   m.road = to_road;
   m.lane = target_lane;
   m.next_turn = next;
@@ -408,9 +445,10 @@ void MicroSim::service_junctions() {
   // blocking). Grants read and write state of the *downstream* road
   // (occupancy reservation, insertion-gap check), which another road's work
   // unit owns — that cross-road coupling is exactly why this phase runs
-  // sequentially, before the parallel sweep.
-  for (const net::Intersection& node : net_.intersections()) {
-    const std::size_t ni = node.id.index();
+  // sequentially, before the parallel sweep. A junction with no vehicle on
+  // an approach lane is skipped outright: an empty lane never grants.
+  for (std::size_t ni = 0; ni < approach_count_.size(); ++ni) {
+    if (approach_count_[ni] == 0) continue;
     const std::uint32_t slot =
         phase_slot_base_[ni] + static_cast<std::uint32_t>(displayed_[ni]);
     const std::uint32_t slot_end = phase_link_offsets_[slot + 1];
@@ -438,6 +476,7 @@ void MicroSim::service_junctions() {
       VehMeta& m = veh_meta_[vid.index()];
       m.junction_exit = now_ + config_.junction_crossing_s;
       rt.occupancy -= 1;
+      approach_count_[ni] -= 1;
       lane.pop_head();
       m.loc = Loc::Junction;
       in_junction_.push_back(vid);
@@ -545,44 +584,45 @@ void MicroSim::sweep_roads() {
   memo_pending_ = now_ + config_.dt_s >= next_control_;
   if (memo_pending_ && config_.memo_always_rebuild) {
     // Reference path: global zero of every memo row before the rebuild. The
-    // default path below instead zeroes rows per road, lazily — a row is
-    // cleared only when its road is occupied this tick (about to be
-    // re-accumulated) or still dirty from an earlier rebuild. Empty roads
-    // whose rows are already clean — the common case on big grids — are
-    // skipped entirely (the elision). The lazy zeroing after a global fill
-    // re-zeroes zeros, so both paths land on identical tables; the unit test
-    // pins that bit-for-bit.
+    // default path below instead zeroes rows per road, only for the roads
+    // the sweep visits: a road whose bitmap bit is clear is empty with zero
+    // rows already, the common case on big grids. Re-zeroing zeros after a
+    // global fill changes nothing, so both paths land on identical tables;
+    // tests/memo_elision_test.cpp pins that bit for bit.
     std::fill(road_queued_approach_.begin(), road_queued_approach_.end(), 0);
     std::fill(road_queued_congestion_.begin(), road_queued_congestion_.end(), 0);
     std::fill(link_queued_approach_.begin(), link_queued_approach_.end(), 0);
   }
   const std::vector<net::Road>& roads = net_.roads();
-  // The chunk id keys the per-work-unit kernel scratch: one scratch per
-  // participant, never shared, reused across that chunk's lanes and ticks.
-  // Memo rows and dirty bits are touched only by the owning road's work
-  // unit (a link's row belongs to its from_road), so this stays race-free.
+  // Work units own whole bitmap words, so a word's bit clears never race.
+  // Within a word the set bits are visited in road order, which keeps the
+  // lane and memo accesses sequential. The chunk id keys the per-work-unit
+  // kernel scratch: one scratch per participant, never shared, reused across
+  // that chunk's lanes and ticks. Memo rows are touched only by the owning
+  // road's work unit (a link's row belongs to its from_road), so this stays
+  // race-free.
   pool_->parallel_for_indexed(
-      roads.size(), [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+      active_roads_.size(), [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         LaneKernelScratch& scratch = sweep_scratch_[chunk];
-        for (std::size_t r = begin; r < end; ++r) {
-          RoadRt& rt = roads_[r];
-          if (rt.occupancy == 0) {  // occupancy >= vehicles on lanes
-            if (memo_pending_ && memo_dirty_[r]) {
-              zero_memo_rows(r);
-              memo_dirty_[r] = 0;
+        for (std::size_t w = begin; w < end; ++w) {
+          for (std::uint64_t bits = active_roads_[w]; bits != 0; bits &= bits - 1) {
+            const int bit = std::countr_zero(bits);
+            const std::size_t r = w * 64 + static_cast<std::size_t>(bit);
+            RoadRt& rt = roads_[r];
+            if (memo_pending_) zero_memo_rows(r);
+            if (rt.occupancy == 0) {  // occupancy >= vehicles on lanes
+              // Rows just re-zeroed and nothing left to move: the road leaves
+              // the active set until its occupancy rises again.
+              if (memo_pending_) active_roads_[w] &= ~(std::uint64_t{1} << bit);
+              continue;
             }
-            continue;
-          }
-          const net::Road& road = roads[r];
-          if (memo_pending_) {
-            zero_memo_rows(r);
-            memo_dirty_[r] = 1;
-          }
-          StreamRng& stream = road_streams_[r];
-          for (Lane& lane : rt.lanes) {
-            // Empty dedicated lanes are common (traffic concentrates on a
-            // few movements); skip them before paying the call.
-            if (!lane.vehicles.empty()) sweep_lane(road, rt, lane, stream, scratch);
+            const net::Road& road = roads[r];
+            StreamRng& stream = road_streams_[r];
+            for (Lane& lane : rt.lanes) {
+              // Empty dedicated lanes are common (traffic concentrates on a
+              // few movements); skip them before paying the call.
+              if (!lane.vehicles.empty()) sweep_lane(road, rt, lane, stream, scratch);
+            }
           }
         }
       });

@@ -24,20 +24,33 @@
 // the same observation structure the queueing simulator produces. Queue
 // readings come from speed-threshold detectors (optionally degraded by
 // MicroSimConfig::sensor); the capacity test of Eq. (8) uses physical
-// occupancy. See DESIGN.md §5 for the sensing rationale.
+// occupancy. See src/core/observation.hpp for the two-sensor rationale.
 //
 // --- Parallel tick architecture (see docs/PERFORMANCE.md) ---
 // Each tick is split into a short sequential junction phase (admission,
 // junction-box releases, stop-line service grants — everything that touches
 // cross-road state) and a data-parallel sweep phase: the Krauss update of
-// every lane, partitioned by road across a fixed ThreadPool. During the sweep
-// a road's work unit reads and writes only state owned by that road (its
-// lanes, its vehicles' kinematic arrays, its memo-table rows) and draws
+// every active lane. The sweep walks the active-road bitmap in road order,
+// partitioned by 64-bit bitmap word across a fixed ThreadPool, so each word —
+// and each road — belongs to exactly one work unit. During the sweep a road's
+// work unit reads and writes only state owned by that road (its lanes, its
+// vehicles' kinematic arrays, its memo-table rows, its bitmap bit) and draws
 // dawdling noise from the road's own counter-based StreamRng, so fixed-seed
 // results are bit-identical at every MicroSimConfig::threads value. Exit-road
 // completions are staged per road during the sweep and applied sequentially
 // afterwards in exit-road order, keeping the floating-point metric
 // accumulation order thread-count independent.
+//
+// --- Active set ---
+// A tick pays for active state only: the sweep visits the roads whose bitmap
+// bit is set (occupied, or holding memo rows not yet re-zeroed), stop-line
+// service visits only junctions with a vehicle on an approach lane, and a
+// control step skips the observation and decision of a junction that is
+// idle — every queue reading 0, no full outgoing road — whenever the sensor
+// is perfect and its controller declares, through
+// SignalController::holds_when_idle, that the decision would keep the
+// displayed phase. Every skip is exact: skipped work could not have changed
+// any state.
 //
 // Vehicle state is stored SoA, split hot from cold. The kinematic state the
 // sweep touches on every vehicle-step — position and speed — lives in per-lane
@@ -50,6 +63,7 @@
 // bookkeeping) sits in a VehMeta array that only the junction phase reads.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -177,6 +191,8 @@ class MicroSim {
     std::vector<Lane> lanes;
     // Vehicles on lanes + junction-box reservations headed here.
     int occupancy = 0;
+    // Index of the junction this road arrives at; kNoJunction on exit roads.
+    std::uint32_t to_junction = 0;
     // Exit-road completion staged by this tick's parallel sweep; applied (and
     // cleared) sequentially by apply_completions(). At most one per tick:
     // exit roads have a single lane and only its head can cross the far end.
@@ -191,6 +207,19 @@ class MicroSim {
     // Earliest time the next service grant may be issued (rate mu).
     double next_grant = 0.0;
   };
+
+  // Static per-link observation inputs, flattened once in build_runtime() so
+  // observe() reads one table row instead of chasing the network's links and
+  // roads.
+  struct LinkObs {
+    std::uint32_t from_road = 0;
+    std::uint32_t to_road = 0;
+    int upstream_capacity = 0;    // design W of from_road
+    int downstream_capacity = 0;  // design W of to_road
+    double service_rate = 0.0;
+  };
+
+  static constexpr std::uint32_t kNoJunction = ~std::uint32_t{0};
 
   struct Watch {
     RoadId road;
@@ -209,7 +238,8 @@ class MicroSim {
   // every green lane. Grants mutate cross-road state (downstream occupancy,
   // the junction box), so this runs single-threaded before the sweep.
   void service_junctions();
-  // Data-parallel phase: Krauss update of every lane, partitioned by road.
+  // Data-parallel phase: Krauss update of every lane of the active roads,
+  // partitioned by active-road bitmap word.
   void sweep_roads();
   // One lane's update: the vectorized kernel passes of lane_kernel.hpp over
   // the lane's SoA arrays, then the (branchy, per-vehicle) accounting tail —
@@ -223,6 +253,14 @@ class MicroSim {
   // Grants a crossing to `vid` (head of a green lane) if rate, capacity and
   // downstream insertion allow; returns true when granted.
   bool try_grant(VehicleId vid, LinkId link);
+  // Marks a road whose occupancy just rose as active for the sweep.
+  void mark_active(std::size_t road_index) {
+    active_roads_[road_index / 64] |= std::uint64_t{1} << (road_index % 64);
+  }
+  // True when a control step may skip the junction's decision (perfect
+  // sensor, every queue reading 0, no full outgoing road, controller holds):
+  // see the active-set note at the top of this file.
+  [[nodiscard]] bool decision_idle(const net::Intersection& node) const;
   void complete_vehicle(VehicleId vid);
   void sample_watches();
   // Fills and returns the reusable observation buffer (valid until the next
@@ -306,13 +344,20 @@ class MicroSim {
   std::vector<int> road_queued_approach_;
   std::vector<int> road_queued_congestion_;
   std::vector<int> link_queued_approach_;
-  // Per-road memo dirty bit: set when a rebuild wrote nonzero-capable rows
-  // for an occupied road, cleared once an empty road's rows are re-zeroed.
-  // Lets the rebuild skip empty-and-clean roads instead of re-zeroing every
-  // row globally (see sweep_roads); flat char vector so the sweep's owning
-  // work unit writes its own byte without atomics.
-  std::vector<char> memo_dirty_;
   bool memo_pending_ = false;
+  // Active-road bitmap, one bit per road (bit r % 64 of word r / 64). Set in
+  // the sequential phase wherever a road's occupancy rises (admission, grant);
+  // cleared only by the sweep, on a memo-rebuild tick, after zeroing an empty
+  // road's memo rows. Invariant: bit clear => occupancy 0 and memo rows zero,
+  // so the sweep may skip every clear bit. Each word is written by the one
+  // work unit that owns it.
+  std::vector<std::uint64_t> active_roads_;
+  // Vehicles on the approach lanes of each junction (lanes of the non-exit
+  // roads arriving there): up at the two lane pushes onto a non-exit road
+  // (admission, box release), down at the stop-line pop. Stop-line service
+  // skips a junction at 0: it has nothing to serve.
+  std::vector<int> approach_count_;
+  std::vector<LinkObs> link_obs_;
   // Per-entry-road admission scratch, sized to the widest road once.
   std::vector<char> lane_blocked_;
   // Reused per-tick spawn buffer filled by DemandGenerator::poll_into.

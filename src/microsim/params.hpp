@@ -75,9 +75,10 @@ struct MicroSimConfig {
   VehicleParams vehicle;
   // Debug/reference knob: force the pre-elision memo-table path that zeroes
   // every road/link row globally before each rebuild, instead of the default
-  // per-road lazy path (zero only rows of roads that are occupied or still
-  // dirty from an earlier rebuild). The two paths are pinned bit-identical
-  // by tests/memo_elision_test.cpp; this flag exists for that pin and for
+  // per-road path (zero only the rows of roads in the sweep's active set,
+  // which holds every road that is occupied or whose rows are not yet
+  // re-zeroed). The two paths are pinned bit-identical by
+  // tests/memo_elision_test.cpp; this flag exists for that pin and for
   // bisecting, not for scenarios (scenario_io does not serialize it).
   bool memo_always_rebuild = false;
 };

@@ -1,9 +1,9 @@
 // Fixed-size thread pool for intra-tick data parallelism.
 //
-// MicroSim dispatches a parallel region per tick (its per-road Krauss
-// sweep), tens of thousands of times per run, so the pool is built for cheap
-// repeated fork/join over the same worker set rather than for general task
-// graphs:
+// MicroSim dispatches a parallel region per tick (its Krauss sweep over the
+// active-road bitmap words), tens of thousands of times per run, so the pool
+// is built for cheap repeated fork/join over the same worker set rather than
+// for general task graphs:
 // workers are spawned once, park on a condition variable between regions,
 // and each parallel_for() splits the index range into one contiguous chunk
 // per participant. The calling thread always executes chunk 0 itself,

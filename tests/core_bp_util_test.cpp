@@ -5,6 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "src/core/adaptive_controller.hpp"
+#include "src/core/factory.hpp"
+#include "src/core/fault_controller.hpp"
+#include "src/util/rng.hpp"
 
 namespace abp::core {
 namespace {
@@ -261,6 +268,148 @@ TEST_P(UtilBpAmberSweep, AmberLastsExactlyDeltaK) {
 
 INSTANTIATE_TEST_SUITE_P(AmberDurations, UtilBpAmberSweep,
                          ::testing::Values(1.0, 2.0, 4.0, 6.0, 8.0));
+
+// A random observation of the Fig. 1 junction, mixing the three gain
+// regimes of Eq. (8): empty lanes (alpha), full outgoing roads (beta) and
+// queued lanes (the modified gain).
+IntersectionObservation random_obs(Rng& rng, double time, int capacity = 120) {
+  IntersectionObservation obs;
+  obs.time = time;
+  for (int i = 0; i < 12; ++i) {
+    LinkState l;
+    l.queue = rng.bernoulli(0.4) ? 0 : static_cast<int>(rng.uniform_int(1, 40));
+    l.upstream_total = l.queue + static_cast<int>(rng.uniform_int(0, 10));
+    l.upstream_capacity = capacity;
+    l.downstream_queue = static_cast<int>(rng.uniform_int(0, capacity));
+    l.downstream_total = rng.bernoulli(0.25)
+                             ? capacity
+                             : static_cast<int>(rng.uniform_int(0, capacity - 1));
+    l.downstream_capacity = capacity;
+    l.service_rate = 1.0;
+    obs.links.push_back(l);
+  }
+  return obs;
+}
+
+// The idle observation of SignalController::holds_when_idle: every queue
+// reading 0 and every outgoing road below capacity; every other reading is
+// arbitrary, so random.
+IntersectionObservation idle_obs(Rng& rng, double time, int capacity = 120) {
+  IntersectionObservation obs;
+  obs.time = time;
+  for (int i = 0; i < 12; ++i) {
+    LinkState l;
+    l.queue = 0;
+    l.upstream_total = static_cast<int>(rng.uniform_int(0, capacity));
+    l.upstream_capacity = capacity;
+    l.downstream_queue = static_cast<int>(rng.uniform_int(0, capacity));
+    l.downstream_total = static_cast<int>(rng.uniform_int(0, capacity - 1));
+    l.downstream_capacity = capacity;
+    l.service_rate = 1.0;
+    obs.links.push_back(l);
+  }
+  return obs;
+}
+
+class UtilBpIdleHook : public ::testing::TestWithParam<UtilBpConfig> {};
+
+// The contract a simulator relies on to skip a decision: whenever the hook
+// is true, an idle decision returns the previous phase and leaves no trace —
+// the next real decision equals that of a twin controller that never saw the
+// idle call. Checked along a seeded random run under each g* policy, with
+// decisions every 0.5 or 1 s so ambers both run and expire between them.
+TEST_P(UtilBpIdleHook, IdleDecisionKeepsPhaseAndState) {
+  UtilBpController controller(fig1_plan(), GetParam());
+  UtilBpController twin(fig1_plan(), GetParam());
+  Rng rng(20);
+  double time = 0.0;
+  net::PhaseIndex previous = net::kTransitionPhase;
+  int held_amber = 0;
+  int held_control = 0;
+  for (int k = 0; k < 4000; ++k) {
+    time += rng.bernoulli(0.5) ? 0.5 : 1.0;
+    if (controller.holds_when_idle(time)) {
+      (previous == net::kTransitionPhase ? held_amber : held_control) += 1;
+      ASSERT_EQ(controller.decide(idle_obs(rng, time)), previous) << "t=" << time;
+      time += rng.bernoulli(0.5) ? 0.5 : 1.0;
+    }
+    const IntersectionObservation obs = random_obs(rng, time);
+    previous = controller.decide(obs);
+    ASSERT_EQ(previous, twin.decide(obs)) << "t=" << time;
+    ASSERT_EQ(controller.current_phase(), twin.current_phase());
+  }
+  // Both holding states must actually have been exercised (a g* below alpha
+  // leaves a phase only when all its outgoing roads are full, so it reaches
+  // the fewest ambers).
+  EXPECT_GT(held_amber, 20);
+  EXPECT_GT(held_control, 500);
+}
+
+UtilBpConfig with_gstar(GStarPolicy policy, double constant = 0.0) {
+  UtilBpConfig cfg = paper_config();
+  cfg.gstar_policy = policy;
+  cfg.gstar_constant = constant;
+  return cfg;
+}
+
+std::string gstar_case_name(const ::testing::TestParamInfo<UtilBpConfig>& info) {
+  static const char* const kNames[] = {"WStarMu", "Zero", "ConstantAbove",
+                                       "ConstantBelowAlpha"};
+  return kNames[info.index];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GStarPolicies, UtilBpIdleHook,
+    ::testing::Values(with_gstar(GStarPolicy::WStarMu), with_gstar(GStarPolicy::Zero),
+                      with_gstar(GStarPolicy::Constant, 125.0),
+                      // Below alpha: Case 2 itself keeps the phase on all-alpha gains.
+                      with_gstar(GStarPolicy::Constant, -1.5)),
+    gstar_case_name);
+
+TEST(UtilBp, IdleHookFalseBeforeTheFirstPhaseAndAfterAmberExpiry) {
+  UtilBpController c(two_phase_plan(), paper_config());
+  // Initial (expired) transition: the first decision must pick a phase.
+  EXPECT_FALSE(c.holds_when_idle(0.0));
+  EXPECT_EQ(c.decide(obs_at(0.0, {10, 3}, {0, 0})), 1);
+  EXPECT_TRUE(c.holds_when_idle(1.0));
+  EXPECT_EQ(c.decide(obs_at(1.0, {0, 30}, {0, 0})), net::kTransitionPhase);
+  EXPECT_TRUE(c.holds_when_idle(4.9));
+  // Amber ends at t = 5: Case 3 re-selects, so an idle decision could switch.
+  EXPECT_FALSE(c.holds_when_idle(5.0));
+}
+
+// Every other policy and every decorator keeps the default: fixed-slot BP
+// and fixed-time advance their own clocks per decision, the fault decorator
+// draws noise and fails over, and the adaptive decorator feeds its CUSUM
+// monitor — a skipped decision would change each of them. The decorators
+// report false even around a UTIL-BP whose own hook is true.
+TEST(UtilBp, IdleHookFalseForEveryOtherController) {
+  const IntersectionObservation obs = obs_at(0.0, std::vector<int>(12, 5),
+                                             std::vector<int>(12, 0));
+  for (ControllerType type :
+       {ControllerType::CapBp, ControllerType::OriginalBp, ControllerType::FixedTime}) {
+    ControllerSpec spec;
+    spec.type = type;
+    const ControllerPtr c = make_controller(spec, fig1_plan());
+    (void)c->decide(obs);
+    SCOPED_TRACE(c->name());
+    EXPECT_FALSE(c->holds_when_idle(0.5));
+    EXPECT_FALSE(c->holds_when_idle(100.0));
+  }
+
+  auto util = [] { return std::make_unique<UtilBpController>(fig1_plan(), paper_config()); };
+  ControllerSpec fixed;
+  fixed.type = ControllerType::FixedTime;
+  FaultInjectedController faulty(util(), make_controller(fixed, fig1_plan()), {}, {}, 1, 0);
+  AdaptiveController adaptive(util(), nullptr, detect::JunctionMonitor({}, 12, 0, 0));
+  UtilBpController bare(fig1_plan(), paper_config());
+  for (SignalController* c : std::vector<SignalController*>{&faulty, &adaptive, &bare}) {
+    EXPECT_NE(c->decide(obs), net::kTransitionPhase);
+  }
+  ASSERT_TRUE(bare.holds_when_idle(0.5));
+  EXPECT_FALSE(faulty.holds_when_idle(0.5));
+  EXPECT_FALSE(adaptive.holds_when_idle(0.5));
+}
 
 }  // namespace
 }  // namespace abp::core

@@ -2,14 +2,15 @@
 //
 // The control-step memo tables (queued counts per road and per link) used to
 // be rebuilt from a global zero of every row before each control boundary.
-// The elided path instead zeroes rows per road, lazily: a road's rows are
-// cleared only when the road is occupied this tick (about to be
-// re-accumulated) or still dirty from an earlier rebuild; empty-and-clean
-// roads — the common case on large grids — are skipped entirely. These tests
-// pin the elided path bit-identical to the retained always-rebuild reference
+// The elided path instead zeroes rows per road, only for the roads in the
+// sweep's active-road bitmap: a road's bit is set whenever its occupancy
+// rises and cleared only on a rebuild tick, after its rows are re-zeroed with
+// the road empty, so a clear bit means an empty road with zero rows — the
+// common case on large grids, skipped entirely. These tests pin the elided
+// path bit-identical to the retained always-rebuild reference
 // (MicroSimConfig::memo_always_rebuild) over full runs whose roads repeatedly
-// drain and refill, so stale-row bugs cannot hide: a row left dirty after a
-// road empties would feed a wrong queue reading to the next controller
+// drain and refill, so stale-row bugs cannot hide: a bit cleared while a row
+// is still nonzero would feed a wrong queue reading to the next controller
 // decision and shift every downstream phase choice.
 #include <gtest/gtest.h>
 
@@ -21,15 +22,16 @@
 namespace abp {
 namespace {
 
-scenario::ScenarioConfig elision_config(traffic::PatternKind pattern, std::uint64_t seed) {
+scenario::ScenarioConfig elision_config(traffic::PatternKind pattern, std::uint64_t seed,
+                                        int grid_size = 3) {
   scenario::ScenarioConfig cfg =
       scenario::paper_scenario(pattern, core::ControllerType::UtilBp);
-  cfg.grid.rows = 3;
-  cfg.grid.cols = 3;
+  cfg.grid.rows = grid_size;
+  cfg.grid.cols = grid_size;
   cfg.seed = seed;
   cfg.simulator = scenario::SimulatorKind::Micro;
   // Long enough that light-demand roads drain to empty and refill many times
-  // — each transition exercises the dirty-bit clear and re-set.
+  // — each transition exercises the bit clear and re-set.
   cfg.duration_s = 900.0;
   return cfg;
 }
@@ -49,17 +51,19 @@ TEST(MemoElision, BitIdenticalToAlwaysRebuildLightDemand) {
 }
 
 TEST(MemoElision, BitIdenticalToAlwaysRebuildHeavyDemand) {
-  // Pattern III saturates the grid: rows churn between dirty and clean under
-  // spillback, the adversarial case for stale rows.
+  // Pattern III saturates the grid: roads churn in and out of the active set
+  // under spillback, the adversarial case for stale rows.
   expect_paths_identical(elision_config(traffic::PatternKind::III, 12));
 }
 
 TEST(MemoElision, BitIdenticalWithImperfectSensorAndThreads) {
   // Imperfect detectors tie the sequential RNG stream to every queue reading:
   // any memo drift desynchronizes the sensor stream and cascades through the
-  // rest of the run. Two sweep threads additionally pin that the per-road
-  // dirty bits stay race-free under the partitioned sweep.
-  scenario::ScenarioConfig cfg = elision_config(traffic::PatternKind::II, 13);
+  // rest of the run. A 5x5 grid has 120 roads, two bitmap words, so two
+  // sweep threads really split the sweep by word and pin that the bit clears
+  // stay race-free under the partition (a 3x3 grid fits in one word, which
+  // the pool runs inline).
+  scenario::ScenarioConfig cfg = elision_config(traffic::PatternKind::II, 13, 5);
   cfg.micro.sensor.detection_probability = 0.95;
   cfg.micro.sensor.dropout_probability = 0.01;
   cfg.micro.threads = 2;

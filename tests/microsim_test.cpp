@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/core/factory.hpp"
 #include "src/net/grid.hpp"
 
@@ -234,6 +237,89 @@ TEST(MicroSim, RejectsBadConstruction) {
                         core::make_controllers(util_spec(), net), demand, 1),
                std::invalid_argument);
   EXPECT_THROW(MicroSim(net, MicroSimConfig{}, {}, demand, 1), std::invalid_argument);
+}
+
+// Forwards every call to the wrapped controller but keeps holds_when_idle's
+// false default, so MicroSim never skips a decision of the junction.
+class NeverSkippedController final : public core::SignalController {
+ public:
+  explicit NeverSkippedController(core::ControllerPtr inner) : inner_(std::move(inner)) {}
+  net::PhaseIndex decide(const core::IntersectionObservation& obs) override {
+    return inner_->decide(obs);
+  }
+  void reset() override { inner_->reset(); }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  core::ControllerPtr inner_;
+};
+
+// FNV-1a over every tick's displayed phases, road occupancies, lane counts
+// and lane positions, plus the closing metrics.
+std::uint64_t run_digest(const net::Network& net, const traffic::DemandConfig& demand_config,
+                         double duration_s, bool allow_idle_skip) {
+  traffic::DemandGenerator demand(net, demand_config, 17);
+  std::vector<core::ControllerPtr> controllers = core::make_controllers(util_spec(), net);
+  if (!allow_idle_skip) {
+    for (core::ControllerPtr& c : controllers) {
+      c = std::make_unique<NeverSkippedController>(std::move(c));
+    }
+  }
+  MicroSim sim(net, MicroSimConfig{}, std::move(controllers), demand, 3);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto add = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (int t = 1; t * 0.5 <= duration_s; ++t) {
+    sim.run_until(t * 0.5);
+    for (const net::Intersection& node : net.intersections()) {
+      add(static_cast<std::uint64_t>(sim.displayed_phase(node.id)));
+    }
+    for (const net::Road& road : net.roads()) {
+      add(static_cast<std::uint64_t>(sim.road_occupancy(road.id)));
+    }
+    for (const net::Link& link : net.links()) {
+      for (double p : sim.lane_positions(link.id)) add(std::bit_cast<std::uint64_t>(p));
+    }
+  }
+  const stats::RunResult r = sim.finish(duration_s);
+  add(r.metrics.completed);
+  add(std::bit_cast<std::uint64_t>(r.metrics.queuing_time_s.mean()));
+  for (const stats::PhaseTrace& trace : r.phase_traces) {
+    for (const stats::PhaseTrace::Sample& sample : trace.samples()) {
+      add(std::bit_cast<std::uint64_t>(sample.time));
+      add(static_cast<std::uint64_t>(sample.phase));
+    }
+    add(std::bit_cast<std::uint64_t>(trace.end_time()));
+  }
+  return hash;
+}
+
+// Skipping the decision of an idle junction (perfect sensor, no vehicle on
+// its approach lanes, no full outgoing road, UTIL-BP holding) must be
+// invisible: tick-by-tick state and traces equal those of a run that decides
+// every junction at every control step. The first case uses one-vehicle
+// roads under a tenth of pattern I's demand, so an outgoing road is often
+// full while the approaches are empty — where Eq. (8)'s beta sentinel can
+// make UTIL-BP leave its phase, so the skip must not apply.
+TEST(MicroSim, IdleDecisionSkipIsInvisible) {
+  struct Case {
+    int size;
+    int capacity;
+    traffic::PatternKind pattern;
+    double interarrival_scale;
+  };
+  for (const Case& c : {Case{2, 1, traffic::PatternKind::I, 10.0},
+                        Case{3, 6, traffic::PatternKind::III, 1.0},
+                        Case{4, 120, traffic::PatternKind::I, 1.0}}) {
+    SCOPED_TRACE(c.size);
+    const net::Network net = grid(c.size, c.capacity);
+    const traffic::DemandConfig demand = demand_cfg(c.pattern, c.interarrival_scale);
+    EXPECT_EQ(run_digest(net, demand, 900.0, true), run_digest(net, demand, 900.0, false));
+  }
 }
 
 }  // namespace
