@@ -7,53 +7,48 @@
 // mean with a Student-t 95% confidence interval.
 //
 // Usage:
-//   abp_cli [--scenario FILE] [--dump-scenario] [--print-schema-fields]
-//           [--pattern I|II|III|IV|mixed] [--controller util|cap|orig|fixed]
-//           [--duration SECONDS] [--period SECONDS] [--seed N]
-//           [--simulator micro|queue] [--rows N] [--cols N]
-//           [--mixed-lanes] [--threads N] [--replications N]
-//           [--jobs N] [--allow-oversubscribe] [--csv PREFIX]
-//           [--incident T] [--fault-capacity R,C,SIDE,START,END,FACTOR]
-//           [--fault-sensor R,C,KIND,START,END[,BIAS[,MAG]]]
-//           [--fault-controller R,C,FAIL[,RECOVER]]
-//           [--guard throw|record|abort] [--guard-interval S]
-//           [--detect] [--detect-adapt]
+//   abp_cli [--scenario FILE] [--set PATH=VALUE]... [--dump-scenario]
+//           [--print-schema-fields] [--replications N] [--jobs N]
+//           [--allow-oversubscribe] [--csv PREFIX] [--incident T]
 //           [--tick-budget N] [--retries N]
 //           [--calibrate] [--surrogate-sweep] [--profile FILE] [--report FILE]
 //           [--sweep-controllers LIST] [--sweep-patterns LIST]
 //           [--sweep-periods LIST] [--spot-best-k N] [--spot-fraction F]
 //           [--spot-replications N] [--trust-threshold X]
 //
-// Declarative scenarios (docs/SCENARIOS.md): --scenario FILE loads a JSON
-// scenario — one of the scenarios/ library files or your own — as the base
-// configuration; explicit flags then override individual fields, with
-// --pattern also clearing a file's time-varying segment schedule (one demand
-// description wins, never a mix of both). The repeatable --fault-* flags
-// append to the file's fault schedule. --dump-scenario prints the merged
-// configuration back as a canonical scenario file instead of running (pipe
-// to a file to snapshot a flag combination as a reusable scenario);
-// --print-schema-fields lists every schema field path, one per line (the
-// docs lint, tools/check_scenario_docs.py, consumes this).
+// Configuration (docs/SCENARIOS.md): the base is --scenario FILE, a JSON
+// scenario (one of the scenarios/ library files or your own), or the paper
+// setup (3x3 grid, pattern II, UTIL-BP, 1 h) without it. Each repeatable
+// --set PATH=VALUE then sets one schema field, in order, through
+// scenario::apply_setting: the same loader, messages and validation as a
+// file ("--set grid.rows=8", "--set simulator=queue"; a path ending in "[]"
+// appends a list element, "--set faults.sensors[]={...}"). A bad setting
+// exits 2 with "abp_cli: <path>: <problem>". --dump-scenario
+// prints the merged configuration back as a canonical scenario file instead
+// of running (pipe to a file to snapshot a set of settings as a reusable
+// scenario); --print-schema-fields lists every settable field path, one per
+// line (the docs lint, tools/check_scenario_docs.py, consumes this).
 //
 // Two parallelism axes, which multiply (see docs/PERFORMANCE.md,
 // "Run-level vs tick-level parallelism"):
-//   --threads N  tick-level: the micro sim's road-partitioned Krauss lane
-//                sweep. The queue sim's tick is serial and ignores it.
-//   --jobs N     run-level: concurrent replications in --replications mode.
-//                Worth it for many independent runs.
-// Metrics are bit-identical at every --threads and --jobs value. Each of the
-// N concurrent runs uses --threads workers, so the CLI rejects combinations
-// that oversubscribe hardware_concurrency unless --allow-oversubscribe is
-// passed (oversubscribing only adds contention).
+//   micro.threads  tick-level: the micro sim's road-partitioned Krauss lane
+//                  sweep. The queue sim's tick is serial and ignores it.
+//   --jobs N       run-level: concurrent replications in --replications mode.
+//                  Worth it for many independent runs.
+// Metrics are bit-identical at every micro.threads and --jobs value. Each of
+// the N concurrent runs uses micro.threads workers, so the CLI rejects
+// combinations that oversubscribe hardware_concurrency unless
+// --allow-oversubscribe is passed (oversubscribing only adds contention).
 //
-// Fault injection (docs/ROBUSTNESS.md): the repeatable --fault-* flags add
-// timed incidents to the run's FaultSchedule; --incident T is a canned
-// mixed incident (capacity drop + sensor dropout + controller failover)
-// starting at T, used by the CI smoke step. --guard enables the runtime
-// invariant guard; --detect enables the online changepoint detector over the
-// junctions' sensor streams (docs/CHANGEPOINT.md), reporting regime-shift
-// events, and --detect-adapt additionally lets detections re-tune the
-// controllers; --tick-budget and --retries configure the experiment
+// Fault injection (docs/ROBUSTNESS.md): faults.capacity[], faults.sensors[]
+// and faults.controllers[] settings append timed incidents to the run's
+// FaultSchedule; --incident T is a canned mixed incident (capacity drop +
+// sensor dropout + controller failover) starting at T, appended after the
+// settings, used by the CI smoke step. guard.* settings enable the runtime
+// invariant guard; detector.* settings enable the online changepoint
+// detector over the junctions' sensor streams (docs/CHANGEPOINT.md),
+// reporting regime-shift events, and detector.adapt lets detections re-tune
+// the controllers; --tick-budget and --retries configure the experiment
 // runner's per-run deadline and retry policy in --replications mode, where
 // per-seed statuses (ok / timeout / error) are reported and the summary is
 // computed over the runs that completed.
@@ -63,21 +58,25 @@
 // base configuration and prints the CalibrationProfile JSON to stdout (pipe
 // to a file; --replications sets the paired replications per candidate).
 // --surrogate-sweep runs the controller x pattern x period grid given by the
-// comma-separated --sweep-* lists on the calibrated queue backend, micro
-// spot-checks the frontier (--spot-best-k plus a --spot-fraction stratified
-// sample, --spot-replications micro seeds each), and prints per-metric
-// surrogate error bars; --profile FILE supplies a saved profile (otherwise
-// the sweep calibrates first), --report FILE also writes the full report
-// JSON, and exit status 4 means some spot-checked config exceeded
-// --trust-threshold relative error.
+// comma-separated --sweep-* lists (controllers and patterns spelled as in
+// scenario files) on the calibrated queue backend, micro spot-checks the
+// frontier (--spot-best-k plus a --spot-fraction stratified sample,
+// --spot-replications micro seeds each), and prints per-metric surrogate
+// error bars; --profile FILE supplies a saved profile (otherwise the sweep
+// calibrates first), --report FILE also writes the full report JSON, and
+// exit status 4 means some spot-checked config exceeded --trust-threshold
+// relative error.
 //
 // Examples:
-//   abp_cli --pattern I --controller util
-//   abp_cli --pattern mixed --controller cap --period 20 --csv out/run1
-//   abp_cli --pattern II --replications 10 --jobs 4
-//   abp_cli --pattern II --duration 900 --incident 300 --guard record
+//   abp_cli --set demand.pattern=I
+//   abp_cli --set demand.pattern=mixed --set duration_s=14400 \
+//     --set controller.type=cap --set controller.fixed_slot.period_s=20 --csv out/run1
+//   abp_cli --replications 10 --jobs 4
+//   abp_cli --set duration_s=900 --incident 300 --set guard.enabled=true \
+//     --set guard.policy=record
 //   abp_cli --scenario scenarios/rush_hour_ramp.json
-//   abp_cli --scenario scenarios/baseline_3x3.json --controller fixed --dump-scenario
+//   abp_cli --scenario scenarios/baseline_3x3.json --set controller.type=fixed \
+//     --dump-scenario
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -105,73 +104,18 @@ namespace {
 [[noreturn]] void usage_error(const char* message) {
   std::fprintf(stderr, "abp_cli: %s\n", message);
   std::fprintf(stderr,
-               "usage: abp_cli [--scenario FILE] [--dump-scenario] "
-               "[--print-schema-fields]\n"
-               "               [--pattern I|II|III|IV|mixed] "
-               "[--controller util|cap|orig|fixed]\n"
-               "               [--duration S] [--period S] [--seed N] "
-               "[--simulator micro|queue]\n"
-               "               [--rows N] [--cols N] [--mixed-lanes] [--threads N]\n"
-               "               [--replications N] [--jobs N]\n"
-               "               [--allow-oversubscribe]\n"
-               "               [--csv PREFIX]\n"
-               "               [--incident T] "
-               "[--fault-capacity R,C,SIDE,START,END,FACTOR]\n"
-               "               [--fault-sensor R,C,KIND,START,END[,BIAS[,MAG]]]\n"
-               "               [--fault-controller R,C,FAIL[,RECOVER]]\n"
-               "               [--guard throw|record|abort] [--guard-interval S]\n"
-               "               [--detect] [--detect-adapt]\n"
+               "usage: abp_cli [--scenario FILE] [--set PATH=VALUE]... "
+               "[--dump-scenario]\n"
+               "               [--print-schema-fields] [--replications N] [--jobs N]\n"
+               "               [--allow-oversubscribe] [--csv PREFIX] [--incident T]\n"
                "               [--tick-budget N] [--retries N]\n"
                "               [--calibrate] [--surrogate-sweep] [--profile FILE]\n"
                "               [--report FILE] [--sweep-controllers LIST]\n"
                "               [--sweep-patterns LIST] [--sweep-periods LIST]\n"
                "               [--spot-best-k N] [--spot-fraction F]\n"
-               "               [--spot-replications N] [--trust-threshold X]\n");
+               "               [--spot-replications N] [--trust-threshold X]\n"
+               "(--print-schema-fields lists the PATHs --set takes)\n");
   std::exit(2);
-}
-
-abp::traffic::PatternKind parse_pattern(const std::string& s) {
-  using abp::traffic::PatternKind;
-  if (s == "I") return PatternKind::I;
-  if (s == "II") return PatternKind::II;
-  if (s == "III") return PatternKind::III;
-  if (s == "IV") return PatternKind::IV;
-  if (s == "mixed") return PatternKind::Mixed;
-  usage_error("unknown pattern");
-}
-
-abp::core::ControllerType parse_controller(const std::string& s) {
-  using abp::core::ControllerType;
-  if (s == "util") return ControllerType::UtilBp;
-  if (s == "cap") return ControllerType::CapBp;
-  if (s == "orig") return ControllerType::OriginalBp;
-  if (s == "fixed") return ControllerType::FixedTime;
-  usage_error("unknown controller");
-}
-
-abp::net::Side parse_side(const std::string& s) {
-  using abp::net::Side;
-  if (s == "north" || s == "N") return Side::North;
-  if (s == "east" || s == "E") return Side::East;
-  if (s == "south" || s == "S") return Side::South;
-  if (s == "west" || s == "W") return Side::West;
-  usage_error("unknown side (use north|east|south|west)");
-}
-
-abp::core::SensorFaultKind parse_sensor_kind(const std::string& s) {
-  using abp::core::SensorFaultKind;
-  if (s == "dropout") return SensorFaultKind::Dropout;
-  if (s == "stuck") return SensorFaultKind::StuckAt;
-  if (s == "noise") return SensorFaultKind::Noise;
-  usage_error("unknown sensor fault kind (use dropout|stuck|noise)");
-}
-
-abp::scenario::GuardPolicy parse_guard_policy(const std::string& s) {
-  using abp::scenario::GuardPolicy;
-  if (s == "throw") return GuardPolicy::Throw;
-  if (s == "record") return GuardPolicy::Record;
-  if (s == "abort") return GuardPolicy::Abort;
-  usage_error("unknown guard policy (use throw|record|abort)");
 }
 
 std::vector<std::string> split_fields(const std::string& s) {
@@ -189,11 +133,11 @@ std::vector<std::string> split_fields(const std::string& s) {
 }
 
 // --- Strict numeric parsing -------------------------------------------------
-// std::atoi/atof silently return 0 on garbage, so "--threads abc" used to run
-// (and then fail the range check with a misleading message) and "--seed 1x"
-// quietly dropped the "x". Every numeric flag instead goes through these:
-// the whole token must parse, and it must fit the target type, or the run
-// exits with a usage error naming the flag.
+// std::atoi/atof silently return 0 on garbage, so "--jobs abc" would run (and
+// then fail the range check with a misleading message) and "--jobs 1x" would
+// quietly drop the "x". Every numeric flag instead goes through these: the
+// whole token must parse, and it must fit the target type, or the run exits
+// with a usage error naming the flag.
 
 [[noreturn]] void bad_number(const char* flag, const std::string& s) {
   usage_error((std::string(flag) + ": invalid number \"" + s + "\"").c_str());
@@ -215,15 +159,6 @@ int parse_int(const std::string& s, const char* flag) {
   return static_cast<int>(v);
 }
 
-std::uint64_t parse_u64(const std::string& s, const char* flag) {
-  if (s.empty() || s[0] == '-') bad_number(flag, s);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno == ERANGE) bad_number(flag, s);
-  return v;
-}
-
 double parse_double(const std::string& s, const char* flag) {
   errno = 0;
   char* end = nullptr;
@@ -232,33 +167,14 @@ double parse_double(const std::string& s, const char* flag) {
   return v;
 }
 
-// A time that may be infinite: a number, or the literal "inf".
-double parse_time(const std::string& s, const char* flag) {
-  if (s == "inf") return std::numeric_limits<double>::infinity();
-  return parse_double(s, flag);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace abp;
 
-  traffic::PatternKind pattern = traffic::PatternKind::II;
-  core::ControllerType controller = core::ControllerType::UtilBp;
-  double duration = -1.0;
-  double period = 16.0;
-  std::uint64_t seed = 42;
-  scenario::SimulatorKind simulator = scenario::SimulatorKind::Micro;
-  int rows = 3, cols = 3;
-  int threads = 1;
-  // Which base-config fields were explicitly set on the command line. With
-  // --scenario the file is the base and only explicit flags override it;
-  // without, the paper defaults are the base and the distinction is invisible.
-  bool pattern_set = false, controller_set = false, period_set = false;
-  bool seed_set = false, simulator_set = false;
-  bool rows_set = false, cols_set = false, threads_set = false;
-  bool guard_set = false, guard_interval_set = false;
   std::string scenario_file;
+  // --set PATH=VALUE arguments, applied in order after --scenario.
+  std::vector<std::string> settings;
   bool dump_scenario_flag = false;
   bool print_schema_fields = false;
   int replications = 1;
@@ -266,12 +182,7 @@ int main(int argc, char** argv) {
   long long tick_budget = 0;
   int retries = 0;
   bool allow_oversubscribe = false;
-  bool mixed_lanes = false;
   double incident_at = -1.0;
-  bool detect_set = false;
-  bool detect_adapt = false;
-  scenario::FaultSchedule faults;
-  scenario::GuardConfig guard;
   std::string csv_prefix;
   bool calibrate_mode = false;
   bool sweep_mode = false;
@@ -292,43 +203,12 @@ int main(int argc, char** argv) {
     };
     if (arg == "--scenario") {
       scenario_file = value();
+    } else if (arg == "--set") {
+      settings.push_back(value());
     } else if (arg == "--dump-scenario") {
       dump_scenario_flag = true;
     } else if (arg == "--print-schema-fields") {
       print_schema_fields = true;
-    } else if (arg == "--pattern") {
-      pattern = parse_pattern(value());
-      pattern_set = true;
-    } else if (arg == "--controller") {
-      controller = parse_controller(value());
-      controller_set = true;
-    } else if (arg == "--duration") {
-      duration = parse_double(value(), "--duration");
-    } else if (arg == "--period") {
-      period = parse_double(value(), "--period");
-      period_set = true;
-    } else if (arg == "--seed") {
-      seed = parse_u64(value(), "--seed");
-      seed_set = true;
-    } else if (arg == "--simulator") {
-      const std::string v = value();
-      if (v == "micro") {
-        simulator = scenario::SimulatorKind::Micro;
-      } else if (v == "queue") {
-        simulator = scenario::SimulatorKind::Queue;
-      } else {
-        usage_error("unknown simulator");
-      }
-      simulator_set = true;
-    } else if (arg == "--rows") {
-      rows = parse_int(value(), "--rows");
-      rows_set = true;
-    } else if (arg == "--cols") {
-      cols = parse_int(value(), "--cols");
-      cols_set = true;
-    } else if (arg == "--threads") {
-      threads = parse_int(value(), "--threads");
-      threads_set = true;
     } else if (arg == "--replications") {
       replications = parse_int(value(), "--replications");
     } else if (arg == "--jobs") {
@@ -339,59 +219,8 @@ int main(int argc, char** argv) {
       retries = parse_int(value(), "--retries");
     } else if (arg == "--allow-oversubscribe") {
       allow_oversubscribe = true;
-    } else if (arg == "--mixed-lanes") {
-      mixed_lanes = true;
     } else if (arg == "--incident") {
       incident_at = parse_double(value(), "--incident");
-    } else if (arg == "--fault-capacity") {
-      const std::vector<std::string> f = split_fields(value());
-      if (f.size() != 6) usage_error("--fault-capacity needs R,C,SIDE,START,END,FACTOR");
-      scenario::CapacityFault fault;
-      fault.road = {parse_int(f[0], "--fault-capacity row"),
-                    parse_int(f[1], "--fault-capacity col"), parse_side(f[2])};
-      fault.start_s = parse_time(f[3], "--fault-capacity start");
-      fault.end_s = parse_time(f[4], "--fault-capacity end");
-      fault.capacity_factor = parse_double(f[5], "--fault-capacity factor");
-      faults.capacity.push_back(fault);
-    } else if (arg == "--fault-sensor") {
-      const std::vector<std::string> f = split_fields(value());
-      if (f.size() < 5 || f.size() > 7) {
-        usage_error("--fault-sensor needs R,C,KIND,START,END[,BIAS[,MAG]]");
-      }
-      scenario::SensorFault fault;
-      fault.node = {parse_int(f[0], "--fault-sensor row"),
-                    parse_int(f[1], "--fault-sensor col")};
-      fault.kind = parse_sensor_kind(f[2]);
-      fault.start_s = parse_time(f[3], "--fault-sensor start");
-      fault.end_s = parse_time(f[4], "--fault-sensor end");
-      if (f.size() > 5) fault.bias = parse_int(f[5], "--fault-sensor bias");
-      if (f.size() > 6) {
-        fault.noise_magnitude = parse_int(f[6], "--fault-sensor magnitude");
-      }
-      faults.sensors.push_back(fault);
-    } else if (arg == "--fault-controller") {
-      const std::vector<std::string> f = split_fields(value());
-      if (f.size() < 3 || f.size() > 4) {
-        usage_error("--fault-controller needs R,C,FAIL[,RECOVER]");
-      }
-      scenario::ControllerFault fault;
-      fault.node = {parse_int(f[0], "--fault-controller row"),
-                    parse_int(f[1], "--fault-controller col")};
-      fault.fail_s = parse_time(f[2], "--fault-controller fail");
-      if (f.size() > 3) fault.recover_s = parse_time(f[3], "--fault-controller recover");
-      faults.controllers.push_back(fault);
-    } else if (arg == "--guard") {
-      guard.enabled = true;
-      guard.policy = parse_guard_policy(value());
-      guard_set = true;
-    } else if (arg == "--guard-interval") {
-      guard.interval_s = parse_double(value(), "--guard-interval");
-      guard_interval_set = true;
-    } else if (arg == "--detect") {
-      detect_set = true;
-    } else if (arg == "--detect-adapt") {
-      detect_set = true;
-      detect_adapt = true;
     } else if (arg == "--csv") {
       csv_prefix = value();
     } else if (arg == "--calibrate") {
@@ -430,7 +259,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (threads < 1 || threads > 256) usage_error("--threads must be in [1, 256]");
   if (replications < 1) usage_error("--replications must be >= 1");
   if (jobs < 1 || jobs > 256) usage_error("--jobs must be in [1, 256]");
   if (jobs > 1 && replications == 1 && !calibrate_mode && !sweep_mode) {
@@ -459,8 +287,8 @@ int main(int argc, char** argv) {
   }
 
   // Base configuration: the scenario file when given, the paper setup
-  // otherwise. Explicit flags then override field by field, so
-  // `--scenario X --seed 7` is X's run at a different seed, nothing more.
+  // otherwise. Settings then override field by field, so
+  // `--scenario X --set seed=7` is X's run at a different seed, nothing more.
   scenario::ScenarioConfig cfg;
   if (!scenario_file.empty()) {
     try {
@@ -470,30 +298,37 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    cfg = scenario::paper_scenario(pattern, controller, period);
+    cfg = scenario::paper_scenario(traffic::PatternKind::II,
+                                   core::ControllerType::UtilBp);
   }
-  if (pattern_set) {
-    cfg.demand.pattern = pattern;
-    // One demand description wins: an explicit pattern replaces a scenario
-    // file's time-varying segment schedule rather than silently coexisting.
-    cfg.demand.schedule = traffic::DemandSchedule{};
+  // The sweep axes are spelled like the schema fields they vary, and read
+  // through them.
+  surrogate::SweepAxes axes;
+  try {
+    for (const std::string& setting : settings) {
+      const std::size_t eq = setting.find('=');
+      if (eq == std::string::npos) usage_error("--set needs PATH=VALUE");
+      scenario::apply_setting(cfg, setting.substr(0, eq), setting.substr(eq + 1));
+    }
+    if (sweep_mode) {
+      for (const std::string& c : split_fields(sweep_controllers)) {
+        scenario::ScenarioConfig probe;
+        scenario::apply_setting(probe, "controller.type", c);
+        axes.controllers.push_back(probe.controller.type);
+      }
+      for (const std::string& p : split_fields(sweep_patterns)) {
+        scenario::ScenarioConfig probe;
+        scenario::apply_setting(probe, "demand.pattern", p);
+        axes.patterns.push_back(probe.demand.pattern);
+      }
+      for (const std::string& p : split_fields(sweep_periods)) {
+        axes.periods_s.push_back(parse_double(p, "--sweep-periods"));
+      }
+    }
+  } catch (const scenario::ScenarioIoError& e) {
+    std::fprintf(stderr, "abp_cli: %s\n", e.what());
+    return 2;
   }
-  if (controller_set) cfg.controller.type = controller;
-  if (period_set) cfg.controller.fixed_slot.period_s = period;
-  if (seed_set) cfg.seed = seed;
-  if (simulator_set) cfg.simulator = simulator;
-  if (rows_set) cfg.grid.rows = rows;
-  if (cols_set) cfg.grid.cols = cols;
-  if (mixed_lanes) cfg.micro.dedicated_turn_lanes = false;
-  if (threads_set) cfg.micro.threads = threads;
-  if (duration > 0.0) cfg.duration_s = duration;
-  if (guard_set) {
-    cfg.guard.enabled = true;
-    cfg.guard.policy = guard.policy;
-  }
-  if (guard_interval_set) cfg.guard.interval_s = guard.interval_s;
-  if (detect_set) cfg.detector.enabled = true;
-  if (detect_adapt) cfg.detector.adapt = true;
 
   if (incident_at >= 0.0) {
     // Canned mixed incident starting at T, sized so every piece fires on any
@@ -501,20 +336,13 @@ int main(int argc, char** argv) {
     // approach with restoration, dead detectors at the top-left junction, and
     // a controller outage with recovery at the center junction.
     const double t0 = incident_at;
-    faults.capacity.push_back(
+    cfg.faults.capacity.push_back(
         {{0, cfg.grid.cols - 1, net::Side::North}, t0, t0 + 300.0, 0.3});
-    faults.sensors.push_back(
+    cfg.faults.sensors.push_back(
         {{0, 0}, t0, t0 + 120.0, core::SensorFaultKind::Dropout, 0, 0});
-    faults.controllers.push_back(
+    cfg.faults.controllers.push_back(
         {{cfg.grid.rows / 2, cfg.grid.cols / 2}, t0, t0 + 180.0});
   }
-  // CLI faults append to (never replace) whatever the scenario file declares.
-  cfg.faults.capacity.insert(cfg.faults.capacity.end(), faults.capacity.begin(),
-                             faults.capacity.end());
-  cfg.faults.sensors.insert(cfg.faults.sensors.end(), faults.sensors.begin(),
-                            faults.sensors.end());
-  cfg.faults.controllers.insert(cfg.faults.controllers.end(),
-                                faults.controllers.begin(), faults.controllers.end());
 
   if (dump_scenario_flag) {
     try {
@@ -550,16 +378,6 @@ int main(int argc, char** argv) {
         return 0;
       }
 
-      surrogate::SweepAxes axes;
-      for (const std::string& c : split_fields(sweep_controllers)) {
-        axes.controllers.push_back(parse_controller(c));
-      }
-      for (const std::string& p : split_fields(sweep_patterns)) {
-        axes.patterns.push_back(parse_pattern(p));
-      }
-      for (const std::string& p : split_fields(sweep_periods)) {
-        axes.periods_s.push_back(parse_double(p, "--sweep-periods"));
-      }
       sweep_options.jobs = jobs;
       sweep_options.allow_oversubscribe = allow_oversubscribe;
 
@@ -618,7 +436,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "abp_cli: %d concurrent runs (min of --jobs %d and --replications %d) "
                  "x %d tick threads = %d workers oversubscribes this machine's %u "
-                 "hardware threads;\nlower --jobs or --threads, or pass "
+                 "hardware threads;\nlower --jobs or micro.threads, or pass "
                  "--allow-oversubscribe (results are bit-identical either way, only "
                  "slower)\n",
                  concurrent_runs, jobs, replications, tick, concurrent_runs * tick, hc);

@@ -80,12 +80,10 @@ struct FaultSchedule {
   }
 };
 
-// Value-level validation: non-negative times, start < end, factors in [0, 1],
-// and no overlapping sensor windows at the same junction (the decorator
-// resolves ties by order, but an overlap is almost always a config bug).
-// Grid-reference resolution errors surface later, from make_simulator().
-// Throws std::invalid_argument.
-void validate_or_throw(const FaultSchedule& schedule);
+// Value-level rules (non-negative times, start < end, factors in [0, 1], no
+// overlapping sensor windows at one junction) are checked by
+// scenario::validate (scenario_io.hpp); grid-reference resolution errors
+// surface later, from make_simulator().
 
 // --- Runtime invariant guard -------------------------------------------
 // Opt-in per-run checking of the cross-backend invariants (conservation,

@@ -12,6 +12,10 @@
 // abp_cli --scenario are built on this; docs/SCENARIOS.md is the schema
 // reference (field-by-field semantics, defaults, validation rules,
 // determinism contract) and is lint-checked against schema_field_paths().
+// Each field's key, rule and place in the document is written once, in the
+// describe() functions of scenario_io.cpp (machinery in describe.hpp); the
+// loader, validate(), the dumper, schema_field_paths() and apply_setting()
+// all walk them.
 //
 // Error contract: every load failure throws ScenarioIoError whose what() is
 // exactly "<dotted.path>: <problem>" — e.g.
@@ -70,25 +74,36 @@ class ScenarioIoError : public std::invalid_argument {
 // fault windows, ...) and json::ParseError on malformed JSON.
 [[nodiscard]] ScenarioConfig load_scenario(std::string_view json_text);
 
-// Validates the detector section with the loader's path-addressed messages
-// ("detector.window_samples: must be >= 1"). The loader runs it on every
-// document; sim::make_simulator runs it on enabled detectors, so
-// programmatic configs get the same checks. Throws ScenarioIoError.
-void validate_detector(const detect::DetectorConfig& detector);
+// Checks every field's rule with the loader's path-addressed messages
+// ("detector.window_samples: must be >= 1"), disabled sections included.
+// load_scenario, dump_scenario, apply_setting and sim::make_simulator all
+// call it, so programmatic configs get the checks files get. Throws
+// ScenarioIoError.
+void validate(const ScenarioConfig& config);
 
 // Reads the file and calls load_scenario. Throws std::runtime_error when the
 // file cannot be opened.
 [[nodiscard]] ScenarioConfig load_scenario_file(const std::string& file_path);
 
 // Serializes the full config (defaults included) in the canonical byte-stable
-// form. Throws ScenarioIoError for the unserializable programmatic-only
-// fields (custom PressureFn).
+// form, after validate(). Throws ScenarioIoError for an invalid config and
+// for the unserializable programmatic-only fields (custom PressureFn).
 [[nodiscard]] std::string dump_scenario(const ScenarioConfig& config);
 
-// Every dotted field path of the schema, in document order — array-valued
-// fields use a "[]" suffix on the array segment (e.g.
-// "demand.segments[].duration_s"). Derived from the same key tables the
-// parser's unknown-key rejection uses, so the list cannot drift from what
+// Sets one field by its schema path: "grid.rows" with value "8" loads
+// {"grid": {"rows": 8}} over `config` with the scenario loader, then
+// validates. VALUE is JSON; text that is not valid JSON is read as a string
+// ("queue" == "\"queue\""). Objects merge into the current value, arrays
+// replace it, and a path segment ending in "[]" appends one element built
+// from the rest of the path ("faults.sensors[]" with an object value). The
+// version cannot be set. On error throws ScenarioIoError and leaves
+// `config` unchanged. abp_cli --set is built on this.
+void apply_setting(ScenarioConfig& config, std::string_view path, std::string_view value);
+
+// Every dotted field path of the schema, depth first in document order —
+// array-valued fields use a "[]" suffix on the array segment (e.g.
+// "demand.segments[].duration_s"). Walks the same field descriptions the
+// loader, validator and dumper walk, so the list cannot drift from what
 // load_scenario accepts. Consumed by abp_cli --print-schema-fields and the
 // docs lint (tools/check_scenario_docs.py).
 [[nodiscard]] std::vector<std::string> schema_field_paths();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -45,9 +44,6 @@ class BackendSimulator final : public Simulator {
             make_run_controllers(config, network_, &adaptive_))),
         events_(build_capacity_events(config, network_)) {
     if (config.guard.enabled) {
-      if (!(config.guard.interval_s > 0.0)) {
-        throw std::invalid_argument("guard interval must be positive");
-      }
       guard_.emplace(config.guard.policy);
       guard_interval_s_ = config.guard.interval_s;
       next_guard_s_ = guard_interval_s_;
@@ -153,8 +149,7 @@ class BackendSimulator final : public Simulator {
 }  // namespace
 
 std::unique_ptr<Simulator> make_simulator(const scenario::ScenarioConfig& config) {
-  scenario::validate_or_throw(config.faults);
-  if (config.detector.enabled) scenario::validate_detector(config.detector);
+  scenario::validate(config);
   std::unique_ptr<Simulator> sim;
   if (config.simulator == scenario::SimulatorKind::Micro) {
     sim = std::make_unique<BackendSimulator<microsim::MicroSim>>(config);

@@ -63,8 +63,9 @@ class Simulator {
 // core::FaultInjectedController where the fault schedule names the
 // junction), resolved watches, capacity-fault events and the opt-in runtime
 // invariant guard — all owned by the returned object. Throws
-// std::invalid_argument on unresolvable watches / fault references and on
-// invalid fault schedules or guard configs, and std::runtime_error on
+// scenario::ScenarioIoError (a std::invalid_argument) when
+// scenario::validate rejects the config, std::invalid_argument on
+// unresolvable watches / fault references, and std::runtime_error on
 // network validation failures, like run_scenario() always has. See
 // docs/ROBUSTNESS.md for the fault-execution model.
 [[nodiscard]] std::unique_ptr<Simulator> make_simulator(

@@ -1,11 +1,10 @@
 #include "src/surrogate/calibration_profile.hpp"
 
 #include <fstream>
-#include <limits>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 
+#include "src/scenario/describe.hpp"
 #include "src/util/json.hpp"
 
 namespace abp::surrogate {
@@ -15,127 +14,40 @@ namespace {
 // scenario schema version).
 constexpr int kProfileVersion = 1;
 
-// Member order of the canonical dump; also the unknown-key whitelist.
-constexpr const char* kProfileKeys[] = {
-    "version",       "name",        "scenario",     "service_scale",
-    "transit_scale", "capacity_scale", "objective", "evaluations",
-    "replications",  "duration_s",  "seed"};
-
-[[noreturn]] void fail(const std::string& path, const std::string& problem) {
-  throw std::invalid_argument(path + ": " + problem);
-}
-
-double read_double(const json::Value& v, const std::string& path) {
-  if (!v.is_number()) {
-    fail(path, std::string("expected a number, got ") + v.type_name());
-  }
-  try {
-    return v.as_double();
-  } catch (const std::out_of_range&) {
-    fail(path, "number out of double range");
-  }
-}
-
-int read_int(const json::Value& v, const std::string& path) {
-  if (!v.is_number()) {
-    fail(path, std::string("expected a number, got ") + v.type_name());
-  }
-  if (!v.is_integer_token()) fail(path, "must be an integer");
-  const std::int64_t n = v.as_int64();
-  if (n < std::numeric_limits<int>::min() || n > std::numeric_limits<int>::max()) {
-    fail(path, "integer out of range");
-  }
-  return static_cast<int>(n);
-}
-
-std::uint64_t read_u64(const json::Value& v, const std::string& path) {
-  if (!v.is_number()) {
-    fail(path, std::string("expected a number, got ") + v.type_name());
-  }
-  if (!v.is_integer_token() || v.number_token()[0] == '-') {
-    fail(path, "must be a non-negative integer");
-  }
-  return v.as_uint64();
-}
-
-std::string read_string(const json::Value& v, const std::string& path) {
-  if (!v.is_string()) {
-    fail(path, std::string("expected a string, got ") + v.type_name());
-  }
-  return v.as_string();
-}
-
 }  // namespace
 
+template <typename V>
+void describe(V& v, CalibrationProfile& p) {
+  using namespace scenario::schema;
+  int version = kProfileVersion;
+  v.field("version", version);
+  v.field("name", p.name);
+  v.field("scenario", p.scenario);
+  v.field("service_scale", p.service_scale, kPositive);
+  v.field("transit_scale", p.transit_scale, kPositive);
+  v.field("capacity_scale", p.capacity_scale, kPositive);
+  v.field("objective", p.objective);
+  v.field("evaluations", p.evaluations, kNonNegative);
+  v.field("replications", p.replications, kNonNegative);
+  v.field("duration_s", p.duration_s, kNonNegative);
+  v.field("seed", p.seed);
+}
+
 std::string dump_profile(const CalibrationProfile& profile) {
-  json::Value doc = json::Value::object();
-  doc.set("version", json::Value::number(kProfileVersion));
-  doc.set("name", json::Value::string(profile.name));
-  doc.set("scenario", json::Value::string(profile.scenario));
-  doc.set("service_scale", json::Value::number(profile.service_scale));
-  doc.set("transit_scale", json::Value::number(profile.transit_scale));
-  doc.set("capacity_scale", json::Value::number(profile.capacity_scale));
-  doc.set("objective", json::Value::number(profile.objective));
-  doc.set("evaluations", json::Value::number(profile.evaluations));
-  doc.set("replications", json::Value::number(profile.replications));
-  doc.set("duration_s", json::Value::number(profile.duration_s));
-  doc.set("seed", json::Value::number(profile.seed));
-  return json::dump(doc);
+  return json::dump(scenario::schema::dump_object(profile));
 }
 
 CalibrationProfile load_profile(std::string_view json_text) {
-  const json::Value doc = json::parse(json_text);
-  if (!doc.is_object()) {
-    fail("$", std::string("expected an object, got ") + doc.type_name());
-  }
-  for (const json::Member& m : doc.members()) {
-    bool known = false;
-    for (const char* k : std::span<const char* const>(kProfileKeys)) {
-      if (m.first == k) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) fail(m.first, "unknown key");
-  }
-  const json::Value* version = doc.find("version");
-  if (version == nullptr) fail("version", "required field is missing");
-  if (const int v = read_int(*version, "version"); v != kProfileVersion) {
-    fail("version", "unsupported profile version " + std::to_string(v) +
-                        " (this build reads version " +
-                        std::to_string(kProfileVersion) + ")");
-  }
-
   CalibrationProfile p;
-  if (const auto* f = doc.find("name")) p.name = read_string(*f, "name");
-  if (const auto* f = doc.find("scenario")) p.scenario = read_string(*f, "scenario");
-  if (const auto* f = doc.find("service_scale")) {
-    p.service_scale = read_double(*f, "service_scale");
-  }
-  if (const auto* f = doc.find("transit_scale")) {
-    p.transit_scale = read_double(*f, "transit_scale");
-  }
-  if (const auto* f = doc.find("capacity_scale")) {
-    p.capacity_scale = read_double(*f, "capacity_scale");
-  }
-  if (const auto* f = doc.find("objective")) p.objective = read_double(*f, "objective");
-  if (const auto* f = doc.find("evaluations")) {
-    p.evaluations = read_int(*f, "evaluations");
-  }
-  if (const auto* f = doc.find("replications")) {
-    p.replications = read_int(*f, "replications");
-  }
-  if (const auto* f = doc.find("duration_s")) {
-    p.duration_s = read_double(*f, "duration_s");
-  }
-  if (const auto* f = doc.find("seed")) p.seed = read_u64(*f, "seed");
-
-  if (!(p.service_scale > 0.0)) fail("service_scale", "must be > 0");
-  if (!(p.transit_scale > 0.0)) fail("transit_scale", "must be > 0");
-  if (!(p.capacity_scale > 0.0)) fail("capacity_scale", "must be > 0");
-  if (p.evaluations < 0) fail("evaluations", "must be >= 0");
-  if (p.replications < 0) fail("replications", "must be >= 0");
-  if (p.duration_s < 0.0) fail("duration_s", "must be >= 0");
+  scenario::schema::load_document(json::parse(json_text), p, [](int v) {
+    if (v != kProfileVersion) {
+      throw scenario::ScenarioIoError(
+          "version", "unsupported profile version " + std::to_string(v) +
+                         " (this build reads version " + std::to_string(kProfileVersion) +
+                         ")");
+    }
+  });
+  scenario::schema::validate_object(p, {});
   return p;
 }
 

@@ -100,17 +100,19 @@ TEST(ChangepointTest, MonitorOnlyDetectorIsPassive) {
 
 TEST(ChangepointTest, MakeSimulatorValidatesAnEnabledDetector) {
   // Programmatic configs bypass the loader, so make_simulator runs the
-  // loader's detector validator itself, with the same path-addressed
-  // messages, but only when the detector is on.
+  // loader's validator itself, with the same path-addressed messages, on
+  // every section: a disabled detector must still be one the loader accepts,
+  // since dump_scenario writes it.
   ScenarioConfig cfg = Load("baseline_3x3.json");
   cfg.detector.window_samples = 0;
-  EXPECT_NO_THROW((void)sim::make_simulator(cfg));
-  cfg.detector.enabled = true;
-  try {
-    (void)sim::make_simulator(cfg);
-    FAIL() << "expected ScenarioIoError";
-  } catch (const ScenarioIoError& e) {
-    EXPECT_STREQ(e.what(), "detector.window_samples: must be >= 1");
+  for (const bool enabled : {false, true}) {
+    cfg.detector.enabled = enabled;
+    try {
+      (void)sim::make_simulator(cfg);
+      FAIL() << "expected ScenarioIoError";
+    } catch (const ScenarioIoError& e) {
+      EXPECT_STREQ(e.what(), "detector.window_samples: must be >= 1");
+    }
   }
 }
 

@@ -26,6 +26,7 @@
 #include "src/net/grid.hpp"
 #include "src/queuesim/queue_sim.hpp"
 #include "src/scenario/scenario.hpp"
+#include "src/scenario/scenario_io.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/traffic/demand.hpp"
 
@@ -84,19 +85,20 @@ void maybe_dump(const char* label, const stats::NetworkMetrics& m) {
 }
 
 TEST(FaultInjection, ScheduleValidationRejectsBadValues) {
-  scenario::FaultSchedule s;
+  scenario::ScenarioConfig cfg;
+  scenario::FaultSchedule& s = cfg.faults;
   s.capacity.push_back({{0, 0, net::Side::North}, 100.0, 50.0, 0.5});
-  EXPECT_THROW(scenario::validate_or_throw(s), std::invalid_argument);
+  EXPECT_THROW(scenario::validate(cfg), std::invalid_argument);
   s.capacity[0] = {{0, 0, net::Side::North}, 0.0, 100.0, 1.5};
-  EXPECT_THROW(scenario::validate_or_throw(s), std::invalid_argument);
+  EXPECT_THROW(scenario::validate(cfg), std::invalid_argument);
   s.capacity.clear();
   s.sensors.push_back({{0, 0}, 0.0, 100.0, core::SensorFaultKind::Dropout, 0, 0});
   s.sensors.push_back({{0, 0}, 50.0, 150.0, core::SensorFaultKind::Noise, 0, 1});
-  EXPECT_THROW(scenario::validate_or_throw(s), std::invalid_argument);  // overlap
+  EXPECT_THROW(scenario::validate(cfg), std::invalid_argument);  // overlap
   s.sensors[1].start_s = 100.0;  // back-to-back windows are fine
-  EXPECT_NO_THROW(scenario::validate_or_throw(s));
+  EXPECT_NO_THROW(scenario::validate(cfg));
   s.controllers.push_back({{0, 0}, -1.0, 10.0});
-  EXPECT_THROW(scenario::validate_or_throw(s), std::invalid_argument);
+  EXPECT_THROW(scenario::validate(cfg), std::invalid_argument);
 }
 
 TEST(FaultInjection, UnresolvableFaultReferenceThrows) {

@@ -158,6 +158,16 @@ TEST(ScenarioIoTest, SegmentErrorsAreIndexed) {
         {"duration_s": 600, "interarrival_scale": 0}
       ]}})",
                   "demand.segments[2].interarrival_scale: must be > 0");
+  ExpectLoadError(R"({"version": 5, "demand": {"segments": [{"pattern": "mixed"}]}})",
+                  "demand.segments[0].pattern: must be a concrete pattern, not \"mixed\"");
+}
+
+TEST(ScenarioIoTest, GridSizeIsBounded) {
+  ExpectLoadError(R"({"version": 5, "grid": {"rows": 100000, "cols": 100000}})",
+                  "grid: rows * cols must not exceed 65536");
+  const ScenarioConfig cfg =
+      load_scenario(R"({"version": 5, "grid": {"rows": 256, "cols": 256}})");
+  EXPECT_EQ(cfg.grid.rows, 256);
 }
 
 TEST(ScenarioIoTest, EnumErrorsListTheTokens) {

@@ -89,6 +89,25 @@ TEST(SurrogateProfile, RejectsUnknownKeysAndBadScales) {
     EXPECT_EQ(std::string(e.what()),
               "version: unsupported profile version 2 (this build reads version 1)");
   }
+  // Numbers too large for their field fail at the field, like scenario files.
+  const struct {
+    const char* text;
+    const char* what;
+  } out_of_range[] = {
+      {R"({"version": 1, "evaluations": 99999999999999999999})",
+       "evaluations: integer out of range"},
+      {R"({"version": 1, "replications": 4294967296})", "replications: integer out of range"},
+      {R"({"version": 1, "seed": 99999999999999999999})", "seed: must fit in 64 bits"},
+      {R"({"version": 1, "objective": 1e400})", "objective: number out of double range"},
+  };
+  for (const auto& c : out_of_range) {
+    try {
+      (void)load_profile(c.text);
+      ADD_FAILURE() << "accepted " << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), c.what);
+    }
+  }
 }
 
 TEST(SurrogateGrid, EffectiveGridAppliesOnlyToEnabledQueueConfigs) {

@@ -2,7 +2,7 @@
 """Lint docs/SCENARIOS.md against the scenario parser's schema.
 
 Runs `abp_cli --print-schema-fields` (the authoritative field list, generated
-from the same key tables the parser validates against) and verifies that every
+from the same field descriptions the loader walks) and verifies that every
 reported field path appears in backticks somewhere in docs/SCENARIOS.md.
 Fails listing the missing paths, so the schema reference cannot silently
 drift from what the loader accepts.
