@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.hpp"
 #include "src/scenario/scenario.hpp"
-#include "src/core/pressure_presets.hpp"
+#include "src/core/gain.hpp"
 #include "src/stats/report.hpp"
 
 namespace {
@@ -83,7 +83,7 @@ int main() {
                                   core::PressureKind::Normalized}) {
     Variant v{"UTIL-BP, pressure f = " + core::pressure_kind_name(kind),
               scenario::paper_scenario(traffic::PatternKind::I, core::ControllerType::UtilBp)};
-    v.cfg.controller.util.pressure = core::make_pressure(kind, 120.0);
+    v.cfg.controller.util.pressure_kind = kind;
     variants.push_back(std::move(v));
   }
 

@@ -36,9 +36,10 @@
 //   --jobs N       run-level: concurrent replications in --replications mode.
 //                  Worth it for many independent runs.
 // Metrics are bit-identical at every micro.threads and --jobs value. Each of
-// the N concurrent runs uses micro.threads workers, so the CLI rejects
-// combinations that oversubscribe hardware_concurrency unless
-// --allow-oversubscribe is passed (oversubscribing only adds contention).
+// the N concurrent runs uses micro.threads workers, so the experiment runner
+// refuses combinations that oversubscribe hardware_concurrency (exit 2)
+// unless --allow-oversubscribe is passed (oversubscribing only adds
+// contention), as it refuses a replication count above its limit.
 //
 // Fault injection (docs/ROBUSTNESS.md): faults.capacity[], faults.sensors[]
 // and faults.controllers[] settings append timed incidents to the run's
@@ -78,7 +79,6 @@
 //   abp_cli --scenario scenarios/baseline_3x3.json --set controller.type=fixed \
 //     --dump-scenario
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -86,7 +86,6 @@
 #include <fstream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/exp/experiment_runner.hpp"
@@ -354,8 +353,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (calibrate_mode || sweep_mode) {
-    try {
+  try {
+    if (calibrate_mode || sweep_mode) {
       surrogate::CalibrationProfile profile;
       if (!profile_file.empty()) {
         profile = surrogate::load_profile_file(profile_file);
@@ -418,32 +417,8 @@ int main(int argc, char** argv) {
         std::printf("report written: %s\n", report_file.c_str());
       }
       return report.flagged > 0 ? 4 : 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "abp_cli: error: %s\n", e.what());
-      return 1;
     }
-  }
 
-  // The two axes multiply: each of the concurrent micro runs spins up its
-  // tick-level sweep workers. At most min(jobs, replications) runs are ever
-  // in flight, so judge that; reject silent oversubscription here with a
-  // friendlier message than the experiment runner's exception.
-  const int tick = scenario::tick_threads(cfg);
-  const int concurrent_runs = jobs < replications ? jobs : replications;
-  const unsigned hc = std::thread::hardware_concurrency();
-  if (!allow_oversubscribe && concurrent_runs > 1 && hc > 0 &&
-      static_cast<long long>(concurrent_runs) * tick > static_cast<long long>(hc)) {
-    std::fprintf(stderr,
-                 "abp_cli: %d concurrent runs (min of --jobs %d and --replications %d) "
-                 "x %d tick threads = %d workers oversubscribes this machine's %u "
-                 "hardware threads;\nlower --jobs or micro.threads, or pass "
-                 "--allow-oversubscribe (results are bit-identical either way, only "
-                 "slower)\n",
-                 concurrent_runs, jobs, replications, tick, concurrent_runs * tick, hc);
-    return 2;
-  }
-
-  try {
     if (replications > 1) {
       // Batch mode: per-seed replication fleet through the experiment runner,
       // with per-run statuses — a failing or deadline-hitting seed never
@@ -494,14 +469,11 @@ int main(int argc, char** argv) {
       }
       const int ok_count = static_cast<int>(acc.count());
       if (ok_count > 0) {
-        const double ci =
-            ok_count > 1 ? stats::student_t_quantile(0.975, ok_count - 1) * acc.stddev() /
-                               std::sqrt(static_cast<double>(ok_count))
-                         : 0.0;
         std::printf(
             "ok=%d/%d mean_s=%.2f stddev_s=%.2f ci95_halfwidth_s=%.2f (Student-t, "
             "df=%d)\n",
-            ok_count, replications, acc.mean(), acc.stddev(), ci, ok_count - 1);
+            ok_count, replications, acc.mean(), acc.stddev(), stats::ci95_halfwidth(acc),
+            ok_count - 1);
       } else {
         std::printf("ok=0/%d (no completed runs to summarize)\n", replications);
       }
@@ -608,6 +580,10 @@ int main(int argc, char** argv) {
     }
     if (cfg.guard.enabled && !r.guard.violations.empty()) return 3;
     return 0;
+  } catch (const exp::BatchError& e) {
+    // A batch the runner refuses before running anything: a usage error.
+    std::fprintf(stderr, "abp_cli: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "abp_cli: error: %s\n", e.what());
     return 1;

@@ -6,8 +6,12 @@
 
 namespace abp::core {
 
-FixedSlotBpController::FixedSlotBpController(IntersectionPlan plan, FixedSlotBpConfig config)
-    : plan_(std::move(plan)), config_(config) {
+FixedSlotBpController::FixedSlotBpController(IntersectionPlan plan, FixedSlotBpConfig config,
+                                             FixedSlotRule rule, double pressure_capacity)
+    : plan_(std::move(plan)),
+      config_(config),
+      rule_(rule),
+      pressure_(config_.pressure_kind, pressure_capacity) {
   if (config_.period_s <= 0.0) {
     throw std::invalid_argument("control period must be positive");
   }
@@ -33,8 +37,8 @@ std::vector<double> FixedSlotBpController::link_weights(
   std::vector<double> weights;
   weights.reserve(obs.links.size());
   for (const LinkState& l : obs.links) {
-    if (config_.rule == FixedSlotRule::Original) {
-      weights.push_back(link_gain_original(l, config_.pressure));
+    if (rule_ == FixedSlotRule::Original) {
+      weights.push_back(link_gain_original(l, pressure_));
       continue;
     }
     // CAP-BP: occupancy-normalized pressures; a full downstream road yields
@@ -47,8 +51,7 @@ std::vector<double> FixedSlotBpController::link_weights(
         static_cast<double>(l.queue) / static_cast<double>(std::max(l.upstream_capacity, 1));
     const double occupancy_out = static_cast<double>(l.downstream_queue) /
                                  static_cast<double>(std::max(l.downstream_capacity, 1));
-    const double diff =
-        pressure(config_.pressure, occupancy_in) - pressure(config_.pressure, occupancy_out);
+    const double diff = pressure(pressure_, occupancy_in) - pressure(pressure_, occupancy_out);
     weights.push_back(std::max(0.0, diff * l.service_rate));
   }
   return weights;

@@ -20,7 +20,6 @@
 
 #include "src/core/controller.hpp"
 #include "src/core/gain.hpp"
-#include "src/core/pressure_presets.hpp"
 
 namespace abp::core {
 
@@ -37,26 +36,24 @@ struct FixedSlotBpConfig {
   double period_s = 16.0;
   // Amber duration inserted at the start of a slot that changes phase.
   double amber_duration_s = 4.0;
-  FixedSlotRule rule = FixedSlotRule::CapacityAware;
   // Gregoire-style fallback: when all weights are zero, activate the phase
   // able to serve the most vehicles rather than idling a whole slot.
   bool work_conserving = true;
-  // Pressure preset, materialized into `pressure` by the factory; the
-  // serializable form of the mapping (see UtilBpConfig::pressure_kind).
+  // Pressure mapping b = f(q) of Eq. (4), by preset.
   PressureKind pressure_kind = PressureKind::Identity;
-  // Optional non-identity pressure mapping; wins over pressure_kind when set
-  // (programmatic API only — not serializable).
-  PressureFn pressure;
 };
 
 class FixedSlotBpController final : public SignalController {
  public:
-  FixedSlotBpController(IntersectionPlan plan, FixedSlotBpConfig config);
+  // `pressure_capacity` is the W a Normalized pressure_kind divides by.
+  FixedSlotBpController(IntersectionPlan plan, FixedSlotBpConfig config,
+                        FixedSlotRule rule = FixedSlotRule::CapacityAware,
+                        double pressure_capacity = kDefaultPressureCapacity);
 
   [[nodiscard]] net::PhaseIndex decide(const IntersectionObservation& obs) override;
   void reset() override;
   [[nodiscard]] std::string name() const override {
-    return config_.rule == FixedSlotRule::CapacityAware ? "CAP-BP" : "ORIG-BP";
+    return rule_ == FixedSlotRule::CapacityAware ? "CAP-BP" : "ORIG-BP";
   }
 
   [[nodiscard]] const FixedSlotBpConfig& config() const noexcept { return config_; }
@@ -70,6 +67,8 @@ class FixedSlotBpController final : public SignalController {
 
   IntersectionPlan plan_;
   FixedSlotBpConfig config_;
+  FixedSlotRule rule_;
+  Pressure pressure_;
   // Time at which the next slot decision is due.
   double next_slot_ = 0.0;
   bool started_ = false;

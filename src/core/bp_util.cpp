@@ -5,8 +5,12 @@
 
 namespace abp::core {
 
-UtilBpController::UtilBpController(IntersectionPlan plan, UtilBpConfig config)
-    : plan_(std::move(plan)), config_(config) {
+UtilBpController::UtilBpController(IntersectionPlan plan, UtilBpConfig config,
+                                   double pressure_capacity)
+    : plan_(std::move(plan)),
+      config_(config),
+      gain_params_{config_.alpha, config_.beta,
+                   Pressure(config_.pressure_kind, pressure_capacity)} {
   if (config_.alpha >= 0.0 || config_.beta >= 0.0) {
     throw std::invalid_argument("UTIL-BP requires negative alpha and beta sentinels");
   }
@@ -16,9 +20,6 @@ UtilBpController::UtilBpController(IntersectionPlan plan, UtilBpConfig config)
   if (plan_.num_control_phases() < 1) {
     throw std::invalid_argument("UTIL-BP needs at least one control phase");
   }
-  gain_params_.alpha = config_.alpha;
-  gain_params_.beta = config_.beta;
-  gain_params_.pressure = config_.pressure;
 }
 
 bool UtilBpController::holds_when_idle(double time) const {

@@ -18,7 +18,6 @@
 
 #include "src/core/controller.hpp"
 #include "src/core/gain.hpp"
-#include "src/core/pressure_presets.hpp"
 
 namespace abp::core {
 
@@ -42,20 +41,15 @@ struct UtilBpConfig {
   double amber_duration_s = 4.0;
   GStarPolicy gstar_policy = GStarPolicy::WStarMu;
   double gstar_constant = 0.0;
-  // Pressure mapping b = f(q), chosen by preset. The factory materializes
-  // any non-identity kind into `pressure` at construction time; this field
-  // (not the function) is what the declarative scenario layer serializes, so
-  // scenario files round-trip (docs/SCENARIOS.md).
+  // Pressure mapping b = f(q) of Eq. (4), by preset.
   PressureKind pressure_kind = PressureKind::Identity;
-  // Optional non-identity pressure mapping b = f(q). When set it wins over
-  // pressure_kind — programmatic API only: a config carrying a custom
-  // function cannot be dumped to a scenario file.
-  PressureFn pressure;
 };
 
 class UtilBpController final : public SignalController {
  public:
-  UtilBpController(IntersectionPlan plan, UtilBpConfig config);
+  // `pressure_capacity` is the W a Normalized pressure_kind divides by.
+  UtilBpController(IntersectionPlan plan, UtilBpConfig config,
+                   double pressure_capacity = kDefaultPressureCapacity);
 
   [[nodiscard]] net::PhaseIndex decide(const IntersectionObservation& obs) override;
   // On an idle observation every gain is alpha (Eq. 8), so Case 1 holds the

@@ -3,30 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/core/pressure_presets.hpp"
-
 namespace abp::core {
-namespace {
-
-// The declarative layer selects pressure mappings by preset
-// (pressure_kind); an explicitly supplied function always wins so the
-// programmatic API keeps its historical meaning.
-PressureFn resolve_pressure(const PressureFn& fn, PressureKind kind, double capacity) {
-  if (fn || kind == PressureKind::Identity) return fn;
-  return make_pressure(kind, capacity);
-}
-
-// Largest road capacity of the network: the W the Normalized preset scales
-// by, mirroring Eq. (7)'s W* convention.
-double max_capacity(const net::Network& network) {
-  double cap = 0.0;
-  for (const net::Road& road : network.roads()) {
-    cap = std::max(cap, static_cast<double>(road.capacity));
-  }
-  return cap > 0.0 ? cap : 120.0;
-}
-
-}  // namespace
 
 std::string controller_type_name(ControllerType type) {
   switch (type) {
@@ -45,34 +22,34 @@ std::string controller_type_name(ControllerType type) {
 ControllerPtr make_controller(const ControllerSpec& spec, IntersectionPlan plan,
                               double pressure_capacity) {
   switch (spec.type) {
-    case ControllerType::UtilBp: {
-      UtilBpConfig cfg = spec.util;
-      cfg.pressure = resolve_pressure(cfg.pressure, cfg.pressure_kind, pressure_capacity);
-      return std::make_unique<UtilBpController>(std::move(plan), std::move(cfg));
-    }
-    case ControllerType::CapBp: {
-      FixedSlotBpConfig cfg = spec.fixed_slot;
-      cfg.rule = FixedSlotRule::CapacityAware;
-      cfg.pressure = resolve_pressure(cfg.pressure, cfg.pressure_kind, pressure_capacity);
-      return std::make_unique<FixedSlotBpController>(std::move(plan), std::move(cfg));
-    }
-    case ControllerType::OriginalBp: {
-      FixedSlotBpConfig cfg = spec.fixed_slot;
-      cfg.rule = FixedSlotRule::Original;
-      cfg.pressure = resolve_pressure(cfg.pressure, cfg.pressure_kind, pressure_capacity);
-      return std::make_unique<FixedSlotBpController>(std::move(plan), std::move(cfg));
-    }
+    case ControllerType::UtilBp:
+      return std::make_unique<UtilBpController>(std::move(plan), spec.util,
+                                                pressure_capacity);
+    case ControllerType::CapBp:
+      return std::make_unique<FixedSlotBpController>(
+          std::move(plan), spec.fixed_slot, FixedSlotRule::CapacityAware, pressure_capacity);
+    case ControllerType::OriginalBp:
+      return std::make_unique<FixedSlotBpController>(
+          std::move(plan), spec.fixed_slot, FixedSlotRule::Original, pressure_capacity);
     case ControllerType::FixedTime:
       return std::make_unique<FixedTimeController>(std::move(plan), spec.fixed_time);
   }
   throw std::invalid_argument("unknown controller type");
 }
 
+double max_road_capacity(const net::Network& network) {
+  double cap = 0.0;
+  for (const net::Road& road : network.roads()) {
+    cap = std::max(cap, static_cast<double>(road.capacity));
+  }
+  return cap;
+}
+
 std::vector<ControllerPtr> make_controllers(const ControllerSpec& spec,
                                             const net::Network& network) {
   std::vector<ControllerPtr> controllers;
   controllers.reserve(network.intersections().size());
-  const double cap = max_capacity(network);
+  const double cap = max_road_capacity(network);
   for (const net::Intersection& node : network.intersections()) {
     controllers.push_back(make_controller(spec, make_plan(network, node), cap));
   }

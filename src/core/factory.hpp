@@ -27,13 +27,16 @@ struct ControllerSpec {
   FixedTimeConfig fixed_time;
 };
 
-// Builds a controller of the requested type for one junction plan. A
-// non-identity UtilBpConfig/FixedSlotBpConfig::pressure_kind with no explicit
-// pressure function is materialized here via make_pressure;
-// `pressure_capacity` feeds the Normalized preset's q/W scaling (callers with
-// a network pass its largest road capacity — make_controllers does).
+// Builds a controller of the requested type for one junction plan. The type
+// fixes the fixed-slot rule (CAP-BP or ORIG-BP); `pressure_capacity` is the W
+// a Normalized pressure_kind divides by (callers with a network pass
+// max_road_capacity, as make_controllers does).
 [[nodiscard]] ControllerPtr make_controller(const ControllerSpec& spec, IntersectionPlan plan,
-                                            double pressure_capacity = 120.0);
+                                            double pressure_capacity = kDefaultPressureCapacity);
+
+// Largest road capacity of the network: the W the Normalized pressure preset
+// divides by, mirroring Eq. (7)'s W* convention.
+[[nodiscard]] double max_road_capacity(const net::Network& network);
 
 // Convenience: one controller per intersection of the network, indexed by
 // IntersectionId::index().

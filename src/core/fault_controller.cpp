@@ -5,18 +5,6 @@
 
 namespace abp::core {
 
-std::string sensor_fault_kind_name(SensorFaultKind kind) {
-  switch (kind) {
-    case SensorFaultKind::Dropout:
-      return "dropout";
-    case SensorFaultKind::StuckAt:
-      return "stuck";
-    case SensorFaultKind::Noise:
-      return "noise";
-  }
-  return "unknown";
-}
-
 FaultInjectedController::FaultInjectedController(ControllerPtr primary,
                                                  ControllerPtr fallback,
                                                  std::vector<ControllerFaultWindow> failures,

@@ -46,8 +46,6 @@ enum class SensorFaultKind {
   Noise,
 };
 
-[[nodiscard]] std::string sensor_fault_kind_name(SensorFaultKind kind);
-
 // A sensor fault active on [start_s, end_s) at one junction.
 struct SensorFaultWindow {
   double start_s = 0.0;

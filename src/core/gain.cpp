@@ -1,12 +1,44 @@
 #include "src/core/gain.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace abp::core {
 
-double pressure(const PressureFn& fn, double queue) {
-  return fn ? fn(queue) : queue;
+std::string pressure_kind_name(PressureKind kind) {
+  switch (kind) {
+    case PressureKind::Identity:
+      return "identity";
+    case PressureKind::Sqrt:
+      return "sqrt";
+    case PressureKind::Quadratic:
+      return "quadratic";
+    case PressureKind::Normalized:
+      return "normalized";
+  }
+  return "?";
+}
+
+Pressure::Pressure(PressureKind kind, double capacity) : kind(kind), capacity(capacity) {
+  if (kind == PressureKind::Normalized && !(capacity > 0.0)) {
+    throw std::invalid_argument("normalized pressure needs a positive capacity");
+  }
+}
+
+double pressure(const Pressure& p, double queue) {
+  switch (p.kind) {
+    case PressureKind::Identity:
+      return queue;
+    case PressureKind::Sqrt:
+      return std::sqrt(std::max(0.0, queue));
+    case PressureKind::Quadratic:
+      return queue * queue;
+    case PressureKind::Normalized:
+      return queue / p.capacity;
+  }
+  return queue;
 }
 
 double wstar(const IntersectionObservation& obs) {
@@ -17,13 +49,13 @@ double wstar(const IntersectionObservation& obs) {
   return w;
 }
 
-double link_gain_original(const LinkState& link, const PressureFn& fn) {
-  const double diff = pressure(fn, link.upstream_total) - pressure(fn, link.downstream_queue);
+double link_gain_original(const LinkState& link, const Pressure& p) {
+  const double diff = pressure(p, link.upstream_total) - pressure(p, link.downstream_queue);
   return std::max(0.0, diff * link.service_rate);
 }
 
-double link_gain_modified(const LinkState& link, double wstar_value, const PressureFn& fn) {
-  const double diff = pressure(fn, link.queue) - pressure(fn, link.downstream_queue);
+double link_gain_modified(const LinkState& link, double wstar_value, const Pressure& p) {
+  const double diff = pressure(p, link.queue) - pressure(p, link.downstream_queue);
   return (diff + wstar_value) * link.service_rate;
 }
 

@@ -11,17 +11,39 @@
 //   Eq. (11) gmax(c_j,k) = max of constituent link gains.
 #pragma once
 
-#include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/core/observation.hpp"
 
 namespace abp::core {
 
-// Pressure mapping b = f(q). Identity when empty (the paper's choice, Eq. 4);
-// any non-decreasing mapping may be supplied for experimentation.
-using PressureFn = std::function<double(double)>;
+// Preset pressure mappings b = f(q) for Eq. (4). The paper uses the identity
+// but states the framework only needs a non-decreasing mapping:
+//   Identity   — the paper's choice; pressure equals queue length.
+//   Sqrt       — concave: long queues saturate, short queues dominate
+//                decisions (fairness-leaning).
+//   Quadratic  — convex: long queues dominate strongly (starvation-averse).
+//   Normalized — q / W: pressure as occupancy fraction, the scaling CAP-BP
+//                uses internally.
+enum class PressureKind { Identity, Sqrt, Quadratic, Normalized };
+
+[[nodiscard]] std::string pressure_kind_name(PressureKind kind);
+
+// One pressure mapping: a preset and the W that Normalized divides by (the
+// network's largest road capacity; the other presets ignore it).
+struct Pressure {
+  Pressure() = default;
+  // Throws std::invalid_argument when Normalized gets no positive capacity.
+  Pressure(PressureKind kind, double capacity);
+
+  PressureKind kind = PressureKind::Identity;
+  double capacity = 0.0;
+};
+
+// The W of a controller built without a network: the paper's road capacity.
+inline constexpr double kDefaultPressureCapacity = 120.0;
 
 // Parameters of the utilization-aware gain (Eq. 8/9).
 struct GainParams {
@@ -33,23 +55,22 @@ struct GainParams {
   // nothing at all. The paper recommends beta < alpha < 0, but allows the
   // traffic authority to invert the order; we only require both negative.
   double beta = -2.0;
-  // Pressure mapping; identity when not set.
-  PressureFn pressure;
+  Pressure pressure;
 };
 
-// Applies the pressure mapping (identity when fn is empty).
-[[nodiscard]] double pressure(const PressureFn& fn, double queue);
+// Applies the pressure mapping b = f(queue).
+[[nodiscard]] double pressure(const Pressure& p, double queue);
 
 // Eq. (7): the largest outgoing-road capacity observable at the junction.
 [[nodiscard]] double wstar(const IntersectionObservation& obs);
 
 // Eq. (5): original back-pressure gain; uses the *total* incoming queue.
-[[nodiscard]] double link_gain_original(const LinkState& link, const PressureFn& fn = {});
+[[nodiscard]] double link_gain_original(const LinkState& link, const Pressure& p = {});
 
 // Eq. (6): modified gain; per-lane incoming queue, shifted by W* so that
 // negative pressure differences still compete for service.
 [[nodiscard]] double link_gain_modified(const LinkState& link, double wstar_value,
-                                        const PressureFn& fn = {});
+                                        const Pressure& p = {});
 
 // Eq. (8): utilization-aware gain with the full/empty sentinels.
 [[nodiscard]] double link_gain_util(const LinkState& link, double wstar_value,

@@ -19,7 +19,10 @@ int max_safe_jobs(int tick_threads) noexcept {
 
 std::vector<scenario::ScenarioConfig> replication_configs(
     const scenario::ScenarioConfig& base, int replications) {
-  if (replications < 1) throw std::invalid_argument("need at least one replication");
+  if (replications < 1 || replications > kMaxReplications) {
+    throw BatchError("replications: " + std::to_string(replications) +
+                     " is outside [1, " + std::to_string(kMaxReplications) + "]");
+  }
   std::vector<scenario::ScenarioConfig> configs(static_cast<std::size_t>(replications),
                                                 base);
   for (int i = 0; i < replications; ++i) {
@@ -103,11 +106,11 @@ std::vector<RunStatus> ExperimentRunner::run_statuses(
     if (hc > 0 && static_cast<unsigned long long>(participants) *
                           static_cast<unsigned long long>(max_tick) >
                       static_cast<unsigned long long>(hc)) {
-      throw std::invalid_argument(
-          "ExperimentRunner: concurrent runs (" + std::to_string(participants) +
-          ") x tick threads (" + std::to_string(max_tick) +
-          ") oversubscribes hardware_concurrency (" + std::to_string(hc) +
-          "); lower jobs or threads, or set BatchOptions::allow_oversubscribe");
+      throw BatchError(
+          std::to_string(participants) + " concurrent runs x " + std::to_string(max_tick) +
+          " tick threads oversubscribes the " + std::to_string(hc) +
+          " hardware threads; lower the jobs or tick-thread count, or allow "
+          "oversubscription (results are bit-identical either way, only slower)");
     }
   }
 

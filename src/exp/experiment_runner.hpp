@@ -33,6 +33,7 @@
 
 #include <exception>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,19 @@
 #include "src/util/thread_pool.hpp"
 
 namespace abp::exp {
+
+// A batch refused before any run starts: a replication count outside
+// [1, kMaxReplications], or jobs x tick threads oversubscribing the machine.
+// A caller with a command line reports it as a usage error.
+class BatchError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+// 1,000x the largest replication set any test, bench, example or workload
+// runs (10 seeds); every config of a set is allocated up front, so counts in
+// the billions end only in std::bad_alloc.
+inline constexpr int kMaxReplications = 10000;
 
 struct BatchOptions {
   // Concurrent runs (>= 1, counting the calling thread). 1 = serial.
@@ -71,7 +85,8 @@ struct BatchOptions {
 // of `base` with seeds base.seed + 0, base.seed + 1, ..., base.seed + n - 1.
 // Runs are identified by their seed, not by execution order, so per-seed
 // result streams stay comparable across jobs counts, machines and the
-// historical serial run_replications loop.
+// historical serial run_replications loop. Throws BatchError unless
+// 1 <= n <= kMaxReplications.
 [[nodiscard]] std::vector<scenario::ScenarioConfig> replication_configs(
     const scenario::ScenarioConfig& base, int replications);
 
@@ -108,9 +123,8 @@ class ExperimentRunner {
   // the tick budget, finish) with up to `jobs` runs in flight, capturing
   // each run's outcome into a RunStatus in batch order: statuses[i] belongs
   // to configs[i] regardless of completion order. A throwing run never
-  // disturbs its siblings — the batch always drains. Throws
-  // std::invalid_argument only for batch-level misconfiguration (the
-  // oversubscription guard).
+  // disturbs its siblings — the batch always drains. Throws BatchError only
+  // for batch-level misconfiguration (the oversubscription guard).
   [[nodiscard]] std::vector<RunStatus> run_statuses(
       const std::vector<scenario::ScenarioConfig>& configs);
 

@@ -190,9 +190,8 @@ inline void lane_update_vectorized(double* pos, double* speed, std::size_t n,
 }
 
 // Scalar reference: the pre-vectorization per-vehicle loop, kept as the
-// semantic baseline, the short-lane fast path of lane_update(), the target
-// of the lane-level bit-equality pin, and one side of bench_krauss_kernel's
-// comparison. Consumes rng draws tail-first (slot n-1 first), exactly as the
+// semantic baseline, the target of the lane-level bit-equality pin, and one
+// side of bench_krauss_kernel's comparison. Consumes rng draws tail-first (slot n-1 first), exactly as the
 // historical sweep did — fill_u01_tailfirst reproduces precisely this
 // consumption order, which is why the two implementations share one stream
 // position.

@@ -189,33 +189,10 @@ std::optional<LinkId> MicroSim::movement_of(const VehMeta& m, RoadId road) const
   return net_.find_link(road, m.route.turns[m.next_turn]);
 }
 
-int MicroSim::road_vehicle_count(RoadId road) const {
-  int count = 0;
-  for (const Lane& lane : roads_[road.index()].lanes) {
-    count += static_cast<int>(lane.vehicles.size());
-  }
-  return count;
-}
-
 int MicroSim::lane_queued_count(const Lane& lane, double threshold_mps) const {
   int count = 0;
   for (std::size_t i = 0; i < lane.speed.size(); ++i) {
     if (lane.speed[i] < threshold_mps) ++count;
-  }
-  return count;
-}
-
-int MicroSim::link_queued_count(LinkId link, double threshold_mps) const {
-  const LinkRt& lrt = links_[link.index()];
-  const Lane& lane =
-      roads_[lrt.from_road.index()].lanes[static_cast<std::size_t>(lrt.lane_index)];
-  if (lane.link) return lane_queued_count(lane, threshold_mps);
-  // Mixed lane: the movement's queue is the slow vehicles headed through it.
-  int count = 0;
-  for (std::size_t i = 0; i < lane.speed.size(); ++i) {
-    if (lane.speed[i] < threshold_mps && veh_next_link_[lane.vehicles[i].index()] == link) {
-      ++count;
-    }
   }
   return count;
 }

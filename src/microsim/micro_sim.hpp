@@ -267,13 +267,9 @@ class MicroSim {
   // observe() call); avoids re-allocating the link array per decision.
   [[nodiscard]] const core::IntersectionObservation& observe(const net::Intersection& node);
   [[nodiscard]] int lane_index_for_turn(RoadId road, net::Turn turn) const;
-  [[nodiscard]] int road_vehicle_count(RoadId road) const;
   // Queue-length detector: vehicles on the lane moving slower than the given
   // speed threshold.
   [[nodiscard]] int lane_queued_count(const Lane& lane, double threshold_mps) const;
-  // Queue detector for one movement: on a dedicated lane, its lane's slow
-  // vehicles; on a mixed lane, the slow vehicles routed through the movement.
-  [[nodiscard]] int link_queued_count(LinkId link, double threshold_mps) const;
   // Sum of lane_queued_count over all lanes of the road (q_i of Eq. 1).
   [[nodiscard]] int road_queued_count(RoadId road, double threshold_mps) const;
   // The movement the vehicle will take at the end of `road`, if feasible.

@@ -1,13 +1,8 @@
 #include "src/scenario/scenario.hpp"
 
-#include <cmath>
-
-#include <stdexcept>
-
 #include "src/exp/experiment_runner.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/stats/student_t.hpp"
-#include "src/util/accumulator.hpp"
 
 namespace abp::scenario {
 
@@ -35,9 +30,6 @@ stats::RunResult run_scenario(const ScenarioConfig& config) {
 
 ReplicationSummary run_replications(const ScenarioConfig& config, int replications,
                                     int jobs, bool allow_oversubscribe) {
-  if (replications < 1) {
-    throw std::invalid_argument("need at least one replication");
-  }
   exp::ExperimentRunner runner(
       {.jobs = jobs, .allow_oversubscribe = allow_oversubscribe});
   const std::vector<stats::RunResult> runs =
@@ -51,10 +43,7 @@ ReplicationSummary run_replications(const ScenarioConfig& config, int replicatio
   }
   summary.mean_s = acc.mean();
   summary.stddev_s = acc.stddev();
-  summary.ci95_halfwidth_s =
-      replications > 1 ? stats::student_t_quantile(0.975, replications - 1) *
-                             acc.stddev() / std::sqrt(static_cast<double>(replications))
-                       : 0.0;
+  summary.ci95_halfwidth_s = stats::ci95_halfwidth(acc);
   return summary;
 }
 

@@ -44,7 +44,8 @@ struct ReplicationSummary {
 
 // Runs `replications` copies of the scenario with seeds config.seed,
 // config.seed+1, ... (exp::replication_configs' derivation scheme) and
-// summarizes the headline metric. Requires replications >= 1. `jobs` runs
+// summarizes the headline metric. Throws exp::BatchError unless
+// 1 <= replications <= exp::kMaxReplications. `jobs` runs
 // that many replications concurrently through exp::ExperimentRunner —
 // results are bit-identical at every jobs count; jobs x tick threads beyond
 // hardware_concurrency is rejected unless `allow_oversubscribe`.

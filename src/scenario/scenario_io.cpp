@@ -55,6 +55,11 @@ constexpr Rule kTickThreads{[](double x) { return x >= 1.0 && x <= 256.0; },
 // grids only end in std::bad_alloc.
 constexpr std::int64_t kMaxGridCells = 65536;
 
+// 32x the longest run any test, bench, example or workload makes (4 h of
+// mixed demand at dt 0.5 s: 28,800 ticks); far longer runs only grow their
+// series without end.
+constexpr double kMaxTicks = 921600;
+
 // The v3/v4 "shard" section: a single-process run, which is all that
 // remains. allow_oversubscribe never changed results, so either value loads.
 struct RetiredShard {
@@ -321,6 +326,11 @@ void describe(V& v, ScenarioConfig& c) {
           ControllerOverride{.node = {}, .spec = c.controller});
   v.object("micro", c.micro);
   v.object("queue", c.queue);
+  // After the step fields, so a bad dt_s or step_s is reported at its own path.
+  const double step_s =
+      c.simulator == SimulatorKind::Micro ? c.micro.dt_s : c.queue.step_s;
+  v.check("duration_s", c.duration_s / step_s <= kMaxTicks,
+          "must not exceed 921600 ticks of the selected backend's step");
   v.array("watches", c.watches, WatchSpec{});
   v.object("faults", c.faults);
   v.object("guard", c.guard);
@@ -435,18 +445,6 @@ ScenarioConfig load_scenario_file(const std::string& file_path) {
 
 std::string dump_scenario(const ScenarioConfig& config) {
   validate(config);
-  const auto check_serializable = [](const core::ControllerSpec& spec,
-                                     const std::string& path) {
-    const char* problem =
-        "a custom pressure function cannot be serialized; use the pressure preset";
-    if (spec.util.pressure) fail(path + ".util.pressure", problem);
-    if (spec.fixed_slot.pressure) fail(path + ".fixed_slot.pressure", problem);
-  };
-  check_serializable(config.controller, "controller");
-  for (std::size_t i = 0; i < config.controller_overrides.size(); ++i) {
-    check_serializable(config.controller_overrides[i].spec,
-                       "controller_overrides[" + std::to_string(i) + "].controller");
-  }
   return json::dump(schema::dump_object(config));
 }
 

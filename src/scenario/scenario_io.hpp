@@ -25,13 +25,13 @@
 // Malformed JSON (not valid JSON at all) throws json::ParseError with
 // line/column instead, since there is no field path to report.
 //
-// Round-trip contract: dump_scenario() serializes *every* field in a fixed
+// Round-trip contract: dump_scenario() serializes every field in a fixed
 // order and canonical number form (shortest round-trip doubles, exact 64-bit
-// integers, infinity spelled "inf"), so for any config c,
+// integers, infinity spelled "inf"). Every valid config c dumps, and
 // load(dump(c)) == c field-for-field and dump(load(dump(c))) == dump(c)
-// byte-for-byte. The one deliberate exception: a config carrying a custom
-// PressureFn (a std::function, programmatic API only) cannot be dumped —
-// dump_scenario throws, pointing at the serializable pressure_kind field.
+// byte-for-byte. The one field outside the file is
+// MicroSimConfig::memo_always_rebuild, the reference path memo_elision_test
+// compares against; it cannot change results, and it loads as false.
 #pragma once
 
 #include <stdexcept>
@@ -86,8 +86,7 @@ void validate(const ScenarioConfig& config);
 [[nodiscard]] ScenarioConfig load_scenario_file(const std::string& file_path);
 
 // Serializes the full config (defaults included) in the canonical byte-stable
-// form, after validate(). Throws ScenarioIoError for an invalid config and
-// for the unserializable programmatic-only fields (custom PressureFn).
+// form, after validate(). Throws ScenarioIoError for an invalid config.
 [[nodiscard]] std::string dump_scenario(const ScenarioConfig& config);
 
 // Sets one field by its schema path: "grid.rows" with value "8" loads

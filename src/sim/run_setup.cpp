@@ -114,44 +114,9 @@ RoadId resolve_watch(const net::Network& network, const scenario::WatchSpec& w) 
 std::vector<core::ControllerPtr> make_run_controllers(
     const scenario::ScenarioConfig& config, const net::Network& network,
     std::vector<const core::AdaptiveController*>* monitors) {
-  std::vector<core::ControllerPtr> controllers;
-  if (config.controller_overrides.empty() && !config.detector.enabled) {
-    controllers = core::make_controllers(config.controller, network);
-  } else {
-    // Validate every override (resolve_node throws on out-of-grid nodes) and
-    // stamp each junction from its effective spec.
-    controllers.reserve(network.intersections().size());
-    double cap = 0.0;
-    for (const net::Road& road : network.roads()) {
-      cap = std::max(cap, static_cast<double>(road.capacity));
-    }
-    for (const net::Intersection& node : network.intersections()) {
-      const core::ControllerSpec& spec = effective_spec(config, network, node.id);
-      core::ControllerPtr controller =
-          core::make_controller(spec, core::make_plan(network, node), cap);
-      if (config.detector.enabled) {
-        core::ControllerPtr tuned;
-        if (const auto tuned_spec = retuned_spec(spec)) {
-          tuned = core::make_controller(*tuned_spec, core::make_plan(network, node), cap);
-        }
-        auto adaptive = std::make_unique<core::AdaptiveController>(
-            std::move(controller), std::move(tuned),
-            detect::JunctionMonitor(config.detector,
-                                    static_cast<int>(node.links.size()),
-                                    node.grid_row, node.grid_col));
-        if (monitors != nullptr) monitors->push_back(adaptive.get());
-        controller = std::move(adaptive);
-      }
-      controllers.push_back(std::move(controller));
-    }
-  }
-  if (config.faults.sensors.empty() && config.faults.controllers.empty()) {
-    return controllers;
-  }
-
-  std::vector<std::vector<core::SensorFaultWindow>> sensor_windows(controllers.size());
-  std::vector<std::vector<core::ControllerFaultWindow>> failure_windows(
-      controllers.size());
+  const std::size_t junctions = network.intersections().size();
+  std::vector<std::vector<core::SensorFaultWindow>> sensor_windows(junctions);
+  std::vector<std::vector<core::ControllerFaultWindow>> failure_windows(junctions);
   for (const scenario::SensorFault& f : config.faults.sensors) {
     const IntersectionId node =
         resolve_node(network, f.node.row, f.node.col, "sensor fault");
@@ -164,20 +129,40 @@ std::vector<core::ControllerPtr> make_run_controllers(
     failure_windows[node.index()].push_back({f.fail_s, f.recover_s});
   }
 
+  std::vector<core::ControllerPtr> controllers;
+  controllers.reserve(junctions);
+  const double cap = core::max_road_capacity(network);
   for (const net::Intersection& node : network.intersections()) {
     const std::size_t i = node.id.index();
-    if (sensor_windows[i].empty() && failure_windows[i].empty()) continue;
-    // The degraded-mode fallback is classical pre-timed control, built from
-    // the junction's effective spec's fixed-time parameters (so an overridden
-    // corridor junction fails over with its own offsets intact).
-    core::ControllerSpec fallback_spec;
-    fallback_spec.type = core::ControllerType::FixedTime;
-    fallback_spec.fixed_time = effective_spec(config, network, node.id).fixed_time;
-    controllers[i] = std::make_unique<core::FaultInjectedController>(
-        std::move(controllers[i]),
-        core::make_controller(fallback_spec, core::make_plan(network, node)),
-        std::move(failure_windows[i]), std::move(sensor_windows[i]),
-        config.seed + kFaultSeedSalt, static_cast<std::uint64_t>(i));
+    const core::ControllerSpec& spec = effective_spec(config, network, node.id);
+    core::ControllerPtr controller =
+        core::make_controller(spec, core::make_plan(network, node), cap);
+    if (config.detector.enabled) {
+      core::ControllerPtr tuned;
+      if (const auto tuned_spec = retuned_spec(spec)) {
+        tuned = core::make_controller(*tuned_spec, core::make_plan(network, node), cap);
+      }
+      auto adaptive = std::make_unique<core::AdaptiveController>(
+          std::move(controller), std::move(tuned),
+          detect::JunctionMonitor(config.detector, static_cast<int>(node.links.size()),
+                                  node.grid_row, node.grid_col));
+      if (monitors != nullptr) monitors->push_back(adaptive.get());
+      controller = std::move(adaptive);
+    }
+    if (!sensor_windows[i].empty() || !failure_windows[i].empty()) {
+      // The degraded-mode fallback is classical pre-timed control with the
+      // junction's own fixed-time parameters (so an overridden corridor
+      // junction fails over with its own offsets intact).
+      core::ControllerSpec fallback_spec;
+      fallback_spec.type = core::ControllerType::FixedTime;
+      fallback_spec.fixed_time = spec.fixed_time;
+      controller = std::make_unique<core::FaultInjectedController>(
+          std::move(controller),
+          core::make_controller(fallback_spec, core::make_plan(network, node)),
+          std::move(failure_windows[i]), std::move(sensor_windows[i]),
+          config.seed + kFaultSeedSalt, static_cast<std::uint64_t>(i));
+    }
+    controllers.push_back(std::move(controller));
   }
   return controllers;
 }

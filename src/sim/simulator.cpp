@@ -1,17 +1,12 @@
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "src/core/adaptive_controller.hpp"
-#include "src/core/factory.hpp"
-#include "src/core/fault_controller.hpp"
 #include "src/microsim/micro_sim.hpp"
-#include "src/net/grid.hpp"
-#include "src/net/validation.hpp"
 #include "src/queuesim/queue_sim.hpp"
 #include "src/scenario/scenario_io.hpp"
 #include "src/sim/run_setup.hpp"
@@ -32,7 +27,7 @@ namespace {
 // free of behavioral effect — run_until(a); run_until(b) is the same tick
 // sequence as run_until(b) — so a run whose schedule never fires is
 // bit-identical to a fault-free run, and when the schedule is empty and the
-// guard is off the adapter forwards straight to the backend (zero cost).
+// guard is off run_until() is one backend call.
 template <typename Backend>
 class BackendSimulator final : public Simulator {
  public:
@@ -48,7 +43,6 @@ class BackendSimulator final : public Simulator {
       guard_interval_s_ = config.guard.interval_s;
       next_guard_s_ = guard_interval_s_;
     }
-    plain_ = events_.empty() && !guard_;
   }
 
   void watch_road(RoadId road, std::string series_name) override {
@@ -56,7 +50,6 @@ class BackendSimulator final : public Simulator {
   }
 
   stats::RunResult& run_until(double until_s) override {
-    if (plain_) return export_detections(sim_.run_until(until_s));
     for (;;) {
       double target = until_s;
       if (next_event_ < events_.size()) {
@@ -80,7 +73,7 @@ class BackendSimulator final : public Simulator {
   }
 
   stats::RunResult finish(double duration_s) override {
-    if (!plain_) run_until(duration_s);
+    run_until(duration_s);
     stats::RunResult result = sim_.finish(duration_s);
     export_detections(result);
     // Final check on the closed books: end-of-run accounting (records closed
@@ -141,9 +134,6 @@ class BackendSimulator final : public Simulator {
   std::optional<SimulatorGuard> guard_;
   double guard_interval_s_ = 0.0;
   double next_guard_s_ = 0.0;
-  // True when there is nothing to inject or check: run_until forwards
-  // directly to the backend.
-  bool plain_ = true;
 };
 
 }  // namespace

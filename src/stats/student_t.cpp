@@ -97,4 +97,11 @@ double student_t_quantile(double p, int df) {
   return 0.5 * (lo + hi);
 }
 
+double ci95_halfwidth(const Accumulator& acc) {
+  const int n = static_cast<int>(acc.count());
+  if (n < 2) return 0.0;
+  return student_t_quantile(0.975, n - 1) * acc.stddev() /
+         std::sqrt(static_cast<double>(n));
+}
+
 }  // namespace abp::stats

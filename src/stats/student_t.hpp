@@ -9,6 +9,8 @@
 // are summarized once per batch, so robustness beats speed here.
 #pragma once
 
+#include "src/util/accumulator.hpp"
+
 namespace abp::stats {
 
 // Regularized incomplete beta function I_x(a, b) for a, b > 0 and x in
@@ -22,5 +24,9 @@ namespace abp::stats {
 // student_t_quantile(0.975, df) is the two-sided 95% critical value.
 // Throws std::invalid_argument on df < 1 or p outside (0, 1).
 [[nodiscard]] double student_t_quantile(double p, int df);
+
+// Half-width of the two-sided 95% confidence interval on the mean of the
+// accumulated samples, t(0.975, n - 1) * s / sqrt(n); 0 below two samples.
+[[nodiscard]] double ci95_halfwidth(const Accumulator& acc);
 
 }  // namespace abp::stats

@@ -20,16 +20,6 @@ bool uses_period(core::ControllerType type) {
   return type != core::ControllerType::UtilBp;
 }
 
-MetricVector mean_metrics(const std::vector<stats::RunResult>& results) {
-  MetricVector mean{};
-  for (const stats::RunResult& r : results) {
-    const MetricVector m = extract_metrics(r);
-    for (std::size_t i = 0; i < kMetricCount; ++i) mean[i] += m[i];
-  }
-  for (double& v : mean) v /= static_cast<double>(results.size());
-  return mean;
-}
-
 }  // namespace
 
 void apply_sweep_point(scenario::ScenarioConfig& config, const SweepPoint& point) {
@@ -174,13 +164,9 @@ SweepReport surrogate_sweep(const scenario::ScenarioConfig& base,
                                        static_cast<std::size_t>(r)]);
       for (std::size_t i = 0; i < kMetricCount; ++i) acc[i].add(m[i]);
     }
-    const double t_quantile =
-        reps >= 2 ? stats::student_t_quantile(0.975, reps - 1) : 0.0;
     for (std::size_t i = 0; i < kMetricCount; ++i) {
       row.spot.micro_mean[i] = acc[i].mean();
-      row.spot.micro_ci95_halfwidth[i] =
-          reps >= 2 ? t_quantile * acc[i].stddev() / std::sqrt(static_cast<double>(reps))
-                    : 0.0;
+      row.spot.micro_ci95_halfwidth[i] = stats::ci95_halfwidth(acc[i]);
       const double denom = std::max(std::abs(acc[i].mean()), kRelativeErrorFloor);
       row.spot.relative_error[i] = std::abs(row.surrogate[i] - acc[i].mean()) / denom;
       if (row.spot.relative_error[i] > options.trust_threshold) row.spot.trusted = false;
@@ -191,17 +177,11 @@ SweepReport surrogate_sweep(const scenario::ScenarioConfig& base,
   }
   report.spot_checks = static_cast<int>(spots.size());
 
-  const int samples = static_cast<int>(spots.size());
-  const double t_bar =
-      samples >= 2 ? stats::student_t_quantile(0.975, samples - 1) : 0.0;
   for (std::size_t i = 0; i < kMetricCount; ++i) {
     report.error_bars[i].metric = kMetricNames[i];
-    report.error_bars[i].samples = samples;
+    report.error_bars[i].samples = report.spot_checks;
     report.error_bars[i].mean_relative_error = error_acc[i].mean();
-    report.error_bars[i].ci95_halfwidth =
-        samples >= 2
-            ? t_bar * error_acc[i].stddev() / std::sqrt(static_cast<double>(samples))
-            : 0.0;
+    report.error_bars[i].ci95_halfwidth = stats::ci95_halfwidth(error_acc[i]);
     report.error_bars[i].max_relative_error = error_max[i];
   }
   return report;

@@ -63,26 +63,6 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log(1.0 - uniform01());
 }
 
-int Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    const double limit = std::exp(-mean);
-    int k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= uniform01();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction for large means.
-  const double u1 = uniform01();
-  const double u2 = uniform01();
-  const double z = std::sqrt(-2.0 * std::log(1.0 - u1)) * std::cos(6.283185307179586 * u2);
-  const double value = mean + std::sqrt(mean) * z + 0.5;
-  return value < 0.0 ? 0 : static_cast<int>(value);
-}
-
 bool Rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

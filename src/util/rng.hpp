@@ -45,10 +45,6 @@ class Rng {
   // Used for Poisson-process inter-arrival times (Table II of the paper).
   double exponential(double mean) noexcept;
 
-  // Poisson-distributed count with the given mean. Knuth's method for small
-  // means, normal approximation above 30 (counts per mini-slot are small).
-  int poisson(double mean) noexcept;
-
   // True with probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 

@@ -38,7 +38,6 @@ FixedSlotBpConfig cap_config(double period = 16.0) {
   FixedSlotBpConfig cfg;
   cfg.period_s = period;
   cfg.amber_duration_s = 4.0;
-  cfg.rule = FixedSlotRule::CapacityAware;
   return cfg;
 }
 
@@ -59,9 +58,7 @@ TEST(FixedSlotBp, RejectsBadConfig) {
 TEST(FixedSlotBp, NamesFollowRule) {
   FixedSlotBpController cap(two_phase_plan(), cap_config());
   EXPECT_EQ(cap.name(), "CAP-BP");
-  FixedSlotBpConfig orig_cfg = cap_config();
-  orig_cfg.rule = FixedSlotRule::Original;
-  FixedSlotBpController orig(two_phase_plan(), orig_cfg);
+  FixedSlotBpController orig(two_phase_plan(), cap_config(), FixedSlotRule::Original);
   EXPECT_EQ(orig.name(), "ORIG-BP");
 }
 
@@ -129,9 +126,8 @@ TEST(FixedSlotBp, NonConservingIdlesOnZeroWeights) {
 
 TEST(FixedSlotBp, OriginalRuleUsesTotalQueues) {
   FixedSlotBpConfig cfg = cap_config();
-  cfg.rule = FixedSlotRule::Original;
   cfg.work_conserving = false;
-  FixedSlotBpController c(two_phase_plan(), cfg);
+  FixedSlotBpController c(two_phase_plan(), cfg, FixedSlotRule::Original);
   // Eq. (5): weights from total incoming queue; link 0 weight (20-0)=20,
   // link 1 weight (3-0)=3 -> phase 1.
   IntersectionObservation obs = obs_at(0.0, {2, 3}, {0, 0});
@@ -143,9 +139,7 @@ TEST(FixedSlotBp, OriginalRuleUsesTotalQueues) {
 TEST(FixedSlotBp, OriginalRuleBlindToCapacity) {
   // The original policy happily selects a movement into a full road — the
   // flaw CAP-BP fixes.
-  FixedSlotBpConfig cfg = cap_config();
-  cfg.rule = FixedSlotRule::Original;
-  FixedSlotBpController c(two_phase_plan(), cfg);
+  FixedSlotBpController c(two_phase_plan(), cap_config(), FixedSlotRule::Original);
   IntersectionObservation obs = obs_at(0.0, {100, 3}, {0, 0});
   obs.links[0].downstream_total = 120;  // full, but raw pressures ignore it
   obs.links[0].downstream_queue = 0;

@@ -27,9 +27,8 @@ TEST(Pressure, IdentityByDefault) {
   EXPECT_DOUBLE_EQ(pressure({}, 0.0), 0.0);
 }
 
-TEST(Pressure, CustomFunctionApplies) {
-  const PressureFn sq = [](double q) { return q * q; };
-  EXPECT_DOUBLE_EQ(pressure(sq, 3.0), 9.0);
+TEST(Pressure, PresetApplies) {
+  EXPECT_DOUBLE_EQ(pressure({PressureKind::Quadratic, 0.0}, 3.0), 9.0);
 }
 
 TEST(WStar, TakesMaxDownstreamCapacity) {

@@ -115,7 +115,19 @@ TEST(ExperimentRunner, ReplicationConfigsDeriveSeedsInOrder) {
     EXPECT_DOUBLE_EQ(configs[i].duration_s, 123.0);
     EXPECT_EQ(configs[i].demand.pattern, traffic::PatternKind::I);
   }
-  EXPECT_THROW((void)exp::replication_configs(base, 0), std::invalid_argument);
+  EXPECT_THROW((void)exp::replication_configs(base, 0), exp::BatchError);
+}
+
+TEST(ExperimentRunner, ReplicationCountIsBounded) {
+  const scenario::ScenarioConfig base;
+  EXPECT_EQ(exp::replication_configs(base, exp::kMaxReplications).size(),
+            static_cast<std::size_t>(exp::kMaxReplications));
+  try {
+    (void)exp::replication_configs(base, 2000000000);
+    FAIL() << "expected BatchError";
+  } catch (const exp::BatchError& e) {
+    EXPECT_EQ(std::string(e.what()), "replications: 2000000000 is outside [1, 10000]");
+  }
 }
 
 TEST(ExperimentRunner, EmptyBatchReturnsEmpty) {
@@ -137,7 +149,7 @@ TEST(ExperimentRunner, OversubscriptionGuardRejectsJobsTimesThreads) {
   // flight oversubscribe: 2 x hc > hc on every box.
   cfg.micro.threads = static_cast<int>(hc);
   exp::ExperimentRunner runner({.jobs = 2});
-  EXPECT_THROW((void)runner.run({cfg, cfg}), std::invalid_argument);
+  EXPECT_THROW((void)runner.run({cfg, cfg}), exp::BatchError);
 
   // The guard judges effective concurrency, not the configured jobs ceiling:
   // a single-config batch can never have two runs in flight, so the same

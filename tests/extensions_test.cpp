@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "src/core/factory.hpp"
-#include "src/core/pressure_presets.hpp"
+#include "src/core/gain.hpp"
 #include "src/microsim/micro_sim.hpp"
 #include "src/net/grid.hpp"
 #include "src/net/validation.hpp"
@@ -128,19 +128,23 @@ TEST(MixedLanes, UtilBpStillControlsTheJunction) {
 // --- Pressure presets --------------------------------------------------------
 
 TEST(PressurePresets, ValuesMatchDefinitions) {
-  EXPECT_FALSE(core::make_pressure(core::PressureKind::Identity));
-  const core::PressureFn sqrt_fn = core::make_pressure(core::PressureKind::Sqrt);
-  EXPECT_DOUBLE_EQ(sqrt_fn(16.0), 4.0);
-  EXPECT_DOUBLE_EQ(sqrt_fn(-4.0), 0.0);
-  const core::PressureFn quad = core::make_pressure(core::PressureKind::Quadratic);
-  EXPECT_DOUBLE_EQ(quad(5.0), 25.0);
-  const core::PressureFn norm = core::make_pressure(core::PressureKind::Normalized, 120.0);
-  EXPECT_DOUBLE_EQ(norm(60.0), 0.5);
+  EXPECT_DOUBLE_EQ(core::pressure({}, 7.0), 7.0);
+  const core::Pressure root(core::PressureKind::Sqrt, 120.0);
+  EXPECT_DOUBLE_EQ(core::pressure(root, 16.0), 4.0);
+  EXPECT_DOUBLE_EQ(core::pressure(root, -4.0), 0.0);
+  const core::Pressure quad(core::PressureKind::Quadratic, 120.0);
+  EXPECT_DOUBLE_EQ(core::pressure(quad, 5.0), 25.0);
+  const core::Pressure norm(core::PressureKind::Normalized, 120.0);
+  EXPECT_DOUBLE_EQ(core::pressure(norm, 60.0), 0.5);
 }
 
 TEST(PressurePresets, NormalizedNeedsCapacity) {
-  EXPECT_THROW(core::make_pressure(core::PressureKind::Normalized, 0.0),
-               std::invalid_argument);
+  EXPECT_THROW(core::Pressure(core::PressureKind::Normalized, 0.0), std::invalid_argument);
+  // The check runs when a controller is built.
+  core::ControllerSpec spec;
+  spec.util.pressure_kind = core::PressureKind::Normalized;
+  const core::IntersectionPlan plan{.num_links = 1, .phases = {{}, {0}}};
+  EXPECT_THROW((void)core::make_controller(spec, plan, 0.0), std::invalid_argument);
 }
 
 TEST(PressurePresets, NamesAreDistinct) {
@@ -157,10 +161,10 @@ TEST(PressurePresets, AllAreNonDecreasing) {
   // Eq. (4) requires a non-decreasing mapping; verify over a sample grid.
   for (core::PressureKind k : {core::PressureKind::Sqrt, core::PressureKind::Quadratic,
                                core::PressureKind::Normalized}) {
-    const core::PressureFn fn = core::make_pressure(k, 120.0);
-    double prev = fn(0.0);
+    const core::Pressure p(k, 120.0);
+    double prev = core::pressure(p, 0.0);
     for (double q = 1.0; q <= 120.0; q += 1.0) {
-      const double b = fn(q);
+      const double b = core::pressure(p, q);
       ASSERT_GE(b, prev) << core::pressure_kind_name(k) << " at q=" << q;
       prev = b;
     }
@@ -175,7 +179,7 @@ TEST(PressurePresets, UtilBpRunsWithEveryPreset) {
         scenario::paper_scenario(traffic::PatternKind::II, core::ControllerType::UtilBp);
     cfg.duration_s = 300.0;
     cfg.seed = 5;
-    cfg.controller.util.pressure = core::make_pressure(k, cfg.grid.capacity);
+    cfg.controller.util.pressure_kind = k;
     const stats::RunResult r = scenario::run_scenario(cfg);
     EXPECT_GT(r.metrics.completed, 0u) << core::pressure_kind_name(k);
   }

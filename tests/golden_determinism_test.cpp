@@ -199,5 +199,78 @@ TEST(GoldenDeterminism, QueueSimPinnedMetrics) {
   EXPECT_EQ(r.metrics.entry_blocked_time_s, 0x0p+0);
 }
 
+// One run per non-identity pressure preset (Eq. 4), back-pressure controller
+// and backend, on the paper's 3x3 grid under pattern I for 900 s at seed 77.
+// Every pin above runs the identity mapping; these pin the other three
+// presets' trajectories, set through the scenario field pressure_kind. The
+// values predate the preset-only pressure mapping, which must be invisible;
+// each row differs from its identity run.
+struct PresetPin {
+  core::PressureKind kind;
+  core::ControllerType type;
+  scenario::SimulatorKind sim;
+  std::size_t entered;
+  std::size_t completed;
+  int transitions;
+  double queuing_mean;
+  double travel_mean;
+};
+
+constexpr scenario::SimulatorKind kMicro = scenario::SimulatorKind::Micro;
+constexpr scenario::SimulatorKind kQueue = scenario::SimulatorKind::Queue;
+constexpr core::PressureKind kSqrt = core::PressureKind::Sqrt;
+constexpr core::PressureKind kQuadratic = core::PressureKind::Quadratic;
+constexpr core::PressureKind kNormalized = core::PressureKind::Normalized;
+constexpr core::ControllerType kUtil = core::ControllerType::UtilBp;
+constexpr core::ControllerType kCap = core::ControllerType::CapBp;
+constexpr core::ControllerType kOrig = core::ControllerType::OriginalBp;
+
+constexpr PresetPin kPresetPins[] = {
+    {kSqrt, kUtil, kMicro, 2099, 1713, 713, 0x1.3538399103897p+5, 0x1.f2fb7cc49aa62p+6},
+    {kSqrt, kUtil, kQueue, 2101, 1848, 1047, 0x1.35875f298cbbap+5, 0x1.7bc8ecdebc6p+6},
+    {kSqrt, kCap, kMicro, 2073, 1616, 418, 0x1.c08dc4f8778a7p+5, 0x1.2702b7828816cp+7},
+    {kSqrt, kCap, kQueue, 2101, 1808, 472, 0x1.a37804dfb5eadp+5, 0x1.b12375183f5c4p+6},
+    {kSqrt, kOrig, kMicro, 2094, 1078, 261, 0x1.2dacfd4f77135p+7, 0x1.b6fadd863c262p+7},
+    {kSqrt, kOrig, kQueue, 2101, 1175, 253, 0x1.4501571ed3c5p+7, 0x1.a14a3464e39c1p+7},
+    {kQuadratic, kUtil, kMicro, 2099, 1690, 728, 0x1.56ca36e21e7dap+5, 0x1.01e143eeecda1p+7},
+    {kQuadratic, kUtil, kQueue, 2101, 1826, 1068, 0x1.5012854ce2a29p+5, 0x1.87eb0ad827f74p+6},
+    {kQuadratic, kCap, kMicro, 2101, 1644, 399, 0x1.c6a384b0ebe53p+5, 0x1.207a1726a01b5p+7},
+    {kQuadratic, kCap, kQueue, 2101, 1802, 468, 0x1.99e9562548fc7p+5, 0x1.abf1dda3a3e24p+6},
+    {kQuadratic, kOrig, kMicro, 2101, 1217, 305, 0x1.0d6c525e4f335p+7, 0x1.9b942a6715146p+7},
+    {kQuadratic, kOrig, kQueue, 2101, 1314, 296, 0x1.1c854ce2a28b2p+7, 0x1.7cdcc94a72c79p+7},
+    {kNormalized, kUtil, kMicro, 2100, 1698, 734, 0x1.375ca5ca5ca5dp+5, 0x1.f881f3526859cp+6},
+    {kNormalized, kUtil, kQueue, 2101, 1838, 1054, 0x1.3a690829ea4fbp+5, 0x1.7dd3e4380cac1p+6},
+    {kNormalized, kCap, kMicro, 2101, 1648, 396, 0x1.c25cd8e31f509p+5, 0x1.1f99294e58f2bp+7},
+    {kNormalized, kCap, kQueue, 2101, 1804, 471, 0x1.a29bb85aa76aep+5, 0x1.b07112e2e0edep+6},
+    {kNormalized, kOrig, kMicro, 2092, 1161, 287, 0x1.1968bfe0ac4c6p+7, 0x1.a92c2d08523bbp+7},
+    {kNormalized, kOrig, kQueue, 2101, 1198, 263, 0x1.34118bc21a134p+7, 0x1.911c25875f299p+7},
+};
+
+TEST(GoldenDeterminism, PressurePresetsArePinned) {
+  for (const PresetPin& pin : kPresetPins) {
+    scenario::ScenarioConfig cfg = scenario::paper_scenario(traffic::PatternKind::I, pin.type);
+    cfg.duration_s = 900.0;
+    cfg.seed = 77;
+    cfg.simulator = pin.sim;
+    cfg.controller.util.pressure_kind = pin.kind;
+    cfg.controller.fixed_slot.pressure_kind = pin.kind;
+    const auto r = scenario::run_scenario(cfg);
+    int transitions = 0;
+    for (const stats::PhaseTrace& trace : r.phase_traces) {
+      transitions += trace.transition_count();
+    }
+    SCOPED_TRACE(core::pressure_kind_name(pin.kind) + " " +
+                 core::controller_type_name(pin.type) +
+                 (pin.sim == kMicro ? " micro" : " queue"));
+    EXPECT_EQ(r.metrics.entered, pin.entered);
+    EXPECT_EQ(r.metrics.completed, pin.completed);
+    EXPECT_EQ(transitions, pin.transitions);
+    EXPECT_EQ(r.metrics.queuing_time_s.mean(), pin.queuing_mean)
+        << std::hexfloat << r.metrics.queuing_time_s.mean();
+    EXPECT_EQ(r.metrics.travel_time_s.mean(), pin.travel_mean)
+        << std::hexfloat << r.metrics.travel_time_s.mean();
+  }
+}
+
 }  // namespace
 }  // namespace abp

@@ -119,38 +119,6 @@ TEST(Rng, ExponentialVarianceMatches) {
   EXPECT_NEAR(var, kMean * kMean, 0.5);
 }
 
-TEST(Rng, PoissonZeroMean) {
-  Rng rng(37);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(rng.poisson(0.0), 0);
-    EXPECT_EQ(rng.poisson(-1.0), 0);
-  }
-}
-
-class RngPoissonMean : public ::testing::TestWithParam<double> {};
-
-TEST_P(RngPoissonMean, MeanAndVarianceMatch) {
-  // Poisson(lambda) has mean = variance = lambda, in both the Knuth and the
-  // normal-approximation regimes.
-  const double lambda = GetParam();
-  Rng rng(41);
-  constexpr int kN = 100000;
-  double sum = 0.0, sum2 = 0.0;
-  for (int i = 0; i < kN; ++i) {
-    const int x = rng.poisson(lambda);
-    ASSERT_GE(x, 0);
-    sum += x;
-    sum2 += static_cast<double>(x) * x;
-  }
-  const double mean = sum / kN;
-  const double var = sum2 / kN - mean * mean;
-  EXPECT_NEAR(mean, lambda, 0.05 * lambda + 0.05);
-  EXPECT_NEAR(var, lambda, 0.1 * lambda + 0.1);
-}
-
-INSTANTIATE_TEST_SUITE_P(Lambdas, RngPoissonMean,
-                         ::testing::Values(0.1, 0.5, 1.0, 3.0, 10.0, 25.0, 40.0, 80.0));
-
 TEST(Rng, BernoulliEdges) {
   Rng rng(43);
   for (int i = 0; i < 100; ++i) {
