@@ -1,8 +1,7 @@
 // Hot-path throughput bench: vehicle-steps per wall-clock second on square
 // grids from 1x1 to 8x8, for both simulators, over a 2-hour simulated run.
-// The queue sim runs serial (its tick has no threads); the micro sim runs
-// once serial and once on a 4-way thread pool, so the JSON exposes its
-// parallel-sweep scaling next to the serial baseline.
+// Both simulators run serial ticks, so their rows carry threads = 1; the
+// `*-batch` rows put the experiment runner's jobs count in that column.
 //
 // A "vehicle-step" is one vehicle being inside the network for one simulator
 // tick — the unit of useful work a simulator performs. Reporting throughput
@@ -85,15 +84,13 @@ Row drive(Sim& sim, const char* name, int grid, int threads, double duration_s, 
   return row;
 }
 
-Row run_micro(const net::Network& net, double duration_s, std::uint64_t seed, int grid,
-              int threads) {
+Row run_micro(const net::Network& net, double duration_s, std::uint64_t seed, int grid) {
   core::ControllerSpec spec;  // UTIL-BP defaults
   traffic::DemandGenerator demand(net, traffic::DemandConfig{}, seed);
-  microsim::MicroSimConfig config;
-  config.threads = threads;
+  const microsim::MicroSimConfig config;
   microsim::MicroSim sim(net, config, core::make_controllers(spec, net), demand,
                          seed + 0x5157u);
-  return drive(sim, "micro", grid, threads, duration_s, config.dt_s);
+  return drive(sim, "micro", grid, 1, duration_s, config.dt_s);
 }
 
 Row run_queue(const net::Network& net, double duration_s, std::uint64_t seed, int grid) {
@@ -130,9 +127,9 @@ Row run_batch(scenario::SimulatorKind kind, const char* name, int jobs,
   row.sim = name;
   row.threads = jobs;
   row.sim_seconds = duration_s * kReplications;
-  // allow_oversubscribe: like the tick-level `threads` rows, batch rows
-  // measure whatever the host gives them — on a small box the jobs=4 row
-  // records the oversubscription cost instead of refusing to run.
+  // allow_oversubscribe: batch rows measure whatever the host gives them —
+  // on a small box the jobs=4 row records the oversubscription cost instead
+  // of refusing to run.
   exp::ExperimentRunner runner({.jobs = jobs, .allow_oversubscribe = true});
   std::vector<stats::RunResult> results;
   row.wall_seconds = timed_seconds(
@@ -209,7 +206,7 @@ int main(int argc, char** argv) {
   const double duration_s = 7200.0 * duration_scale();  // the paper's 2-hour horizon
   const std::uint64_t seed = 2020;
   const int grids[] = {1, 2, 3, 4, 6, 8};
-  const int sim_threads[] = {1, 4};
+  const int batch_jobs[] = {1, 4};
 
   print_header("Hot-path throughput (vehicle-steps per wall-clock second)");
   std::printf("compiler: %s, hardware threads: %u\n", kCompiler,
@@ -238,9 +235,7 @@ int main(int argc, char** argv) {
     grid_cfg.cols = n;
     const net::Network net = net::build_grid(grid_cfg);
     emit(run_queue(net, duration_s, seed, n));
-    for (int threads : sim_threads) {
-      emit(run_micro(net, duration_s, seed, n, threads));
-    }
+    emit(run_micro(net, duration_s, seed, n));
   }
   // Metro-scale rows (same schema): 16x16 and 32x32 carry 4x / 16x the
   // vehicles of the 8x8, so they run a proportionally shorter horizon to
@@ -259,16 +254,14 @@ int main(int argc, char** argv) {
     const net::Network net = net::build_grid(grid_cfg);
     const double big_duration_s = duration_s * bg.horizon_scale;
     emit(run_queue(net, big_duration_s, seed, bg.n));
-    for (int threads : sim_threads) {
-      emit(run_micro(net, big_duration_s, seed, bg.n, threads));
-    }
+    emit(run_micro(net, big_duration_s, seed, bg.n));
   }
   // Run-level parallelism rows: 8-replication fleets on the 4x4 grid through
   // the ExperimentRunner (threads column = runner jobs).
-  for (int jobs : sim_threads) {
+  for (int jobs : batch_jobs) {
     emit(run_batch(scenario::SimulatorKind::Queue, "queue-batch", jobs, duration_s, seed));
   }
-  for (int jobs : sim_threads) {
+  for (int jobs : batch_jobs) {
     emit(run_batch(scenario::SimulatorKind::Micro, "micro-batch", jobs, duration_s, seed));
   }
   // Fault-machinery rows on the 4x4 grid (see run_unified): empty-schedule

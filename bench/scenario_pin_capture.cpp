@@ -1,8 +1,8 @@
 // scenario_pin_capture: regenerates the scenario library's golden pins.
 //
 // Runs every scenario file named on the command line at its declared
-// duration (threads as declared, i.e. 1 for the library files) and prints
-// the pin document consumed by tests/scenario_library_test.cpp to stdout:
+// duration and prints the pin document consumed by
+// tests/scenario_library_test.cpp to stdout:
 //
 //   scenario_pin_capture scenarios/*.json > scenarios/golden_pins.json
 //

@@ -29,30 +29,26 @@
 // scenario); --print-schema-fields lists every settable field path, one per
 // line (the docs lint, tools/check_scenario_docs.py, consumes this).
 //
-// Two parallelism axes, which multiply (see docs/PERFORMANCE.md,
-// "Run-level vs tick-level parallelism"):
-//   micro.threads  tick-level: the micro sim's road-partitioned Krauss lane
-//                  sweep. The queue sim's tick is serial and ignores it.
-//   --jobs N       run-level: concurrent replications in --replications mode.
-//                  Worth it for many independent runs.
-// Metrics are bit-identical at every micro.threads and --jobs value. Each of
-// the N concurrent runs uses micro.threads workers, so the experiment runner
-// refuses combinations that oversubscribe hardware_concurrency (exit 2)
-// unless --allow-oversubscribe is passed (oversubscribing only adds
-// contention), as it refuses a replication count above its limit.
+// Parallelism (docs/PERFORMANCE.md, "Run-level vs tick-level parallelism"):
+// --jobs N runs N independent runs concurrently in --replications and
+// surrogate modes; each run's tick is serial. Metrics are bit-identical at
+// every --jobs value. The experiment runner refuses more concurrent runs than
+// hardware_concurrency (exit 2) unless --allow-oversubscribe is passed
+// (oversubscribing only adds contention), as it refuses a replication count
+// above its limit.
 //
 // Fault injection (docs/ROBUSTNESS.md): faults.capacity[], faults.sensors[]
 // and faults.controllers[] settings append timed incidents to the run's
 // FaultSchedule; --incident T is a canned mixed incident (capacity drop +
-// sensor dropout + controller failover) starting at T, appended after the
-// settings, used by the CI smoke step. guard.* settings enable the runtime
-// invariant guard; detector.* settings enable the online changepoint
-// detector over the junctions' sensor streams (docs/CHANGEPOINT.md),
-// reporting regime-shift events, and detector.adapt lets detections re-tune
-// the controllers; --tick-budget and --retries configure the experiment
-// runner's per-run deadline and retry policy in --replications mode, where
-// per-seed statuses (ok / timeout / error) are reported and the summary is
-// computed over the runs that completed.
+// sensor dropout + controller failover) starting at T in [0, duration_s),
+// appended after the settings, used by the CI smoke step. guard.* settings
+// enable the runtime invariant guard; detector.* settings enable the online
+// changepoint detector over the junctions' sensor streams
+// (docs/CHANGEPOINT.md), reporting regime-shift events, and detector.adapt
+// lets detections re-tune the controllers; --tick-budget and --retries
+// configure the experiment runner's per-run deadline and retry policy in
+// --replications mode, where per-seed statuses (ok / timeout / error) are
+// reported and the summary is computed over the runs that completed.
 //
 // Surrogate pipeline (docs/PERFORMANCE.md, "Surrogate throughput"):
 // --calibrate fits the queue backend to the micro backend for the merged
@@ -85,6 +81,7 @@
 #include <exception>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -181,7 +178,7 @@ int main(int argc, char** argv) {
   long long tick_budget = 0;
   int retries = 0;
   bool allow_oversubscribe = false;
-  double incident_at = -1.0;
+  std::optional<double> incident_at;
   std::string csv_prefix;
   bool calibrate_mode = false;
   bool sweep_mode = false;
@@ -264,8 +261,8 @@ int main(int argc, char** argv) {
     usage_error("--jobs only applies to --replications batches or surrogate modes");
   }
   if (sweep_options.best_k < 0) usage_error("--spot-best-k must be >= 0");
-  if (sweep_options.sample_fraction < 0.0) {
-    usage_error("--spot-fraction must be >= 0");
+  if (!(sweep_options.sample_fraction >= 0.0 && sweep_options.sample_fraction <= 1.0)) {
+    usage_error("--spot-fraction must be in [0, 1]");
   }
   if (sweep_options.spot_replications < 1) {
     usage_error("--spot-replications must be >= 1");
@@ -329,12 +326,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (incident_at >= 0.0) {
+  if (incident_at) {
+    if (!(*incident_at >= 0.0 && *incident_at < cfg.duration_s)) {
+      usage_error("--incident T must be in [0, duration_s)");
+    }
     // Canned mixed incident starting at T, sized so every piece fires on any
     // grid: a lane closure to 30% capacity on the top-right junction's north
     // approach with restoration, dead detectors at the top-left junction, and
     // a controller outage with recovery at the center junction.
-    const double t0 = incident_at;
+    const double t0 = *incident_at;
     cfg.faults.capacity.push_back(
         {{0, cfg.grid.cols - 1, net::Side::North}, t0, t0 + 300.0, 0.3});
     cfg.faults.sensors.push_back(

@@ -21,7 +21,7 @@
 //
 // Determinism: the monitor is draw-free and runs inside the sequential
 // control phase, so wrapping changes no RNG stream and every bit-invariance
-// guarantee (threads, batch jobs) holds with a detector active — pinned by
+// guarantee (fixed seed, batch jobs) holds with a detector active — pinned by
 // tests/changepoint_test.cpp.
 #pragma once
 

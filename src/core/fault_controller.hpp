@@ -2,14 +2,13 @@
 // with graceful degradation, applied in the sequential control phase.
 //
 // Fault injection must not disturb the repository's determinism guarantees
-// (fixed-seed runs bit-identical at every thread count, batch identical to
-// serial — see docs/ROBUSTNESS.md). Both simulators invoke their controllers
-// one junction at a time in the sequential phase of the tick, so a decorator
-// wrapped around a junction's controller is automatically thread-invariant:
-// it sees the same observation stream in the same order no matter how wide
-// the parallel sweep is. That is why sensor and controller faults live here
-// rather than inside the backends — one implementation covers both
-// simulators, and the hot parallel sweep never learns faults exist.
+// (fixed-seed runs bit-identical, batch identical to serial — see
+// docs/ROBUSTNESS.md). Both simulators invoke their controllers one junction
+// at a time in the control phase of the tick, so a decorator wrapped around a
+// junction's controller sees the same observation stream in the same order
+// as the controller would. That is why sensor and controller faults live
+// here rather than inside the backends — one implementation covers both
+// simulators, and the hot lane sweep never learns faults exist.
 //
 // Sensor faults perturb only the sensor-derived readings of the observation
 // (queue, upstream_total, downstream_queue); physical state — occupancies,

@@ -27,7 +27,7 @@
 // Determinism: update() is a pure function of the reading sequence — no RNG,
 // no clocks, no allocation after construction. Both backends feed it from
 // the sequential control phase, so every determinism guarantee of the
-// repository (thread invariance, batch-vs-serial bit-equality) extends to
+// repository (fixed-seed and batch-vs-serial bit-equality) extends to
 // detection verbatim (docs/CHANGEPOINT.md).
 #pragma once
 

@@ -15,8 +15,8 @@
 //
 // update() is called once per control decision from the sequential phase of
 // the tick (see core::AdaptiveController), so the event stream is a pure
-// function of the observation stream — bit-identical at every thread and
-// batch jobs count, like everything else in this repository.
+// function of the observation stream — bit-identical at every batch jobs
+// count, like everything else in this repository.
 #pragma once
 
 #include <vector>

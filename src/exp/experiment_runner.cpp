@@ -11,10 +11,9 @@
 
 namespace abp::exp {
 
-int max_safe_jobs(int tick_threads) noexcept {
+int max_safe_jobs() noexcept {
   const unsigned hc = std::thread::hardware_concurrency();
-  if (hc == 0) return 1;
-  return std::max(1, static_cast<int>(hc) / std::max(1, tick_threads));
+  return hc == 0 ? 1 : static_cast<int>(hc);
 }
 
 std::vector<scenario::ScenarioConfig> replication_configs(
@@ -97,21 +96,12 @@ std::vector<RunStatus> ExperimentRunner::run_statuses(
   // run, not the configured ceiling.
   const std::size_t participants =
       std::min(configs.size(), static_cast<std::size_t>(options_.jobs));
-  if (!options_.allow_oversubscribe && participants > 1) {
-    int max_tick = 1;
-    for (const scenario::ScenarioConfig& cfg : configs) {
-      max_tick = std::max(max_tick, scenario::tick_threads(cfg));
-    }
-    const unsigned hc = std::thread::hardware_concurrency();
-    if (hc > 0 && static_cast<unsigned long long>(participants) *
-                          static_cast<unsigned long long>(max_tick) >
-                      static_cast<unsigned long long>(hc)) {
-      throw BatchError(
-          std::to_string(participants) + " concurrent runs x " + std::to_string(max_tick) +
-          " tick threads oversubscribes the " + std::to_string(hc) +
-          " hardware threads; lower the jobs or tick-thread count, or allow "
-          "oversubscription (results are bit-identical either way, only slower)");
-    }
+  const unsigned hc = std::thread::hardware_concurrency();
+  if (!options_.allow_oversubscribe && hc > 0 && participants > hc) {
+    throw BatchError(std::to_string(participants) + " concurrent runs oversubscribe the " +
+                     std::to_string(hc) +
+                     " hardware threads; lower the jobs count, or allow oversubscription "
+                     "(results are bit-identical either way, only slower)");
   }
 
   std::vector<RunStatus> statuses(configs.size());

@@ -1,11 +1,11 @@
-// Experiment layer: run-level parallelism over independent scenario runs.
+// Experiment layer: run-level parallelism over independent scenario runs,
+// the repository's one parallelism axis (each run's tick is serial).
 //
-// PR 1-3 made a single tick fast and thread-invariant; this layer makes
-// *experiments* fast. Paper benches and replication studies execute dozens of
-// independent ScenarioConfigs (replication sets, pattern x controller grids,
-// parameter sweeps) — each run is self-contained (make_simulator owns its
-// network, demand and controllers), so a batch parallelizes trivially across
-// runs with zero shared mutable state. ExperimentRunner drains a batch across
+// Paper benches and replication studies execute dozens of independent
+// ScenarioConfigs (replication sets, pattern x controller grids, parameter
+// sweeps) — each run is self-contained (make_simulator owns its network,
+// demand and controllers), so a batch parallelizes trivially across runs
+// with zero shared mutable state. ExperimentRunner drains a batch across
 // the shared ThreadPool (src/util/thread_pool.hpp) with `jobs` concurrent
 // runs and collects results in batch order.
 //
@@ -23,11 +23,9 @@
 // wrapper over it for callers that want the historical all-or-nothing
 // contract. See docs/ROBUSTNESS.md, "ExperimentRunner failure policy".
 //
-// Oversubscription guard: run-level `jobs` multiplies with each config's
-// tick-level `threads` (the backend's road-partitioned sweep). jobs x
-// tick_threads beyond hardware_concurrency is almost never intended — it
-// only adds contention — so run() rejects it unless
-// BatchOptions::allow_oversubscribe is set. See docs/PERFORMANCE.md,
+// Oversubscription guard: more concurrent runs than hardware_concurrency is
+// almost never intended — it only adds contention — so run() rejects it
+// unless BatchOptions::allow_oversubscribe is set. See docs/PERFORMANCE.md,
 // "Run-level vs tick-level parallelism".
 #pragma once
 
@@ -44,7 +42,7 @@
 namespace abp::exp {
 
 // A batch refused before any run starts: a replication count outside
-// [1, kMaxReplications], or jobs x tick threads oversubscribing the machine.
+// [1, kMaxReplications], or more concurrent runs than the machine has cores.
 // A caller with a command line reports it as a usage error.
 class BatchError : public std::invalid_argument {
  public:
@@ -59,7 +57,7 @@ inline constexpr int kMaxReplications = 10000;
 struct BatchOptions {
   // Concurrent runs (>= 1, counting the calling thread). 1 = serial.
   int jobs = 1;
-  // Permit jobs x tick_threads to exceed hardware_concurrency. Tests use
+  // Permit more concurrent runs than hardware_concurrency. Tests use
   // this to exercise jobs counts above the core count; measurement runs
   // should leave it off and size jobs with max_safe_jobs().
   bool allow_oversubscribe = false;
@@ -76,10 +74,9 @@ struct BatchOptions {
   int retries = 0;
 };
 
-// Largest jobs count that keeps jobs x tick_threads within the machine's
-// hardware_concurrency, never below 1. Returns 1 when the hardware
-// concurrency is unknown (hardware_concurrency() == 0).
-[[nodiscard]] int max_safe_jobs(int tick_threads = 1) noexcept;
+// Largest jobs count the oversubscription guard admits: the machine's
+// hardware_concurrency, or 1 when that is unknown (reported as 0).
+[[nodiscard]] int max_safe_jobs() noexcept;
 
 // The deterministic seed-derivation scheme for replication sets: `n` copies
 // of `base` with seeds base.seed + 0, base.seed + 1, ..., base.seed + n - 1.

@@ -23,7 +23,7 @@
 // Every pass performs the same arithmetic in the same element order as the
 // scalar loop it replaces, so results are bit-identical — pinned lane-level
 // by tests/microsim_krauss_test.cpp and end-to-end by the golden determinism
-// and thread-invariance suites. Dawdle draws come from StreamRng's bulk fill
+// and scenario-library pins. Dawdle draws come from StreamRng's bulk fill
 // (counter-based, so a batch of n draws is indistinguishable from n scalar
 // calls, including the final counter).
 #pragma once
@@ -41,9 +41,9 @@ namespace abp::microsim {
 // Gap value that behaves as "no obstacle ahead".
 inline constexpr double kFreeGap = 1e9;
 
-// Reusable per-work-unit scratch for the kernel's materialized arrays. One
-// instance per sweep work unit (not per lane): capacity grows to the widest
-// lane the unit ever sees and is reused across lanes and ticks.
+// Reusable scratch for the kernel's materialized arrays. The sweep keeps one
+// instance (not one per lane): capacity grows to the widest lane it ever
+// sees and is reused across lanes and ticks.
 struct LaneKernelScratch {
   std::vector<double> gap;
   std::vector<double> lead_v;

@@ -24,11 +24,9 @@ MicroSim::MicroSim(const net::Network& network, MicroSimConfig config,
   if (config_.control_interval_s < config_.dt_s) {
     throw std::invalid_argument("control interval must be >= dt");
   }
-  if (config_.threads < 1) throw std::invalid_argument("threads must be >= 1");
   if (controllers_.size() != net_.intersections().size()) {
     throw std::invalid_argument("need exactly one controller per intersection");
   }
-  pool_ = std::make_unique<ThreadPool>(config_.threads);
   build_runtime();
 }
 
@@ -110,7 +108,6 @@ void MicroSim::build_runtime() {
   link_queued_approach_.assign(net_.links().size(), 0);
   active_roads_.assign((net_.roads().size() + 63) / 64, 0);
   approach_count_.assign(net_.intersections().size(), 0);
-  sweep_scratch_.resize(static_cast<std::size_t>(config_.threads));
   std::size_t max_lanes = 1;
   for (const RoadRt& rt : roads_) max_lanes = std::max(max_lanes, rt.lanes.size());
   lane_blocked_.assign(max_lanes, 0);
@@ -420,10 +417,9 @@ void MicroSim::service_junctions() {
   // — the grant happens on the link matching the head's resolved next_link,
   // and if that movement is red the whole lane waits behind it (head-of-line
   // blocking). Grants read and write state of the *downstream* road
-  // (occupancy reservation, insertion-gap check), which another road's work
-  // unit owns — that cross-road coupling is exactly why this phase runs
-  // sequentially, before the parallel sweep. A junction with no vehicle on
-  // an approach lane is skipped outright: an empty lane never grants.
+  // (occupancy reservation, insertion-gap check), so they all run here,
+  // before the sweep moves any vehicle. A junction with no vehicle on an
+  // approach lane is skipped outright: an empty lane never grants.
   for (std::size_t ni = 0; ni < approach_count_.size(); ++ni) {
     if (approach_count_[ni] == 0) continue;
     const std::uint32_t slot =
@@ -461,16 +457,12 @@ void MicroSim::service_junctions() {
   }
 }
 
-void MicroSim::sweep_lane(const net::Road& road, RoadRt& rt, Lane& lane, StreamRng& rng,
-                          LaneKernelScratch& scratch) {
+void MicroSim::sweep_lane(const net::Road& road, Lane& lane, StreamRng& rng) {
   const std::size_t n = lane.vehicles.size();
   if (n == 0) return;
 
-  // Hot path. All state touched here is owned by this road's work unit: the
-  // lane order, the lane-local kinematic arrays, the road's memo-table rows,
-  // and the road's own dawdle stream — nothing shared, so the sweep
-  // parallelizes without locks and the draw sequence is independent of the
-  // thread schedule.
+  // Hot path: touches the lane's kinematic arrays, the road's memo-table
+  // rows and the road's own dawdle stream.
   const double dt = config_.dt_s;
   // Local copy of the car-following parameters: every store into the lane's
   // double arrays could alias a double field reached through a reference
@@ -493,23 +485,24 @@ void MicroSim::sweep_lane(const net::Road& road, RoadRt& rt, Lane& lane, StreamR
   // construction (element-wise FP in array order is the same arithmetic in
   // the same order); tests/microsim_krauss_test.cpp pins it lane-for-lane.
   lane_update_vectorized(pos, speed, n, road.speed_limit_mps, road_length, is_exit, vp,
-                         dt, vp.sigma > 0.0 ? &rng : nullptr, scratch);
+                         dt, vp.sigma > 0.0 ? &rng : nullptr, sweep_scratch_);
 
-  // Accounting tail — completion staging, waiting time, queued-count memos —
+  // Accounting tail — completion, waiting time, queued-count memos —
   // on the final speeds/positions. The integer memo counts commute, so
   // splitting them out of the kinematic loop cannot change them; waiting-time
   // accumulation stays element-wise (+= dt or += 0.0, and a waiting total is
   // never -0.0, so the no-op add is the bitwise identity).
   std::size_t begin = 0;
   if (is_exit && pos[0] >= road_length) {
-    // Stage the completion: metric accumulation is floating-point
-    // order-sensitive and mutates shared counters, so it runs sequentially
-    // in apply_completions(), in exit-road order. Write the lane-carried
-    // waiting time back now; the pop at the end of the sweep discards it.
-    // A completed vehicle is gone by decision time and must not count in
-    // the waiting/memo passes below. At most the head can cross per tick.
-    rt.completed = lane.vehicles.front();
-    veh_waiting_[rt.completed.index()] = lane.waiting[0];
+    // The head crossed the far end (at most the head can, per tick). Write
+    // its lane-carried waiting time back and complete it; the pop at the end
+    // of this function discards the lane's copy. The sweep visits exit roads
+    // in road order, which fixes the floating-point metric accumulation
+    // order. A completed vehicle is gone by decision time and must not count
+    // in the waiting/memo passes below.
+    const VehicleId done = lane.vehicles.front();
+    veh_waiting_[done.index()] = lane.waiting[0];
+    complete_vehicle(done);
     begin = 1;
   }
   double* waiting = &lane.waiting[0];
@@ -571,39 +564,30 @@ void MicroSim::sweep_roads() {
     std::fill(link_queued_approach_.begin(), link_queued_approach_.end(), 0);
   }
   const std::vector<net::Road>& roads = net_.roads();
-  // Work units own whole bitmap words, so a word's bit clears never race.
-  // Within a word the set bits are visited in road order, which keeps the
-  // lane and memo accesses sequential. The chunk id keys the per-work-unit
-  // kernel scratch: one scratch per participant, never shared, reused across
-  // that chunk's lanes and ticks. Memo rows are touched only by the owning
-  // road's work unit (a link's row belongs to its from_road), so this stays
-  // race-free.
-  pool_->parallel_for_indexed(
-      active_roads_.size(), [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        LaneKernelScratch& scratch = sweep_scratch_[chunk];
-        for (std::size_t w = begin; w < end; ++w) {
-          for (std::uint64_t bits = active_roads_[w]; bits != 0; bits &= bits - 1) {
-            const int bit = std::countr_zero(bits);
-            const std::size_t r = w * 64 + static_cast<std::size_t>(bit);
-            RoadRt& rt = roads_[r];
-            if (memo_pending_) zero_memo_rows(r);
-            if (rt.occupancy == 0) {  // occupancy >= vehicles on lanes
-              // Rows just re-zeroed and nothing left to move: the road leaves
-              // the active set until its occupancy rises again.
-              if (memo_pending_) active_roads_[w] &= ~(std::uint64_t{1} << bit);
-              continue;
-            }
-            const net::Road& road = roads[r];
-            StreamRng& stream = road_streams_[r];
-            for (Lane& lane : rt.lanes) {
-              // Empty dedicated lanes are common (traffic concentrates on a
-              // few movements); skip them before paying the call.
-              if (!lane.vehicles.empty()) sweep_lane(road, rt, lane, stream, scratch);
-            }
-          }
-        }
-      });
-  apply_completions();
+  // Set bits are visited in road order, which keeps the lane and memo
+  // accesses sequential. Clearing a bit never disturbs the walk: `bits` is a
+  // copy of its word.
+  for (std::size_t w = 0; w < active_roads_.size(); ++w) {
+    for (std::uint64_t bits = active_roads_[w]; bits != 0; bits &= bits - 1) {
+      const int bit = std::countr_zero(bits);
+      const std::size_t r = w * 64 + static_cast<std::size_t>(bit);
+      RoadRt& rt = roads_[r];
+      if (memo_pending_) zero_memo_rows(r);
+      if (rt.occupancy == 0) {  // occupancy >= vehicles on lanes
+        // Rows just re-zeroed and nothing left to move: the road leaves the
+        // active set until its occupancy rises again.
+        if (memo_pending_) active_roads_[w] &= ~(std::uint64_t{1} << bit);
+        continue;
+      }
+      const net::Road& road = roads[r];
+      StreamRng& stream = road_streams_[r];
+      for (Lane& lane : rt.lanes) {
+        // Empty dedicated lanes are common (traffic concentrates on a few
+        // movements); skip them before paying the call.
+        if (!lane.vehicles.empty()) sweep_lane(road, lane, stream);
+      }
+    }
+  }
 }
 
 void MicroSim::zero_memo_rows(std::size_t road_index) {
@@ -611,15 +595,6 @@ void MicroSim::zero_memo_rows(std::size_t road_index) {
   road_queued_congestion_[road_index] = 0;
   for (LinkId lid : net_.links_from(net_.roads()[road_index].id)) {
     link_queued_approach_[lid.index()] = 0;
-  }
-}
-
-void MicroSim::apply_completions() {
-  for (RoadId exit : net_.exit_roads()) {
-    RoadRt& rt = roads_[exit.index()];
-    if (!rt.completed.valid()) continue;
-    complete_vehicle(rt.completed);
-    rt.completed = VehicleId{};
   }
 }
 
@@ -631,8 +606,8 @@ void MicroSim::complete_vehicle(VehicleId vid) {
   result_.metrics.completed += 1;
   result_.metrics.queuing_time_s.add(veh_waiting_[vid.index()]);
   result_.metrics.travel_time_s.add(now_ - m.entry_time);
-  // The slot becomes reusable next step; the sweep popped the id from its
-  // lane before any new vehicle can claim it (admission runs pre-sweep).
+  // The slot becomes reusable next step: the sweep pops the id from its lane
+  // before admission, the only allocator, runs again.
   free_slots_.push_back(vid.value());
 }
 

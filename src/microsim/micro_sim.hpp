@@ -26,20 +26,14 @@
 // MicroSimConfig::sensor); the capacity test of Eq. (8) uses physical
 // occupancy. See src/core/observation.hpp for the two-sensor rationale.
 //
-// --- Parallel tick architecture (see docs/PERFORMANCE.md) ---
-// Each tick is split into a short sequential junction phase (admission,
-// junction-box releases, stop-line service grants — everything that touches
-// cross-road state) and a data-parallel sweep phase: the Krauss update of
-// every active lane. The sweep walks the active-road bitmap in road order,
-// partitioned by 64-bit bitmap word across a fixed ThreadPool, so each word —
-// and each road — belongs to exactly one work unit. During the sweep a road's
-// work unit reads and writes only state owned by that road (its lanes, its
-// vehicles' kinematic arrays, its memo-table rows, its bitmap bit) and draws
-// dawdling noise from the road's own counter-based StreamRng, so fixed-seed
-// results are bit-identical at every MicroSimConfig::threads value. Exit-road
-// completions are staged per road during the sweep and applied sequentially
-// afterwards in exit-road order, keeping the floating-point metric
-// accumulation order thread-count independent.
+// --- Tick structure (see docs/PERFORMANCE.md) ---
+// Each tick runs a junction phase (admission, junction-box releases,
+// stop-line service grants — everything that touches cross-road state) and
+// then the sweep: the Krauss update of every active lane, visiting the
+// active-road bitmap in road order. Each road draws dawdling noise from its
+// own counter-based StreamRng, so its draws depend only on the seed, the road
+// and its own traffic. An exit road's head that crosses the far end completes
+// inside the sweep, so completions accumulate their metrics in road order.
 //
 // --- Active set ---
 // A tick pays for active state only: the sweep visits the roads whose bitmap
@@ -65,7 +59,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -77,7 +70,6 @@
 #include "src/stats/run_result.hpp"
 #include "src/traffic/demand.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/thread_pool.hpp"
 #include "src/util/vec_queue.hpp"
 
 namespace abp::microsim {
@@ -107,8 +99,7 @@ class MicroSim {
   // on the road drain normally; occupancy above the new value just blocks
   // admission until it has drained, so occupancy never exceeds the design W.
   // Observations keep reporting the design capacity — controllers know the
-  // road geometry, not the incident. Called only between ticks, from the
-  // sequential phase.
+  // road geometry, not the incident. Called only between ticks.
   void set_road_capacity(RoadId road, int capacity);
   [[nodiscard]] int road_capacity(RoadId road) const {
     return road_capacity_[road.index()];
@@ -193,10 +184,6 @@ class MicroSim {
     int occupancy = 0;
     // Index of the junction this road arrives at; kNoJunction on exit roads.
     std::uint32_t to_junction = 0;
-    // Exit-road completion staged by this tick's parallel sweep; applied (and
-    // cleared) sequentially by apply_completions(). At most one per tick:
-    // exit roads have a single lane and only its head can cross the far end.
-    VehicleId completed;
     // Spawns waiting outside the network for space, FIFO.
     std::deque<VehicleId> buffer;
   };
@@ -234,20 +221,16 @@ class MicroSim {
   [[nodiscard]] VehicleId alloc_vehicle();
   void admit_spawns();
   void release_junction_vehicles();
-  // Sequential junction phase: stop-line service for the head vehicle of
-  // every green lane. Grants mutate cross-road state (downstream occupancy,
-  // the junction box), so this runs single-threaded before the sweep.
+  // Junction phase: stop-line service for the head vehicle of every green
+  // lane. Grants mutate cross-road state (downstream occupancy, the junction
+  // box), so this runs before the sweep.
   void service_junctions();
-  // Data-parallel phase: Krauss update of every lane of the active roads,
-  // partitioned by active-road bitmap word.
+  // Krauss update of every lane of the active roads, in road order.
   void sweep_roads();
   // One lane's update: the vectorized kernel passes of lane_kernel.hpp over
   // the lane's SoA arrays, then the (branchy, per-vehicle) accounting tail —
-  // completion staging, waiting-time accumulation, queued-count memos.
-  void sweep_lane(const net::Road& road, RoadRt& rt, Lane& lane, StreamRng& rng,
-                  LaneKernelScratch& scratch);
-  // Applies the completions staged by sweep_roads(), in exit-road order.
-  void apply_completions();
+  // exit-road completion, waiting-time accumulation, queued-count memos.
+  void sweep_lane(const net::Road& road, Lane& lane, StreamRng& rng);
   // Zeroes one road's memo rows (road counters + its movements' link rows).
   void zero_memo_rows(std::size_t road_index);
   // Grants a crossing to `vid` (head of a green lane) if rate, capacity and
@@ -281,9 +264,8 @@ class MicroSim {
   MicroSimConfig config_;
   std::vector<core::ControllerPtr> controllers_;
   traffic::DemandGenerator& demand_;
-  // Sequential-phase stream: sensor noise on controller observations. The
-  // sweep's dawdling draws come from road_streams_ instead, so the two never
-  // contend and thread count cannot shift either stream.
+  // Sensor noise on controller observations. The sweep's dawdling draws come
+  // from road_streams_ instead, so observations never shift a dawdle draw.
   Rng rng_;
   std::uint64_t seed_ = 0;
   // One counter-based dawdling stream per road (stream id = road index).
@@ -292,12 +274,9 @@ class MicroSim {
   // overridden by set_road_capacity() during incidents. Admission and grant
   // checks read this; observations read the design capacity from net_.
   std::vector<int> road_capacity_;
-  // Sweep-phase worker pool, sized config_.threads (inline when 1).
-  std::unique_ptr<ThreadPool> pool_;
-  // One lane-kernel scratch per sweep work unit (= pool participant): the
-  // kernel's materialized gap/leader/draw arrays, reused across lanes and
-  // ticks. Indexed by chunk id, so no two threads ever share one.
-  std::vector<LaneKernelScratch> sweep_scratch_;
+  // The lane kernel's materialized gap/leader/draw arrays, reused across
+  // lanes and ticks.
+  LaneKernelScratch sweep_scratch_;
 
   double now_ = 0.0;
   double next_control_ = 0.0;
@@ -334,19 +313,18 @@ class MicroSim {
   // Control-step memo tables: queued counts per road (both detector
   // thresholds) and per link (approach threshold). Rebuilt during the lane
   // sweep of the tick preceding each control step (memo_pending_), where the
-  // vehicles are already in cache, so observe() is pure table reads. Each
-  // row is written only by the work unit of the road that owns it (a link's
-  // row belongs to its from_road), so the parallel sweep stays race-free.
+  // vehicles are already in cache, so observe() is pure table reads. A
+  // road's visit zeroes and refills its own rows (a link's row belongs to
+  // its from_road).
   std::vector<int> road_queued_approach_;
   std::vector<int> road_queued_congestion_;
   std::vector<int> link_queued_approach_;
   bool memo_pending_ = false;
   // Active-road bitmap, one bit per road (bit r % 64 of word r / 64). Set in
-  // the sequential phase wherever a road's occupancy rises (admission, grant);
+  // the junction phase wherever a road's occupancy rises (admission, grant);
   // cleared only by the sweep, on a memo-rebuild tick, after zeroing an empty
   // road's memo rows. Invariant: bit clear => occupancy 0 and memo rows zero,
-  // so the sweep may skip every clear bit. Each word is written by the one
-  // work unit that owns it.
+  // so the sweep may skip every clear bit.
   std::vector<std::uint64_t> active_roads_;
   // Vehicles on the approach lanes of each junction (lanes of the non-exit
   // roads arriving there): up at the two lane pushes onto a non-exit road

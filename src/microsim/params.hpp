@@ -62,12 +62,6 @@ struct MicroSimConfig {
   // back-pressure — a downstream road in free flow exerts none.
   double approach_queue_threshold_mps = 7.0;
   double congestion_queue_threshold_mps = 1.39;
-  // Parallelism of the per-tick lane sweep: total worker count including the
-  // calling thread, >= 1. The sweep partitions work by road and draws
-  // dawdling noise from per-road counter-based streams, so fixed-seed metrics
-  // are bit-identical at every thread count (the golden determinism test pins
-  // this); raising it only changes wall-clock time. See docs/PERFORMANCE.md.
-  int threads = 1;
   // Detector imperfection applied to every queue reading handed to the
   // controllers (occupancy/capacity admission state stays physical). Perfect
   // by default; bench_sensor_noise sweeps it.

@@ -12,9 +12,11 @@
 //                                   of `prototype`
 //   v.check(key, ok, problem)       a relation between fields, reported at
 //                                   `key` ("" = the enclosing object)
-//   v.retired(key, member)          a key an older schema version wrote: it
-//                                   still loads, and is neither dumped nor
-//                                   listed
+//   v.retired(key, count, version)  a count schema `version` retired: it
+//                                   still loads at 1, and is neither dumped
+//                                   nor listed
+//   v.retired(key, section)         a retired section: its keys still load,
+//                                   and it is neither dumped nor listed
 //
 // The visitors below walk those descriptions: KeyLister (unknown-key
 // rejection), Loader (type errors), Validator (rules and checks) and Dumper
@@ -270,12 +272,14 @@ class Loader {
   }
   void check(const char*, bool, const char*) {}
   // A retired count holds the one value its removed feature leaves.
-  void retired(const char* key, int& count) {
+  void retired(const char* key, int& count, int retired_in) {
     const json::Value* f = obj_.find(key);
     if (f == nullptr) return;
     const Path at{&at_, key};
     read(*f, count, at);
-    if (count != 1) fail(at, "must be 1 (retired in schema v5)");
+    if (count != 1) {
+      fail(at, "must be 1 (retired in schema v" + std::to_string(retired_in) + ")");
+    }
   }
   template <typename T>
   void retired(const char* key, T& section) {
@@ -317,8 +321,8 @@ class Validator {
   void check(const char* key, bool ok, const char* problem) {
     if (!ok) fail(Path{&at_, key}, problem);
   }
-  template <typename T>
-  void retired(const char*, T&) {}
+  template <typename... A>
+  void retired(const char*, A&&...) {}
 
  private:
   const Path& at_;
@@ -350,8 +354,8 @@ class Dumper {
     out_.set(key, std::move(items));
   }
   void check(const char*, bool, const char*) {}
-  template <typename T>
-  void retired(const char*, T&) {}
+  template <typename... A>
+  void retired(const char*, A&&...) {}
 
  private:
   json::Value& out_;

@@ -9,9 +9,9 @@
 // sim::make_simulator(): capacity events are applied between ticks by the
 // simulator adapter through per-backend capacity-override hooks, and sensor /
 // controller faults are wrapped around the affected junctions' controllers
-// via core::FaultInjectedController. Every effect executes in the sequential
-// phase of the tick, so fixed-seed runs with a nonempty schedule remain
-// bit-identical at every thread count; an empty schedule leaves the run
+// via core::FaultInjectedController. Every effect executes in the junction
+// phase of the tick, so fixed-seed runs with a nonempty schedule stay
+// bit-identical at every batch jobs count; an empty schedule leaves the run
 // bit-identical to a build without the subsystem (see docs/ROBUSTNESS.md).
 #pragma once
 

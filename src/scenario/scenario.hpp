@@ -47,7 +47,7 @@ struct ReplicationSummary {
 // summarizes the headline metric. Throws exp::BatchError unless
 // 1 <= replications <= exp::kMaxReplications. `jobs` runs
 // that many replications concurrently through exp::ExperimentRunner —
-// results are bit-identical at every jobs count; jobs x tick threads beyond
+// results are bit-identical at every jobs count; jobs beyond
 // hardware_concurrency is rejected unless `allow_oversubscribe`.
 [[nodiscard]] ReplicationSummary run_replications(const ScenarioConfig& config,
                                                   int replications, int jobs = 1,

@@ -102,13 +102,4 @@ struct ScenarioConfig {
   SurrogateConfig surrogate;
 };
 
-// Tick-level parallelism the config's *selected* backend will use: the
-// micro sim's road-partitioned lane-sweep width, or 1 for the queue sim,
-// whose tick is serial. The experiment layer multiplies this by its
-// run-level `jobs` when checking for oversubscription (docs/PERFORMANCE.md,
-// "Run-level vs tick-level parallelism").
-[[nodiscard]] inline int tick_threads(const ScenarioConfig& config) noexcept {
-  return config.simulator == SimulatorKind::Micro ? config.micro.threads : 1;
-}
-
 }  // namespace abp::scenario

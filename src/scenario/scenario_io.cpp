@@ -48,9 +48,6 @@ constexpr Token<GuardPolicy> kGuardPolicyTokens[] = {{"throw", GuardPolicy::Thro
                                                      {"record", GuardPolicy::Record},
                                                      {"abort", GuardPolicy::Abort}};
 
-constexpr Rule kTickThreads{[](double x) { return x >= 1.0 && x <= 256.0; },
-                            "must be in [1, 256]"};
-
 // 16x the largest grid any test, bench or workload runs (64x64); far larger
 // grids only end in std::bad_alloc.
 constexpr std::int64_t kMaxGridCells = 65536;
@@ -73,7 +70,7 @@ struct RetiredShard {
 
 template <typename V>
 void describe(V& v, RetiredShard& s) {
-  v.retired("count", s.count);
+  v.retired("count", s.count, 5);
   v.field("allow_oversubscribe", s.allow_oversubscribe);
 }
 
@@ -210,7 +207,8 @@ void describe(V& v, microsim::MicroSimConfig& m) {
   v.field("approach_queue_threshold_mps", m.approach_queue_threshold_mps, kNonNegative);
   v.field("congestion_queue_threshold_mps", m.congestion_queue_threshold_mps,
           kNonNegative);
-  v.field("threads", m.threads, kTickThreads);
+  int threads = 1;
+  v.retired("threads", threads, 6);
   v.object("sensor", m.sensor);
   v.object("vehicle", m.vehicle);
 }
@@ -222,7 +220,7 @@ void describe(V& v, queuesim::QueueSimConfig& q) {
   v.check("control_interval_s", q.control_interval_s >= q.step_s, "must be >= step_s");
   v.field("sample_interval_s", q.sample_interval_s, kPositive);
   int threads = 1;
-  v.retired("threads", threads);
+  v.retired("threads", threads, 5);
 }
 
 template <typename V>
@@ -368,8 +366,8 @@ class PathLister {
     describe(inner, x);
   }
   void check(const char*, bool, const char*) {}
-  template <typename T>
-  void retired(const char*, T&) {}
+  template <typename... A>
+  void retired(const char*, A&&...) {}
 
  private:
   std::vector<std::string>& out_;

@@ -7,7 +7,7 @@
 // per-junction overrides, both backends' parameters, watches, the full
 // PR-6 fault schedule and the runtime guard — and loads into the same
 // ScenarioConfig value the programmatic API uses, so every determinism
-// guarantee (fixed-seed bit-equality at any thread/jobs count) holds for
+// guarantee (fixed-seed bit-equality at any jobs count) holds for
 // file-driven runs unchanged. The scenario library under scenarios/ plus
 // abp_cli --scenario are built on this; docs/SCENARIOS.md is the schema
 // reference (field-by-field semantics, defaults, validation rules,
@@ -50,10 +50,11 @@ namespace abp::scenario {
 // added the optional "detector" section (online changepoint detection);
 // version 3 the optional "shard" section (multi-process sharding); version 4
 // the optional "surrogate" section (calibrated queue-backend rescaling).
-// Version 5 retired "shard" and "queue.threads": the loader still accepts
-// them at the one value that remains (shard.count 1, queue.threads 1, either
-// shard.allow_oversubscribe), and the dumper no longer writes them.
-inline constexpr int kScenarioSchemaVersion = 5;
+// Version 5 retired "shard" and "queue.threads", version 6 "micro.threads":
+// the loader still accepts them at the one value that remains (shard.count 1,
+// queue.threads 1, micro.threads 1, either shard.allow_oversubscribe), and
+// the dumper no longer writes them.
+inline constexpr int kScenarioSchemaVersion = 6;
 inline constexpr int kScenarioSchemaVersionMin = 1;
 
 // Load/validate failure with the dotted path of the offending field.

@@ -69,8 +69,8 @@ std::vector<std::size_t> spot_check_selection(const std::vector<std::size_t>& ra
     for (std::size_t s = 0; s < strata; ++s) {
       // Equal contiguous strata over the ranked tail; one draw per stratum
       // from its own counter-based stream, so the selection is a pure
-      // function of (seed, stratum) — independent of jobs, threads and
-      // evaluation order.
+      // function of (seed, stratum) — independent of jobs and evaluation
+      // order.
       const std::size_t lo = k + s * rest / strata;
       const std::size_t hi = k + (s + 1) * rest / strata;
       if (hi <= lo) continue;
@@ -87,6 +87,9 @@ SweepReport surrogate_sweep(const scenario::ScenarioConfig& base,
                             const SweepOptions& options) {
   if (options.spot_replications < 1) {
     throw std::invalid_argument("spot_replications must be >= 1");
+  }
+  if (!(options.sample_fraction >= 0.0 && options.sample_fraction <= 1.0)) {
+    throw std::invalid_argument("sample_fraction must be in [0, 1]");
   }
   if (!(options.trust_threshold > 0.0)) {
     throw std::invalid_argument("trust_threshold must be > 0");

@@ -76,6 +76,7 @@ struct SweepOptions {
   bool allow_oversubscribe = false;
   // Spot-check policy: the `best_k` top-ranked points, plus one point from
   // each of ceil(sample_fraction * n) equal strata of the remaining ranking.
+  // sample_fraction must be in [0, 1].
   int best_k = 4;
   double sample_fraction = 0.05;
   // Micro replications per spot check (Student-t CIs need >= 2).

@@ -62,13 +62,11 @@ class Rng {
 
 // Counter-based (Philox-style) random stream: the value of draw k of stream s
 // is a pure function mix(key(seed, s), k), with no state evolution beyond the
-// counter. This is the RNG shape for parallel simulation — the parallel lane
-// sweep gives every road its own stream, so the draws a road consumes depend
-// only on that road's vehicle history, never on which thread ran it or in
-// what order roads were scheduled. Fixed-seed runs are therefore bit-identical
-// at any thread count. The mixer is four rounds of the Philox 2x64 bumped-key
-// multiply-hi/lo round function (Salmon et al., SC'11), far more than needed
-// for dawdling noise but still a handful of nanoseconds per draw.
+// counter. The micro sim's lane sweep gives every road its own stream, so the
+// draws a road consumes depend only on that road's vehicle history. The mixer
+// is four rounds of the Philox 2x64 bumped-key multiply-hi/lo round function
+// (Salmon et al., SC'11), far more than needed for dawdling noise but still a
+// handful of nanoseconds per draw.
 class StreamRng {
  public:
   using result_type = std::uint64_t;
@@ -84,8 +82,8 @@ class StreamRng {
   result_type operator()() noexcept { return next(); }
 
   // Draw `ctr` of the stream keyed by `key`: four bumped-key Philox 2x64
-  // rounds over (counter, key). A pure function — the whole determinism story
-  // of the parallel sweep, and what makes bulk draws possible: draw k is the
+  // rounds over (counter, key). A pure function — the determinism story of
+  // the per-road streams, and what makes bulk draws possible: draw k is the
   // same value whether it is taken alone, in sequence, or in a batch.
   [[nodiscard]] static std::uint64_t mix(std::uint64_t key, std::uint64_t ctr) noexcept {
     constexpr std::uint64_t kMul = 0xd2b74407b1ce6e93ULL;   // Philox M2x64

@@ -1,21 +1,20 @@
-// Fixed-size thread pool for intra-tick data parallelism.
+// Fixed-size thread pool for batch runs.
 //
-// MicroSim dispatches a parallel region per tick (its Krauss sweep over the
-// active-road bitmap words), tens of thousands of times per run, so the pool
-// is built for cheap repeated fork/join over the same worker set rather than
-// for general task graphs:
-// workers are spawned once, park on a condition variable between regions,
-// and each parallel_for() splits the index range into one contiguous chunk
-// per participant. The calling thread always executes chunk 0 itself,
-// so ThreadPool(n) provides n-way parallelism with n-1 worker threads and
-// ThreadPool(1) degenerates to an inline loop with no threads and no locking.
+// exp::ExperimentRunner keeps one pool per runner and dispatches one region
+// per batch, so the pool is built for repeated fork/join over the same
+// worker set rather than for general task graphs: workers are spawned once,
+// park on a condition variable between regions, and each parallel_for()
+// splits the index range into one contiguous chunk per participant. The
+// calling thread always executes chunk 0 itself, so ThreadPool(n) provides
+// n-way parallelism with n-1 worker threads and ThreadPool(1) degenerates to
+// an inline loop with no threads and no locking.
 //
 // Exceptions thrown inside a chunk are captured (first one wins), the region
 // still completes on the other chunks, and parallel_for() rethrows on the
 // calling thread; the pool stays usable afterwards. Determinism note: the
 // chunk partition is a pure function of (n, size()), never of timing, so any
 // caller whose chunks touch disjoint state gets identical results at every
-// pool size — the property the simulators' golden tests pin.
+// pool size.
 #pragma once
 
 #include <condition_variable>
@@ -60,21 +59,9 @@ class ThreadPool {
   // Blocks until every chunk has finished; rethrows the first exception any
   // chunk raised. Reentrant calls from inside fn are not supported.
   void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-    parallel_for_indexed(
-        n, [&fn](std::size_t begin, std::size_t end, std::size_t) { fn(begin, end); });
-  }
-
-  // Like parallel_for, but fn(begin, end, chunk) additionally receives the
-  // chunk's index in [0, size()): a stable work-unit id — one per
-  // participant, a pure function of the dispatch like the partition itself —
-  // for callers that key per-work-unit scratch (MicroSim's lane-kernel
-  // buffers) without replicating the chunking formula.
-  void parallel_for_indexed(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
     if (n == 0) return;
     if (size_ == 1 || n == 1) {
-      fn(0, n, 0);  // inline fast path: no locks, no wakeups
+      fn(0, n);  // inline fast path: no locks, no wakeups
       return;
     }
     {
@@ -112,7 +99,7 @@ class ThreadPool {
     const std::size_t end = begin + base + (w < extra ? 1 : 0);
     if (begin >= end) return;
     try {
-      (*job_fn_)(begin, end, w);
+      (*job_fn_)(begin, end);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!error_) error_ = std::current_exception();
@@ -144,7 +131,7 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(std::size_t, std::size_t, std::size_t)>* job_fn_ = nullptr;
+  const std::function<void(std::size_t, std::size_t)>* job_fn_ = nullptr;
   std::size_t job_n_ = 0;
   int pending_ = 0;
   std::uint64_t epoch_ = 0;

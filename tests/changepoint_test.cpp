@@ -1,8 +1,8 @@
 // End-to-end gate for the online changepoint subsystem: the detection-event
 // stream of the library's incident scenario is pinned exactly, the clean
 // baseline must stay alarm-free over a full hour, and the event stream must
-// carry every determinism guarantee of the repository (thread invariance,
-// batch-vs-serial bit-equality, monitor passivity). Regenerate the pin below
+// carry every determinism guarantee of the repository (batch-vs-serial
+// bit-equality, monitor passivity). Regenerate the pin below
 // from `abp_cli --scenario scenarios/incident_detection.json` when a change
 // is supposed to move detection trajectories.
 #include <gtest/gtest.h>
@@ -113,23 +113,6 @@ TEST(ChangepointTest, MakeSimulatorValidatesAnEnabledDetector) {
     } catch (const ScenarioIoError& e) {
       EXPECT_STREQ(e.what(), "detector.window_samples: must be >= 1");
     }
-  }
-}
-
-TEST(ChangepointTest, DetectionIsThreadInvariant) {
-  // The monitor runs in the sequential control phase, so the event stream —
-  // and the adaptive trajectory it steers — must be bit-identical at every
-  // tick-thread count.
-  ScenarioConfig cfg = Load("incident_detection.json");
-  const stats::RunResult base = run_scenario(cfg);
-  for (const int threads : {2, 8}) {
-    SCOPED_TRACE(threads);
-    cfg.micro.threads = threads;
-    const stats::RunResult r = run_scenario(cfg);
-    EXPECT_EQ(r.metrics.completed, base.metrics.completed);
-    EXPECT_EQ(r.metrics.average_queuing_time_s(),
-              base.metrics.average_queuing_time_s());
-    ExpectSameEvents(r.detections, base.detections);
   }
 }
 

@@ -139,37 +139,31 @@ TEST(ExperimentRunner, RejectsInvalidJobs) {
   EXPECT_THROW(exp::ExperimentRunner({.jobs = 0}), std::invalid_argument);
 }
 
-TEST(ExperimentRunner, OversubscriptionGuardRejectsJobsTimesThreads) {
+TEST(ExperimentRunner, OversubscriptionGuardRejectsMoreJobsThanCores) {
   const unsigned hc = std::thread::hardware_concurrency();
   if (hc == 0) GTEST_SKIP() << "hardware concurrency unknown; guard is inactive";
   scenario::ScenarioConfig cfg =
       scenario::paper_scenario(traffic::PatternKind::I, core::ControllerType::UtilBp);
   cfg.duration_s = 10.0;
-  // Tick-level threads alone already saturate the machine, so two runs in
-  // flight oversubscribe: 2 x hc > hc on every box.
-  cfg.micro.threads = static_cast<int>(hc);
-  exp::ExperimentRunner runner({.jobs = 2});
-  EXPECT_THROW((void)runner.run({cfg, cfg}), exp::BatchError);
+  // One run in flight more than the machine has cores.
+  const int jobs = static_cast<int>(hc) + 1;
+  const std::vector<scenario::ScenarioConfig> configs(static_cast<std::size_t>(jobs), cfg);
+  exp::ExperimentRunner runner({.jobs = jobs});
+  EXPECT_THROW((void)runner.run(configs), exp::BatchError);
 
   // The guard judges effective concurrency, not the configured jobs ceiling:
   // a single-config batch can never have two runs in flight, so the same
   // runner accepts it.
   EXPECT_EQ(runner.run({cfg}).size(), 1u);
 
-  // And the two-config batch runs when the caller opts in explicitly.
-  exp::ExperimentRunner permissive({.jobs = 2, .allow_oversubscribe = true});
-  EXPECT_EQ(permissive.run({cfg, cfg}).size(), 2u);
+  // And the full batch runs when the caller opts in explicitly.
+  exp::ExperimentRunner permissive({.jobs = jobs, .allow_oversubscribe = true});
+  EXPECT_EQ(permissive.run(configs).size(), configs.size());
 }
 
-TEST(ExperimentRunner, MaxSafeJobsRespectsTickThreads) {
+TEST(ExperimentRunner, MaxSafeJobsIsTheCoreCount) {
   const unsigned hc = std::thread::hardware_concurrency();
-  if (hc == 0) {
-    EXPECT_EQ(exp::max_safe_jobs(), 1);
-    return;
-  }
-  EXPECT_EQ(exp::max_safe_jobs(1), static_cast<int>(hc));
-  EXPECT_EQ(exp::max_safe_jobs(static_cast<int>(hc)), 1);
-  EXPECT_GE(exp::max_safe_jobs(2 * static_cast<int>(hc)), 1);
+  EXPECT_EQ(exp::max_safe_jobs(), hc == 0 ? 1 : static_cast<int>(hc));
 }
 
 // --- Failure isolation: per-run statuses, retries, deterministic timeouts ---

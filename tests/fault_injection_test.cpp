@@ -1,12 +1,11 @@
 // Fault-injection determinism suite: incident scenarios must keep every
 // determinism guarantee the fault-free runs have.
 //
-// The fault subsystem executes entirely in the sequential phase of the tick —
+// The fault subsystem executes entirely in the junction phase of the tick —
 // capacity events applied between ticks by the simulator adapter, sensor and
 // controller faults inside the control step via core::FaultInjectedController
 // — so a fixed-seed run with a nonempty FaultSchedule must be bit-identical
-// at every thread count and across serial-vs-batch execution, exactly like a
-// fault-free run. This suite pins that, plus golden metric values for one
+// across serial-vs-batch execution, exactly like a fault-free run. This suite pins that, plus golden metric values for one
 // incident scenario per backend (the fault analog of golden_determinism_test:
 // any refactor that perturbs when or how faults apply shifts these numbers),
 // plus the invariant story: conservation and capacity bounds hold *through*
@@ -165,21 +164,6 @@ TEST(FaultInjection, QueueIncidentPinnedMetrics) {
   EXPECT_EQ(r.metrics.entry_blocked_time_s, 0x0p+0);                 // 0.0
 }
 
-// The headline guarantee: a nonempty fault schedule must not give the micro
-// sim's thread count any way to show up in the results. Faults execute in
-// the sequential phase; the parallel lane sweep never sees them.
-TEST(FaultInjection, ThreadInvarianceWithFaults) {
-  const scenario::ScenarioConfig base = incident_config(scenario::SimulatorKind::Micro);
-  const auto serial = scenario::run_scenario(base);
-  for (int threads : {2, 8}) {
-    scenario::ScenarioConfig cfg = base;
-    cfg.micro.threads = threads;
-    const auto parallel = scenario::run_scenario(cfg);
-    SCOPED_TRACE(threads);
-    expect_identical(serial.metrics, parallel.metrics);
-  }
-}
-
 // Batch execution through the ExperimentRunner must match the serial loop
 // bit for bit with faults in play, at every jobs count — fault state is
 // per-run (owned by the run's own adapter and controllers), never shared.
@@ -231,25 +215,19 @@ TEST(FaultInjection, DormantScheduleAndGuardAreBehaviorNeutral) {
 
 // Conservation and capacity bounds hold *through* the incidents — including
 // the controller outage, where the degraded junction runs fixed-time — on
-// both backends, at several thread counts. GuardPolicy::Record turns every
-// violating tick into a report entry, so this asserts zero violations over
-// the whole run rather than sampling a few ticks.
+// both backends. GuardPolicy::Record turns every violating tick into a report
+// entry, so this asserts zero violations over the whole run rather than
+// sampling a few ticks.
 TEST(FaultInjection, InvariantsHoldThroughIncidents) {
   for (const scenario::SimulatorKind kind :
        {scenario::SimulatorKind::Queue, scenario::SimulatorKind::Micro}) {
-    for (int threads : {1, 2, 8}) {
-      SCOPED_TRACE(testing::Message()
-                   << (kind == scenario::SimulatorKind::Queue ? "queue" : "micro")
-                   << "/threads=" << threads);
-      scenario::ScenarioConfig cfg = incident_config(kind);
-      cfg.micro.threads = threads;
-      cfg.guard.enabled = true;
-      cfg.guard.policy = scenario::GuardPolicy::Record;
-      const auto r = scenario::run_scenario(cfg);
-      EXPECT_GT(r.guard.checks, 0u);
-      EXPECT_TRUE(r.guard.violations.empty())
-          << r.guard.violations.front().message;
-    }
+    SCOPED_TRACE(kind == scenario::SimulatorKind::Queue ? "queue" : "micro");
+    scenario::ScenarioConfig cfg = incident_config(kind);
+    cfg.guard.enabled = true;
+    cfg.guard.policy = scenario::GuardPolicy::Record;
+    const auto r = scenario::run_scenario(cfg);
+    EXPECT_GT(r.guard.checks, 0u);
+    EXPECT_TRUE(r.guard.violations.empty()) << r.guard.violations.front().message;
   }
 }
 

@@ -13,10 +13,8 @@
 // queue count the simulator produces. Any refactor that perturbs queue
 // counting, observation order, or RNG call order shifts the sensor stream and
 // changes these numbers. Dawdling noise comes from per-road counter-based
-// streams (StreamRng), so the pins additionally assert that the micro sim's
-// parallel lane sweep is bit-identical at every thread count — the
-// ThreadInvariance test runs the same fixed seed at 1, 2 and 8
-// MicroSimConfig::threads and demands equal metrics to the last bit.
+// streams (StreamRng), so a change to the sweep's draw accounting moves them
+// too.
 //
 // If a deliberate behavior change invalidates the pins, re-capture them with
 // the printed actuals — but only after convincing yourself the change is
@@ -97,24 +95,6 @@ TEST(GoldenDeterminism, MicroSimPinnedMetrics) {
   EXPECT_EQ(r.metrics.entry_blocked_time_s, 0x1.0ap+6);              // 66.5
 }
 
-// The parallel sweep must be invisible in the results: same seed, same
-// metrics, bit for bit, at every thread count. Work is partitioned by road
-// with per-road counter-based dawdle streams, completions are applied in
-// exit-road order, and everything cross-road runs in the sequential junction
-// phase — so the thread count may only change wall-clock time. Eight threads
-// on a smaller machine exercises chunk counts above the core count.
-TEST(GoldenDeterminism, MicroSimThreadInvariance) {
-  scenario::ScenarioConfig base = golden_config(scenario::SimulatorKind::Micro);
-  const auto serial = scenario::run_scenario(base);
-  for (int threads : {2, 8}) {
-    scenario::ScenarioConfig cfg = base;
-    cfg.micro.threads = threads;
-    const auto parallel = scenario::run_scenario(cfg);
-    SCOPED_TRACE(threads);
-    expect_identical(serial.metrics, parallel.metrics);
-  }
-}
-
 // FNV-1a over 64-bit words, for folding a run's state into one pinnable value.
 class StateDigest {
  public:
@@ -138,14 +118,13 @@ class StateDigest {
 // roads keep filling and draining. The state is vehicles in the network,
 // every road's occupancy and queued count, every displayed phase and every
 // lane's vehicle positions.
-std::uint64_t sparse_micro_state_digest(int threads) {
+std::uint64_t sparse_micro_state_digest() {
   scenario::ScenarioConfig cfg =
       scenario::paper_scenario(traffic::PatternKind::I, core::ControllerType::UtilBp);
   cfg.grid.rows = 16;
   cfg.grid.cols = 16;
   cfg.seed = kSeed;
   cfg.simulator = scenario::SimulatorKind::Micro;
-  cfg.micro.threads = threads;
   const net::Network network = sim::build_validated(sim::effective_grid(cfg));
   traffic::DemandGenerator demand(network, cfg.demand, cfg.seed);
   microsim::MicroSim micro = sim::construct_backend<microsim::MicroSim>(
@@ -173,17 +152,14 @@ std::uint64_t sparse_micro_state_digest(int threads) {
 
 // The 2x2 pins above read an imperfect sensor, so no control step there may
 // skip an idle junction's decision, and their 24 roads fit in one word of
-// the sweep's active-road bitmap, so the sweep never splits. This pin covers
-// the sparse regime, where the tick skips empty roads and idle junctions and
-// 17 bitmap words split across the sweep threads, tick by tick rather than
-// only at the end of the run. The value predates the active-set tick: the
-// skips must be invisible.
+// the sweep's active-road bitmap. This pin covers the sparse regime, where
+// the tick skips empty roads and idle junctions across 17 bitmap words, tick
+// by tick rather than only at the end of the run. The value predates the
+// active-set tick and the serial sweep: the skips and the inline exit-road
+// completions must be invisible.
 TEST(GoldenDeterminism, MicroSimSparseMidRunStateDigestIsPinned) {
-  for (int threads : {1, 3}) {
-    SCOPED_TRACE(threads);
-    const std::uint64_t digest = sparse_micro_state_digest(threads);
-    EXPECT_EQ(digest, 0xe5435e00bcad631cULL) << std::hex << digest;
-  }
+  const std::uint64_t digest = sparse_micro_state_digest();
+  EXPECT_EQ(digest, 0xe5435e00bcad631cULL) << std::hex << digest;
 }
 
 TEST(GoldenDeterminism, QueueSimPinnedMetrics) {

@@ -56,17 +56,15 @@ TEST(MemoElision, BitIdenticalToAlwaysRebuildHeavyDemand) {
   expect_paths_identical(elision_config(traffic::PatternKind::III, 12));
 }
 
-TEST(MemoElision, BitIdenticalWithImperfectSensorAndThreads) {
-  // Imperfect detectors tie the sequential RNG stream to every queue reading:
+TEST(MemoElision, BitIdenticalWithImperfectSensor) {
+  // Imperfect detectors tie the sensor RNG stream to every queue reading:
   // any memo drift desynchronizes the sensor stream and cascades through the
-  // rest of the run. A 5x5 grid has 120 roads, two bitmap words, so two
-  // sweep threads really split the sweep by word and pin that the bit clears
-  // stay race-free under the partition (a 3x3 grid fits in one word, which
-  // the pool runs inline).
+  // rest of the run. A 5x5 grid has 120 roads, two bitmap words, so the
+  // sweep's walk crosses a word boundary and clears bits in both words (a
+  // 3x3 grid fits in one word).
   scenario::ScenarioConfig cfg = elision_config(traffic::PatternKind::II, 13, 5);
   cfg.micro.sensor.detection_probability = 0.95;
   cfg.micro.sensor.dropout_probability = 0.01;
-  cfg.micro.threads = 2;
   expect_paths_identical(cfg);
 }
 

@@ -35,11 +35,11 @@ TEST(ScenarioIoTest, EmptyObjectNeedsVersion) {
 
 TEST(ScenarioIoTest, UnsupportedVersionIsRejected) {
   ExpectLoadError(
-      R"({"version": 6})",
-      "version: unsupported schema version 6 (this build reads versions 1 through 5)");
+      R"({"version": 7})",
+      "version: unsupported schema version 7 (this build reads versions 1 through 6)");
   ExpectLoadError(
       R"({"version": 0})",
-      "version: unsupported schema version 0 (this build reads versions 1 through 5)");
+      "version: unsupported schema version 0 (this build reads versions 1 through 6)");
 }
 
 TEST(ScenarioIoTest, OlderSchemaVersionsStillLoad) {
@@ -50,19 +50,22 @@ TEST(ScenarioIoTest, OlderSchemaVersionsStillLoad) {
   EXPECT_FALSE(cfg.detector.enabled);
   EXPECT_FALSE(cfg.surrogate.enabled);
   EXPECT_EQ(cfg.surrogate.service_scale, 1.0);
-  EXPECT_NE(dump_scenario(cfg).find("\"version\": 5"), std::string::npos);
+  EXPECT_NE(dump_scenario(cfg).find("\"version\": 6"), std::string::npos);
 }
 
 TEST(ScenarioIoTest, RetiredKeysLoadAtTheirRemainingValue) {
-  // Schema v5 removed sharding and the queue sim's tick threads. A v4 file
-  // that spells out the single-process values still loads, and its dump
-  // carries neither key.
+  // Schema v5 removed sharding and the queue sim's tick threads, v6 the micro
+  // sim's. A v4 file that spells out the single-process values still loads,
+  // and its dump carries none of the keys.
   const ScenarioConfig cfg = load_scenario(R"({"version": 4,
+    "micro": {"threads": 1},
     "queue": {"threads": 1},
     "shard": {"count": 1, "allow_oversubscribe": true}})");
   const json::Value doc = json::parse(dump_scenario(cfg));
   EXPECT_EQ(doc.find("shard"), nullptr);
+  EXPECT_EQ(doc.find("micro")->find("threads"), nullptr);
   EXPECT_EQ(doc.find("queue")->find("threads"), nullptr);
+  EXPECT_NO_THROW((void)load_scenario(R"({"version": 6, "micro": {"threads": 1}})"));
   EXPECT_NO_THROW((void)load_scenario(
       R"({"version": 3, "shard": {"allow_oversubscribe": false}})"));
 }
@@ -72,6 +75,8 @@ TEST(ScenarioIoTest, RetiredKeysRejectRemovedValues) {
                   "shard.count: must be 1 (retired in schema v5)");
   ExpectLoadError(R"({"version": 4, "queue": {"threads": 4}})",
                   "queue.threads: must be 1 (retired in schema v5)");
+  ExpectLoadError(R"({"version": 5, "micro": {"threads": 4}})",
+                  "micro.threads: must be 1 (retired in schema v6)");
   ExpectLoadError(R"({"version": 4, "shard": {"in_process": true}})",
                   "shard.in_process: unknown key");
 }
@@ -141,7 +146,7 @@ TEST(ScenarioIoTest, RangeChecksCarryThePath) {
       R"({"version": 1, "micro": {"sensor": {"detection_probability": 1.5}}})",
       "micro.sensor.detection_probability: must be in [0, 1]");
   ExpectLoadError(R"({"version": 1, "micro": {"threads": 0}})",
-                  "micro.threads: must be in [1, 256]");
+                  "micro.threads: must be 1 (retired in schema v6)");
   ExpectLoadError(R"({"version": 1, "micro": {"dt_s": 2.0, "control_interval_s": 1.0}})",
                   "micro.control_interval_s: must be >= dt_s");
   ExpectLoadError(
@@ -292,7 +297,6 @@ ScenarioConfig FullConfig() {
   o.spec = cfg.controller;
   o.spec.type = core::ControllerType::FixedTime;
   cfg.controller_overrides.push_back(o);
-  cfg.micro.threads = 2;
   cfg.micro.sensor.detection_probability = 0.9;
   cfg.micro.vehicle.sigma = 0.25;
   cfg.watches.push_back({0, 3, net::Side::West, "exit"});
@@ -331,7 +335,6 @@ TEST(ScenarioIoTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.controller_overrides[0].node.row, 1);
   EXPECT_EQ(back.controller_overrides[0].node.col, 3);
   EXPECT_EQ(back.controller_overrides[0].spec.type, core::ControllerType::FixedTime);
-  EXPECT_EQ(back.micro.threads, cfg.micro.threads);
   EXPECT_EQ(back.micro.vehicle.sigma, cfg.micro.vehicle.sigma);
   ASSERT_EQ(back.watches.size(), 1u);
   EXPECT_EQ(back.watches[0].side, net::Side::West);

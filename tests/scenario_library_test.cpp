@@ -1,7 +1,6 @@
 // Scenario library gate: every file under scenarios/ must load cleanly,
-// round-trip byte-stably, reproduce its golden pin bit-for-bit, stay
-// bit-identical across tick-thread counts, and pass the cross-backend
-// invariant guard. ABP_SCENARIO_DIR is injected by CMake; regenerate
+// round-trip byte-stably, reproduce its golden pin bit-for-bit, and pass the
+// cross-backend invariant guard. ABP_SCENARIO_DIR is injected by CMake; regenerate
 // scenarios/golden_pins.json with bench/scenario_pin_capture.cpp when a
 // change is supposed to move trajectories.
 #include <gtest/gtest.h>
@@ -89,21 +88,6 @@ TEST(ScenarioLibraryTest, GoldenPinsMatchBitForBit) {
   }
   // Every pin corresponds to a live file too (no stale entries).
   EXPECT_EQ(pins.members().size(), pinned);
-}
-
-TEST(ScenarioLibraryTest, MetricsAreThreadInvariant) {
-  for (const fs::path& file : LibraryFiles()) {
-    SCOPED_TRACE(file.filename().string());
-    ScenarioConfig cfg = load_scenario_file(file.string());
-    const stats::RunResult base = run_scenario(cfg);
-    cfg.micro.threads = 2;
-    const stats::RunResult threaded = run_scenario(cfg);
-    EXPECT_EQ(base.metrics.completed, threaded.metrics.completed);
-    EXPECT_EQ(base.metrics.average_queuing_time_s(),
-              threaded.metrics.average_queuing_time_s());
-    EXPECT_EQ(base.metrics.average_travel_time_s(),
-              threaded.metrics.average_travel_time_s());
-  }
 }
 
 TEST(ScenarioLibraryTest, OtherBackendPassesTheInvariantGuard) {

@@ -134,7 +134,7 @@ TEST(ScenarioSchema, EveryScalarPathCanBeSetAndReadsBack) {
     }
     EXPECT_TRUE(accepted) << "no candidate value was accepted";
   }
-  EXPECT_GE(scalars, 119);
+  EXPECT_GE(scalars, 118);
 }
 
 std::vector<json::Value> Mutations() {
@@ -270,10 +270,10 @@ TEST(ScenarioSchema, SettingReadsNonJsonAsAString) {
     EXPECT_STREQ(e.what(), "name: expected a string, got a number");
   }
   try {
-    apply_setting(cfg, "micro.threads", "abc");
-    FAIL() << "string accepted as a thread count";
+    apply_setting(cfg, "micro.dt_s", "abc");
+    FAIL() << "string accepted as a time step";
   } catch (const ScenarioIoError& e) {
-    EXPECT_STREQ(e.what(), "micro.threads: expected a number, got a string");
+    EXPECT_STREQ(e.what(), "micro.dt_s: expected a number, got a string");
   }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -226,6 +227,28 @@ TEST(SurrogateSweep, ReportIsBitIdenticalAcrossJobsCounts) {
   }
   std::sort(ranks.begin(), ranks.end());
   for (int r = 0; r < static_cast<int>(ranks.size()); ++r) EXPECT_EQ(ranks[r], r);
+}
+
+TEST(SurrogateSweep, RejectsSampleFractionOutsideTheUnitInterval) {
+  // ceil(fraction * n) is cast to a count: for inf or 1e300 that cast is
+  // undefined, and NaN would silently mean 0. The sweep refuses them before
+  // any run starts.
+  SweepAxes axes;
+  axes.controllers = {core::ControllerType::UtilBp};
+  axes.patterns = {traffic::PatternKind::I};
+  axes.periods_s = {12.0};
+  for (const double fraction : {std::numeric_limits<double>::infinity(), 1e300,
+                                std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5}) {
+    SCOPED_TRACE(fraction);
+    SweepOptions opt;
+    opt.sample_fraction = fraction;
+    try {
+      (void)surrogate_sweep(small_family(), CalibrationProfile{}, axes, opt);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "sample_fraction must be in [0, 1]");
+    }
+  }
 }
 
 TEST(SurrogateSweep, UtilBpCollapsesThePeriodAxis) {

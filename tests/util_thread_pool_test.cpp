@@ -1,12 +1,12 @@
-// ThreadPool: the micro-sim's per-tick fork/join primitive.
+// ThreadPool: the experiment runner's fork/join primitive.
 //
-// The pool is dispatched once per simulator tick, tens of thousands of times
-// per run, so beyond basic correctness (every index covered exactly once)
-// these tests pin the properties the simulator leans on: the chunk partition
-// is a pure function of (n, size) — never of timing; exceptions thrown inside
-// a chunk surface on the calling thread and leave the pool reusable; and the
-// same pool object survives heavy reuse across "ticks" without leaking state
-// from one parallel_for into the next.
+// A runner keeps one pool and dispatches one region per batch, so beyond
+// basic correctness (every index covered exactly once) these tests pin the
+// properties the runner leans on: the chunk partition is a pure function of
+// (n, size) — never of timing; exceptions thrown inside a chunk surface on
+// the calling thread and leave the pool reusable; and the same pool object
+// survives heavy reuse without leaking state from one parallel_for into the
+// next.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -71,33 +71,6 @@ TEST(ThreadPool, ChunksAreContiguousAndOrderedByWorker) {
   EXPECT_EQ(chunks[3], (std::pair<std::size_t, std::size_t>{8, 10}));
 }
 
-TEST(ThreadPool, IndexedDispatchReportsDistinctChunkIdsAndCoversRange) {
-  // parallel_for_indexed hands each chunk its participant id in [0, size()):
-  // the property MicroSim keys its per-work-unit kernel scratch on — two
-  // concurrent chunks must never share an id, and the (begin, end, chunk)
-  // triple must be the same deterministic partition parallel_for uses.
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{17}}) {
-      std::vector<std::atomic<int>> hits(n);
-      std::vector<std::atomic<int>> id_uses(static_cast<std::size_t>(threads));
-      pool.parallel_for_indexed(n, [&](std::size_t begin, std::size_t end,
-                                       std::size_t chunk) {
-        ASSERT_LT(chunk, static_cast<std::size_t>(threads));
-        id_uses[chunk].fetch_add(1);
-        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1) << "threads=" << threads << " n=" << n;
-      }
-      for (int w = 0; w < threads; ++w) {
-        ASSERT_LE(id_uses[static_cast<std::size_t>(w)].load(), 1)
-            << "chunk id " << w << " reused within one dispatch";
-      }
-    }
-  }
-}
-
 TEST(ThreadPool, PropagatesExceptionsAndStaysUsable) {
   ThreadPool pool(3);
   EXPECT_THROW(
@@ -125,9 +98,8 @@ TEST(ThreadPool, ExceptionFromWorkerChunkPropagates) {
 }
 
 TEST(ThreadPool, ReusableAcrossManyTicks) {
-  // Simulator usage: one fork/join per tick against the same worker set.
-  // 5000 dispatches shakes out lost-wakeup and stale-epoch bugs that a
-  // single-shot test never sees.
+  // Repeated fork/join against the same worker set: 5000 dispatches shake
+  // out lost-wakeup and stale-epoch bugs that a single-shot test never sees.
   ThreadPool pool(4);
   constexpr std::size_t kItems = 64;
   std::vector<long> value(kItems, 0);
