@@ -1,7 +1,8 @@
 // abp_cli: command-line experiment runner over the library's public API.
 //
 // Runs one scenario and prints the metrics; optionally dumps the queue
-// series and the phase trace of a chosen junction as CSV for plotting.
+// series and the phase trace of a chosen junction as CSV for plotting (exit
+// 1 when a --csv file cannot be written).
 // With --replications N it runs N seed-replications (seeds seed..seed+N-1)
 // through the experiment runner and prints the per-seed results plus the
 // mean with a Student-t 95% confidence interval.
@@ -62,7 +63,8 @@
 // error bars; --profile FILE supplies a saved profile (otherwise the sweep
 // calibrates first), --report FILE also writes the full report JSON, and
 // exit status 4 means some spot-checked config exceeded --trust-threshold
-// relative error.
+// relative error. Every grid point is validated as a scenario before
+// calibration starts, so a bad --sweep-periods value exits 2 at once.
 //
 // Examples:
 //   abp_cli --set demand.pattern=I
@@ -161,6 +163,15 @@ double parse_double(const std::string& s, const char* flag) {
   const double v = std::strtod(s.c_str(), &end);
   if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) bad_number(flag, s);
   return v;
+}
+
+// Closes a finished --csv file; false, after saying so, when it could not be
+// opened or written.
+bool close_csv(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (out) return true;
+  std::fprintf(stderr, "abp_cli: cannot write %s\n", path.c_str());
+  return false;
 }
 
 }  // namespace
@@ -319,6 +330,13 @@ int main(int argc, char** argv) {
       }
       for (const std::string& p : split_fields(sweep_periods)) {
         axes.periods_s.push_back(parse_double(p, "--sweep-periods"));
+      }
+      // Every grid point must be a valid scenario: refuse a bad one here,
+      // before calibration spends its evaluations.
+      for (const surrogate::SweepPoint& point : surrogate::axis_points(axes)) {
+        scenario::ScenarioConfig probe = cfg;
+        surrogate::apply_sweep_point(probe, point);
+        scenario::validate(probe);
       }
     }
   } catch (const scenario::ScenarioIoError& e) {
@@ -484,7 +502,8 @@ int main(int argc, char** argv) {
         std::printf("detections_total=%zu\n", detections_total);
       }
       if (!csv_prefix.empty()) {
-        std::ofstream out(csv_prefix + "_replications.csv");
+        const std::string path = csv_prefix + "_replications.csv";
+        std::ofstream out(path);
         CsvWriter w(out);
         w.row({"seed", "status", "avg_queuing_s"});
         for (std::size_t i = 0; i < statuses.size(); ++i) {
@@ -498,7 +517,8 @@ int main(int argc, char** argv) {
                           ? s.result.metrics.average_queuing_time_s()
                           : 0.0);
         }
-        std::printf("csv written: %s_replications.csv\n", csv_prefix.c_str());
+        if (!close_csv(out, path)) return 1;
+        std::printf("csv written: %s\n", path.c_str());
       }
       if (errors > 0) return 1;
       if (cfg.guard.enabled && guard_violations > 0) return 3;
@@ -558,22 +578,26 @@ int main(int argc, char** argv) {
 
     if (!csv_prefix.empty()) {
       {
-        std::ofstream out(csv_prefix + "_queue.csv");
+        const std::string path = csv_prefix + "_queue.csv";
+        std::ofstream out(path);
         CsvWriter w(out);
         w.row({"time_s", "queued_vehicles"});
         const auto& series = r.road_series.front();
         for (std::size_t i = 0; i < series.size(); ++i) {
           w.typed_row(series.times()[i], series.values()[i]);
         }
+        if (!close_csv(out, path)) return 1;
       }
       {
-        std::ofstream out(csv_prefix + "_phases.csv");
+        const std::string path = csv_prefix + "_phases.csv";
+        std::ofstream out(path);
         CsvWriter w(out);
         w.row({"time_s", "phase"});
         for (const auto& s :
              r.phase_traces[static_cast<std::size_t>(cfg.grid.cols - 1)].samples()) {
           w.typed_row(s.time, s.phase);
         }
+        if (!close_csv(out, path)) return 1;
       }
       std::printf("csv written: %s_queue.csv, %s_phases.csv\n", csv_prefix.c_str(),
                   csv_prefix.c_str());

@@ -64,7 +64,7 @@ void MicroSim::build_runtime() {
         rt.lanes.push_back(std::move(lane));
       }
     } else {
-      // One mixed lane shared by all movements: a vehicle's own route turn
+      // One mixed lane shared by all movements: a vehicle's own route
       // selects its movement at the stop line (head-of-line blocking).
       rt.lanes.push_back(Lane{});
       for (LinkId lid : movements) {
@@ -168,22 +168,6 @@ bool MicroSim::no_overlaps() const {
     }
   }
   return true;
-}
-
-int MicroSim::lane_index_for_turn(RoadId road, net::Turn turn) const {
-  const RoadRt& rt = roads_[road.index()];
-  if (!config_.dedicated_turn_lanes) return 0;  // single mixed lane
-  for (std::size_t i = 0; i < rt.lanes.size(); ++i) {
-    if (rt.lanes[i].link && net_.link(*rt.lanes[i].link).turn == turn) {
-      return static_cast<int>(i);
-    }
-  }
-  throw std::logic_error("no lane for requested turn on road " + net_.road(road).name);
-}
-
-std::optional<LinkId> MicroSim::movement_of(const VehMeta& m, RoadId road) const {
-  if (m.next_turn >= m.route.turns.size()) return std::nullopt;
-  return net_.find_link(road, m.route.turns[m.next_turn]);
 }
 
 int MicroSim::lane_queued_count(const Lane& lane, double threshold_mps) const {
@@ -293,9 +277,10 @@ void MicroSim::admit_spawns() {
     m.route = req.route;
     m.spawn_seq = result_.metrics.generated;
     m.loc = Loc::Outside;
-    m.road = req.entry;
+    m.road = req.route.entry;
+    veh_next_link_[vid.index()] = traffic::route_link(net_, m.route, 0, m.road);
     result_.metrics.generated += 1;
-    roads_[req.entry.index()].buffer.push_back(vid);
+    roads_[m.road.index()].buffer.push_back(vid);
   }
   for (RoadId entry : net_.entry_roads()) {
     RoadRt& rt = roads_[entry.index()];
@@ -310,7 +295,7 @@ void MicroSim::admit_spawns() {
     for (auto it = rt.buffer.begin(); it != rt.buffer.end() && rt.occupancy < capacity;) {
       const VehicleId vid = *it;
       VehMeta& m = veh_meta_[vid.index()];
-      const int lane = lane_index_for_turn(entry, m.route.turns.front());
+      const int lane = links_[veh_next_link_[vid.index()].index()].lane_index;
       if (lane_blocked_[static_cast<std::size_t>(lane)] || !entry_clear(rt, lane)) {
         lane_blocked_[static_cast<std::size_t>(lane)] = 1;
         ++it;
@@ -323,9 +308,6 @@ void MicroSim::admit_spawns() {
       m.loc = Loc::Lane;
       m.lane = lane;
       m.entry_time = now_;
-      if (const std::optional<LinkId> movement = movement_of(m, entry)) {
-        veh_next_link_[vid.index()] = *movement;
-      }
       in_network_count_ += 1;
       rt.lanes[static_cast<std::size_t>(lane)].push_vehicle(
           vid, 0.0, std::min(config_.insertion_speed_mps, net_.road(entry).speed_limit_mps),
@@ -375,13 +357,13 @@ bool MicroSim::try_grant(VehicleId vid, LinkId link) {
   RoadRt& target = roads_[to_road.index()];
   if (target.occupancy >= road_capacity_[to_road.index()]) return false;
 
+  // The movement the vehicle takes at the end of `to_road` picks its lane
+  // there; an exit road has one lane and no movement.
+  LinkId next_link;
   int target_lane = 0;
-  const std::size_t next = m.next_turn + 1;
-  if (!net_.road(to_road).is_exit()) {
-    if (next >= m.route.turns.size()) {
-      throw std::logic_error("route exhausted before reaching an exit road");
-    }
-    target_lane = lane_index_for_turn(to_road, m.route.turns[next]);
+  if (target.to_junction != kNoJunction) {
+    next_link = traffic::route_link(net_, m.route, m.junction + 1, to_road);
+    target_lane = links_[next_link.index()].lane_index;
   }
   if (!entry_clear(target, target_lane)) return false;
 
@@ -395,13 +377,8 @@ bool MicroSim::try_grant(VehicleId vid, LinkId link) {
   mark_active(to_road.index());
   m.road = to_road;
   m.lane = target_lane;
-  m.next_turn = next;
-  veh_next_link_[vid.index()] = LinkId{};
-  if (!net_.road(to_road).is_exit()) {
-    if (const std::optional<LinkId> movement = movement_of(m, to_road)) {
-      veh_next_link_[vid.index()] = *movement;
-    }
-  }
+  m.junction += 1;
+  veh_next_link_[vid.index()] = next_link;
   return true;
 }
 

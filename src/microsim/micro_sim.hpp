@@ -4,7 +4,8 @@
 //   * by default every non-exit road carries one *dedicated turning lane* per
 //     feasible movement at its downstream junction (the paper's lane
 //     assumption, which rules out head-of-line blocking); vehicles pick their
-//     lane on entry from the next turn of their route and never change lanes.
+//     lane on entry from the movement their route takes at the end of the
+//     road (traffic::route_link) and never change lanes.
 //     MicroSimConfig::dedicated_turn_lanes = false switches to a single mixed
 //     lane per road, where HOL blocking becomes possible (Section IV Q4);
 //   * longitudinal dynamics follow the Krauss car-following model
@@ -133,7 +134,8 @@ class MicroSim {
     // Global spawn ordinal. Slot recycling permutes vehicle indices, so
     // order-sensitive end-of-run bookkeeping sorts by this instead.
     std::uint64_t spawn_seq = 0;
-    std::size_t next_turn = 0;
+    // Index of the next junction the vehicle reaches (0 on the entry road).
+    std::size_t junction = 0;
     Loc loc = Loc::Outside;
     RoadId road;      // current road (Loc::Lane) or target road (Loc::Junction)
     int lane = 0;     // lane index on `road`
@@ -249,14 +251,11 @@ class MicroSim {
   // Fills and returns the reusable observation buffer (valid until the next
   // observe() call); avoids re-allocating the link array per decision.
   [[nodiscard]] const core::IntersectionObservation& observe(const net::Intersection& node);
-  [[nodiscard]] int lane_index_for_turn(RoadId road, net::Turn turn) const;
   // Queue-length detector: vehicles on the lane moving slower than the given
   // speed threshold.
   [[nodiscard]] int lane_queued_count(const Lane& lane, double threshold_mps) const;
   // Sum of lane_queued_count over all lanes of the road (q_i of Eq. 1).
   [[nodiscard]] int road_queued_count(RoadId road, double threshold_mps) const;
-  // The movement the vehicle will take at the end of `road`, if feasible.
-  [[nodiscard]] std::optional<LinkId> movement_of(const VehMeta& m, RoadId road) const;
   // True when a vehicle can be released at the start of the lane.
   [[nodiscard]] bool entry_clear(const RoadRt& rt, int lane_index) const;
 
@@ -285,10 +284,10 @@ class MicroSim {
   // --- Vehicle storage (SoA; position/speed live in the lanes) ---
   std::vector<VehMeta> veh_meta_;
   std::vector<double> veh_waiting_;
-  // Resolved movement the vehicle takes at the end of its current road;
-  // invalid on exit roads or when the route commands a missing movement.
-  // Kept in sync with (road, next_turn) so mixed-lane queue counting never
-  // re-resolves the movement per query.
+  // The route_link() the vehicle takes at the end of its current road (the
+  // entry road while it waits outside); invalid on exit roads. Resolved once
+  // per road, so admission, lane choice and mixed-lane queue counting never
+  // re-resolve the movement.
   std::vector<LinkId> veh_next_link_;
   // Slots of completed vehicles available for reuse.
   std::vector<VehicleId::value_type> free_slots_;

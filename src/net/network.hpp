@@ -70,7 +70,7 @@ class Network {
   [[nodiscard]] const std::vector<RoadId>& exit_roads() const;
 
   // The movement leaving `from_road` with the given geometric turn, if it
-  // exists. Used by the router to walk vehicles through the grid.
+  // exists. traffic::route_link resolves each junction's movement with it.
   [[nodiscard]] std::optional<LinkId> find_link(RoadId from_road, Turn turn) const;
   // All movements whose incoming road is `from_road`, in turn order
   // (Left, Straight, Right). Points into the CSR index; valid as long as the

@@ -19,6 +19,9 @@ void check_roads(const Network& net, std::vector<std::string>& problems) {
       if (node.incoming_on(r.arrival_side) != r.id) {
         problems.push_back("road " + r.name + ": arrival wiring mismatch at " + node.name);
       }
+      if (net.links_from(r.id).empty()) {
+        problems.push_back("road " + r.name + ": no movement leaves it at " + node.name);
+      }
     }
     if (r.from.valid()) {
       const Intersection& node = net.intersection(r.from);

@@ -89,14 +89,8 @@ void QueueSim::control_step() {
 }
 
 void QueueSim::route_vehicle_into_queue(VehicleId vid, RoadId road) {
-  VehicleRecord& v = vehicles_[vid.index()];
-  if (v.next_turn >= v.route.turns.size()) {
-    throw std::logic_error("vehicle ran out of route turns on a non-exit road");
-  }
-  const net::Turn turn = v.route.turns[v.next_turn];
-  const std::optional<LinkId> link = net_.find_link(road, turn);
-  if (!link) throw std::logic_error("route commands a missing movement");
-  links_[link->index()].queue.push_back(vid);
+  const VehicleRecord& v = vehicles_[vid.index()];
+  links_[traffic::route_link(net_, v.route, v.junction, road).index()].queue.push_back(vid);
   road_queued_[road.index()] += 1;
 }
 
@@ -130,7 +124,7 @@ void QueueSim::admit_spawns(double from, double to) {
     rec.spawn_seq = result_.metrics.generated;
     rec.entry_time = req.time;
     result_.metrics.generated += 1;
-    entry_buffer_[req.entry.index()].push_back(vid);
+    entry_buffer_[req.route.entry.index()].push_back(vid);
   }
   // Admit buffered vehicles while their entry road has space.
   for (RoadId entry : net_.entry_roads()) {
@@ -180,7 +174,7 @@ void QueueSim::arbitrate_and_serve() {
         downstream.occupancy += 1;
         const VehicleId vid = lq.queue.front();
         lq.queue.pop_front();
-        vehicles_[vid.index()].next_turn += 1;
+        vehicles_[vid.index()].junction += 1;
         downstream.transit.push_back({arrive, vid});
       }
     }

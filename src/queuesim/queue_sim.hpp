@@ -3,11 +3,12 @@
 //
 // Every road N_i is a queueing node with capacity W_i. Vehicles arriving on a
 // road drive for its free-flow time (modeled as a constant transfer delay) and
-// then join the dedicated per-movement queue q_i^{i'} matching the next turn
-// of their route. While a movement's link is green, it serves its queue at
-// rate mu_i^{i'} (Eq. 2's S term), bounded by the downstream road's remaining
-// capacity. Served vehicles transfer to the downstream road; vehicles served
-// into an exit road leave the network when they reach its far end.
+// then join the dedicated per-movement queue q_i^{i'} of the movement their
+// route takes there (traffic::route_link). While a movement's link is green,
+// it serves its queue at rate mu_i^{i'} (Eq. 2's S term), bounded by the
+// downstream road's remaining capacity. Served vehicles transfer to the
+// downstream road; vehicles served into an exit road leave the network when
+// they reach its far end.
 //
 // This simulator is the formal model the controllers were designed against:
 // it is used by the property tests (work conservation, stability, capacity
@@ -26,7 +27,6 @@
 // per-entry-road streams, so fixed-seed runs are bit-reproducible.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "src/core/controller.hpp"
@@ -99,7 +99,8 @@ class QueueSim {
     // Global spawn ordinal. Slot recycling permutes vehicle indices, so
     // order-sensitive end-of-run bookkeeping sorts by this instead.
     std::uint64_t spawn_seq = 0;
-    std::size_t next_turn = 0;
+    // Index of the next junction the vehicle reaches (0 on the entry road).
+    std::size_t junction = 0;
     double entry_time = 0.0;
     double queue_time = 0.0;
     bool in_network = false;

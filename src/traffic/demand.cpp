@@ -7,18 +7,12 @@ namespace abp::traffic {
 
 DemandGenerator::DemandGenerator(const net::Network& network, DemandConfig config,
                                  std::uint64_t seed)
-    : network_(network), config_(config), seed_(seed) {
-  seed_processes();
-}
-
-void DemandGenerator::seed_processes() {
-  processes_.clear();
-  total_ = 0;
-  next_due_ = std::numeric_limits<double>::infinity();
-  Rng master(seed_);
-  for (RoadId road : network_.entry_roads()) {
+    : config_(config) {
+  Rng master(seed);
+  for (RoadId road : network.entry_roads()) {
     EntryProcess p{.road = road,
-                   .side = network_.road(road).arrival_side,
+                   .side = network.road(road).arrival_side,
+                   .straight_junctions = straight_path_junctions(network, road),
                    .next_arrival = 0.0,
                    .rng = master.split()};
     // First arrival: one full inter-arrival gap from time zero, so an empty
@@ -28,8 +22,6 @@ void DemandGenerator::seed_processes() {
     processes_.push_back(std::move(p));
   }
 }
-
-void DemandGenerator::reset() { seed_processes(); }
 
 double DemandGenerator::mean_at(net::Side side, double time_s) const {
   if (!config_.schedule.empty()) {
@@ -54,11 +46,9 @@ void DemandGenerator::poll_into(double from_time, double to_time,
   for (EntryProcess& p : processes_) {
     while (p.next_arrival < to_time) {
       if (p.next_arrival >= from_time) {
-        SpawnRequest req;
-        req.time = p.next_arrival;
-        req.entry = p.road;
-        req.route = sample_route(network_, p.road, config_.turning, p.rng);
-        out.push_back(std::move(req));
+        out.push_back({p.next_arrival,
+                       sample_route(p.road, config_.turning.entering_from(p.side),
+                                    p.straight_junctions, p.rng)});
         ++total_;
       }
       p.next_arrival += p.rng.exponential(mean_at(p.side, p.next_arrival));

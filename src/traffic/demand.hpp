@@ -7,6 +7,7 @@
 // sampled from the Table-I turning probabilities.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "src/net/network.hpp"
@@ -28,13 +29,12 @@ struct DemandConfig {
 
 struct SpawnRequest {
   double time = 0.0;
-  RoadId entry;
   Route route;
 };
 
 class DemandGenerator {
  public:
-  // `network` must outlive the generator.
+  // Reads `network` only here: each entry road's side and straight path.
   DemandGenerator(const net::Network& network, DemandConfig config, std::uint64_t seed);
 
   // All vehicles arriving in [from_time, to_time), ordered by time.
@@ -50,32 +50,28 @@ class DemandGenerator {
   // scales with the number of entry roads.
   void poll_into(double from_time, double to_time, std::vector<SpawnRequest>& out);
 
-  // Restarts the arrival processes from time zero with the original seed.
-  void reset();
-
-  [[nodiscard]] const DemandConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t total_generated() const noexcept { return total_; }
 
  private:
   struct EntryProcess {
     RoadId road;
     net::Side side = net::Side::North;
+    // Junctions on the road's straight path, walked once at construction:
+    // the range of a turning vehicle's turn_at draw.
+    int straight_junctions = 0;
     double next_arrival = 0.0;
     Rng rng;
   };
 
-  void seed_processes();
   // Mean inter-arrival for a side at a time, honouring the schedule override.
   [[nodiscard]] double mean_at(net::Side side, double time_s) const;
 
-  const net::Network& network_;
   DemandConfig config_;
-  std::uint64_t seed_;
   std::vector<EntryProcess> processes_;
   std::size_t total_ = 0;
   // Earliest pending arrival over all entry processes; lets poll_into()
   // early-out without touching per-road state when the window holds nothing.
-  double next_due_ = 0.0;
+  double next_due_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace abp::traffic

@@ -4,74 +4,39 @@
 
 namespace abp::traffic {
 
-std::optional<std::vector<RoadId>> roads_of_route(const net::Network& network,
-                                                  const Route& route) {
-  std::vector<RoadId> roads;
-  roads.push_back(route.entry);
-  RoadId current = route.entry;
-  for (net::Turn turn : route.turns) {
-    const std::optional<LinkId> link = network.find_link(current, turn);
-    if (!link) return std::nullopt;
-    current = network.link(*link).to_road;
-    roads.push_back(current);
+LinkId route_link(const net::Network& network, const Route& route, std::size_t junction,
+                  RoadId road) {
+  const net::Turn desired =
+      (route.turn != net::Turn::Straight && junction == static_cast<std::size_t>(route.turn_at))
+          ? route.turn
+          : net::Turn::Straight;
+  if (const std::optional<LinkId> link = network.find_link(road, desired)) return *link;
+  for (net::Turn fallback : {net::Turn::Straight, net::Turn::Left, net::Turn::Right}) {
+    if (const std::optional<LinkId> link = network.find_link(road, fallback)) return *link;
   }
-  if (!network.road(current).is_exit()) return std::nullopt;
-  return roads;
+  throw std::invalid_argument("road " + network.road(road).name +
+                              " has no feasible movement to continue the route");
 }
 
 int straight_path_junctions(const net::Network& network, RoadId entry) {
+  // An exit road has no movement, so the walk ends there or at the first
+  // junction without a straight movement.
   int count = 0;
-  RoadId current = entry;
-  while (!network.road(current).is_exit()) {
-    const std::optional<LinkId> link = network.find_link(current, net::Turn::Straight);
-    if (!link) break;  // dead end without a straight movement: stop counting
+  for (std::optional<LinkId> link = network.find_link(entry, net::Turn::Straight); link;
+       link = network.find_link(network.link(*link).to_road, net::Turn::Straight)) {
     ++count;
-    current = network.link(*link).to_road;
   }
   return count;
 }
 
-Route make_route(const net::Network& network, RoadId entry, net::Turn turn, int turn_at) {
-  Route route;
-  route.entry = entry;
-  RoadId current = entry;
-  int junction = 0;
-  while (!network.road(current).is_exit()) {
-    const net::Turn desired =
-        (turn != net::Turn::Straight && junction == turn_at) ? turn : net::Turn::Straight;
-    // Incomplete junctions (e.g. a T-junction on the straight-ahead path)
-    // may not offer the desired movement; fall back to whatever exists,
-    // preferring to continue straight. A vehicle is never stuck at a valid
-    // junction unless its incoming road has no movements at all.
-    std::optional<LinkId> link = network.find_link(current, desired);
-    for (net::Turn fallback : {net::Turn::Straight, net::Turn::Left, net::Turn::Right}) {
-      if (link) break;
-      link = network.find_link(current, fallback);
-    }
-    if (!link) {
-      throw std::invalid_argument("road " + network.road(current).name +
-                                  " has no feasible movement to continue the route");
-    }
-    route.turns.push_back(network.link(*link).turn);
-    current = network.link(*link).to_road;
-    ++junction;
+Route sample_route(RoadId entry, const TurningTable::Probabilities& p, int straight_junctions,
+                   Rng& rng) {
+  const double weights[3] = {p.left, p.straight(), p.right};
+  Route route{.entry = entry, .turn = static_cast<net::Turn>(rng.discrete(weights))};
+  if (route.turn != net::Turn::Straight && straight_junctions > 0) {
+    route.turn_at = static_cast<int>(rng.uniform_int(0, straight_junctions - 1));
   }
   return route;
-}
-
-Route sample_route(const net::Network& network, RoadId entry, const TurningTable& table,
-                   Rng& rng) {
-  const net::Side entry_side = network.road(entry).arrival_side;
-  const TurningTable::Probabilities& p = table.entering_from(entry_side);
-  const double weights[3] = {p.left, p.straight(), p.right};
-  const net::Turn turn = static_cast<net::Turn>(rng.discrete(weights));
-
-  int turn_at = 0;
-  if (turn != net::Turn::Straight) {
-    const int junctions = straight_path_junctions(network, entry);
-    turn_at = junctions > 0 ? static_cast<int>(rng.uniform_int(0, junctions - 1)) : 0;
-  }
-  return make_route(network, entry, turn, turn_at);
 }
 
 }  // namespace abp::traffic

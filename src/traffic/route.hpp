@@ -6,12 +6,11 @@
 // junctions on its straight-ahead path. After the turn it continues straight
 // until it exits the network.
 //
-// A Route is the per-junction turn sequence; simulators consume one Turn per
-// junction the vehicle crosses and follow the corresponding link.
+// So a Route is three values: the entry road, the turn and the 0-based index
+// of the turning junction. Simulators resolve the movement at each junction a
+// vehicle reaches with route_link(), the one place that decides which link a
+// route takes.
 #pragma once
-
-#include <optional>
-#include <vector>
 
 #include "src/net/geometry.hpp"
 #include "src/net/network.hpp"
@@ -21,35 +20,34 @@
 namespace abp::traffic {
 
 struct Route {
-  // Turn to take at the n-th junction encountered (0-based).
-  std::vector<net::Turn> turns;
   // Road on which the vehicle enters the network.
   RoadId entry;
+  // Turn taken at junction `turn_at` (0-based along the path); Straight
+  // means a pure through route and `turn_at` is ignored.
+  net::Turn turn = net::Turn::Straight;
+  int turn_at = 0;
 
-  [[nodiscard]] bool empty() const noexcept { return turns.empty(); }
-  [[nodiscard]] std::size_t junction_count() const noexcept { return turns.size(); }
+  bool operator==(const Route&) const = default;
 };
 
-// Follows `route` from its entry road and returns the sequence of roads the
-// vehicle traverses, ending with the exit road. Returns std::nullopt when the
-// route commands a movement that does not exist.
-[[nodiscard]] std::optional<std::vector<RoadId>> roads_of_route(const net::Network& network,
-                                                                const Route& route);
+// The link a vehicle on `route` takes at the end of `road`, its `junction`-th
+// junction (0-based). The desired movement is the route's turn at `turn_at`
+// and straight elsewhere. Incomplete junctions (e.g. a T-junction on the
+// straight-ahead path) may not offer it; then the first of straight, left,
+// right that exists is taken. The order depends only on the network, so a
+// route's link sequence is fixed at spawn. Throws std::invalid_argument when
+// no movement leaves `road` (net::validate reports such a road).
+[[nodiscard]] LinkId route_link(const net::Network& network, const Route& route,
+                                std::size_t junction, RoadId road);
 
 // Number of junctions on the straight-ahead path from `entry` to the exit.
 [[nodiscard]] int straight_path_junctions(const net::Network& network, RoadId entry);
 
-// Builds the route that goes straight everywhere except a `turn` at the
-// junction with 0-based index `turn_at` along the path. Pass
-// turn = Turn::Straight for a pure through route (turn_at ignored).
-// Throws std::invalid_argument when the resulting movement does not exist.
-[[nodiscard]] Route make_route(const net::Network& network, RoadId entry, net::Turn turn,
-                               int turn_at);
-
 // Samples a route per the paper's workload model: draw the turn from the
-// Table-I probabilities of the entry side, then the turning junction
-// uniformly along the straight path.
-[[nodiscard]] Route sample_route(const net::Network& network, RoadId entry,
-                                 const TurningTable& table, Rng& rng);
+// entry side's Table-I probabilities `p`, then, for a turning vehicle, the
+// turning junction uniformly among the `straight_junctions` junctions of the
+// entry's straight path.
+[[nodiscard]] Route sample_route(RoadId entry, const TurningTable::Probabilities& p,
+                                 int straight_junctions, Rng& rng);
 
 }  // namespace abp::traffic

@@ -264,17 +264,30 @@ net::Network t_corridor() {
   return network;
 }
 
+// The roads a vehicle on `route` traverses, entry road first, resolved one
+// junction at a time with route_link() as the simulators do.
+std::vector<RoadId> roads_of_route(const net::Network& net, const traffic::Route& route) {
+  std::vector<RoadId> roads{route.entry};
+  while (!net.road(roads.back()).is_exit() && roads.size() <= net.roads().size()) {
+    const LinkId link = traffic::route_link(net, route, roads.size() - 1, roads.back());
+    roads.push_back(net.link(link).to_road);
+  }
+  return roads;
+}
+
 TEST(RouteFallback, StraightRouteBendsAtTJunction) {
   const net::Network net = t_corridor();
   net::validate_or_throw(net);
   const net::Intersection& b = net.intersections().front();
   const RoadId north_in = b.incoming_on(net::Side::North);
   // A "straight" route from the North would exit South, which does not
-  // exist; the router must bend left or right instead of throwing.
-  const traffic::Route route = traffic::make_route(net, north_in, net::Turn::Straight, 0);
-  ASSERT_EQ(route.turns.size(), 1u);
-  EXPECT_NE(route.turns[0], net::Turn::Straight);
-  EXPECT_TRUE(traffic::roads_of_route(net, route).has_value());
+  // exist; the router must bend instead of throwing, taking the first
+  // fallback that exists (straight, left, right): left.
+  const traffic::Route route{.entry = north_in};
+  EXPECT_EQ(net.link(traffic::route_link(net, route, 0, north_in)).turn, net::Turn::Left);
+  const std::vector<RoadId> roads = roads_of_route(net, route);
+  ASSERT_EQ(roads.size(), 2u);
+  EXPECT_TRUE(net.road(roads.back()).is_exit());
 }
 
 TEST(RouteFallback, SampledRoutesAlwaysTerminate) {
@@ -283,8 +296,10 @@ TEST(RouteFallback, SampledRoutesAlwaysTerminate) {
   Rng rng(31);
   for (RoadId entry : net.entry_roads()) {
     for (int i = 0; i < 100; ++i) {
-      const traffic::Route route = traffic::sample_route(net, entry, table, rng);
-      EXPECT_TRUE(traffic::roads_of_route(net, route).has_value());
+      const traffic::Route route = traffic::sample_route(
+          entry, table.entering_from(net.road(entry).arrival_side),
+          traffic::straight_path_junctions(net, entry), rng);
+      EXPECT_TRUE(net.road(roads_of_route(net, route).back()).is_exit());
     }
   }
 }

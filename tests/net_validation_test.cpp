@@ -64,5 +64,35 @@ TEST(Validation, ThrowListsAllProblems) {
   }
 }
 
+TEST(Validation, ApproachWithNoMovementIsAFinding) {
+  // north_in's only way out is a U-turn onto north_out, which is no
+  // movement: a vehicle entering there could never leave. east_in turns
+  // onto north_out, so the junction is otherwise well formed.
+  Network net;
+  const IntersectionId j = net.add_intersection("J");
+  auto road = [&](const char* name, Side side, bool incoming) {
+    Road r;
+    r.name = name;
+    r.length_m = 200.0;
+    r.capacity = 40;
+    if (incoming) {
+      r.to = j;
+      r.arrival_side = side;
+    } else {
+      r.from = j;
+      r.departure_side = side;
+    }
+    net.add_road(r);
+  };
+  road("north_in", Side::North, true);
+  road("north_out", Side::North, false);
+  road("east_in", Side::East, true);
+  net.finalize(Handedness::LeftHand);
+  const auto problems = validate(net);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0], "road north_in: no movement leaves it at J");
+  EXPECT_THROW(validate_or_throw(net), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace abp::net

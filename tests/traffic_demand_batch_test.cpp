@@ -1,6 +1,6 @@
 // Tests for the batched demand interface (DemandGenerator::poll_into): the
 // per-tick buffer-reuse path the simulators drive must yield exactly the
-// same spawn sequence — time, entry road, route — as legacy one-shot
+// same spawn sequence — time and route — as legacy one-shot
 // polling for a fixed seed, no matter how the horizon is sliced into
 // windows, and the earliest-arrival early-out must never skip a spawn.
 #include "src/traffic/demand.hpp"
@@ -42,8 +42,7 @@ void expect_same_sequence(const std::vector<SpawnRequest>& a,
     // Exact double equality on purpose: the batched path must consume the
     // identical RNG stream, not an approximately similar one.
     EXPECT_EQ(a[i].time, b[i].time) << "spawn " << i;
-    EXPECT_EQ(a[i].entry, b[i].entry) << "spawn " << i;
-    EXPECT_EQ(a[i].route.turns, b[i].route.turns) << "spawn " << i;
+    EXPECT_EQ(a[i].route, b[i].route) << "spawn " << i;
   }
 }
 
@@ -90,15 +89,6 @@ TEST(DemandBatch, BufferIsClearedEveryPoll) {
   std::vector<SpawnRequest> junk(5);
   idle.poll_into(0.0, 1.0e-9, junk);
   EXPECT_TRUE(junk.empty());
-}
-
-TEST(DemandBatch, ResetReplaysBatchedSequence) {
-  const net::Network net = grid3();
-  DemandGenerator gen(net, config(PatternKind::III), 77);
-  const auto first = poll_windowed(gen, 600.0, 1.0);
-  gen.reset();
-  const auto second = poll_windowed(gen, 600.0, 1.0);
-  expect_same_sequence(first, second);
 }
 
 }  // namespace

@@ -1,16 +1,45 @@
-// Tests for route construction and sampling on the grid.
+// Tests for route resolution and sampling on the grid.
 #include "src/traffic/route.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include "src/net/grid.hpp"
+#include "src/traffic/demand.hpp"
 
 namespace abp::traffic {
 namespace {
 
 net::Network grid3() { return net::build_grid(net::GridConfig{}); }
+
+// The links a vehicle on `route` takes from its entry road to an exit road,
+// resolved one junction at a time with route_link(), as the simulators do.
+std::vector<LinkId> links_of_route(const net::Network& net, const Route& route) {
+  std::vector<LinkId> links;
+  RoadId road = route.entry;
+  while (!net.road(road).is_exit() && links.size() <= net.roads().size()) {
+    links.push_back(route_link(net, route, links.size(), road));
+    road = net.link(links.back()).to_road;
+  }
+  return links;
+}
+
+// The roads a vehicle on `route` traverses, entry road first, exit road last.
+std::vector<RoadId> roads_of_route(const net::Network& net, const Route& route) {
+  std::vector<RoadId> roads{route.entry};
+  for (LinkId link : links_of_route(net, route)) roads.push_back(net.link(link).to_road);
+  return roads;
+}
+
+// sample_route() with the entry's own side and straight path, as the demand
+// generator draws it.
+Route sample(const net::Network& net, RoadId entry, const TurningTable& table, Rng& rng) {
+  return sample_route(entry, table.entering_from(net.road(entry).arrival_side),
+                      straight_path_junctions(net, entry), rng);
+}
 
 TEST(Route, StraightPathCrossesGridDimension) {
   const net::Network net = grid3();
@@ -27,13 +56,10 @@ TEST(Route, StraightPathCrossesGridDimension) {
 TEST(Route, PureStraightRouteEndsAtOppositeExit) {
   const net::Network net = grid3();
   const RoadId entry = net.entry_roads_on(net::Side::North).front();
-  const Route route = make_route(net, entry, net::Turn::Straight, 0);
-  EXPECT_EQ(route.junction_count(), 3u);
-  const auto roads = roads_of_route(net, route);
-  ASSERT_TRUE(roads.has_value());
+  const std::vector<RoadId> roads = roads_of_route(net, Route{.entry = entry});
   // entry + 2 internal + exit = 4 roads.
-  ASSERT_EQ(roads->size(), 4u);
-  const net::Road& last = net.road(roads->back());
+  ASSERT_EQ(roads.size(), 4u);
+  const net::Road& last = net.road(roads.back());
   EXPECT_TRUE(last.is_exit());
   // Exiting southward: the exit road leaves a bottom-row junction's South side.
   EXPECT_EQ(last.departure_side, net::Side::South);
@@ -45,11 +71,10 @@ TEST(Route, TurnAtEachJunctionIsLegal) {
     const int junctions = straight_path_junctions(net, entry);
     for (net::Turn turn : {net::Turn::Left, net::Turn::Right}) {
       for (int at = 0; at < junctions; ++at) {
-        const Route route = make_route(net, entry, turn, at);
-        const auto roads = roads_of_route(net, route);
-        ASSERT_TRUE(roads.has_value())
+        const std::vector<RoadId> roads =
+            roads_of_route(net, Route{.entry = entry, .turn = turn, .turn_at = at});
+        EXPECT_TRUE(net.road(roads.back()).is_exit())
             << net.road(entry).name << " turn " << net::turn_name(turn) << " at " << at;
-        EXPECT_TRUE(net.road(roads->back()).is_exit());
       }
     }
   }
@@ -58,22 +83,15 @@ TEST(Route, TurnAtEachJunctionIsLegal) {
 TEST(Route, TurnSequenceHasExactlyOneTurn) {
   const net::Network net = grid3();
   const RoadId entry = net.entry_roads_on(net::Side::West).front();
-  const Route route = make_route(net, entry, net::Turn::Left, 1);
+  const std::vector<LinkId> links =
+      links_of_route(net, Route{.entry = entry, .turn = net::Turn::Left, .turn_at = 1});
   int turns = 0;
-  for (net::Turn t : route.turns) {
-    if (t != net::Turn::Straight) ++turns;
+  for (LinkId link : links) {
+    if (net.link(link).turn != net::Turn::Straight) ++turns;
   }
   EXPECT_EQ(turns, 1);
-  EXPECT_EQ(route.turns[1], net::Turn::Left);
-}
-
-TEST(Route, RoadsOfRouteRejectsIllegalCommand) {
-  const net::Network net = grid3();
-  Route bogus;
-  bogus.entry = net.entry_roads().front();
-  // Too few turns: the walk ends on a non-exit road.
-  bogus.turns = {net::Turn::Straight};
-  EXPECT_FALSE(roads_of_route(net, bogus).has_value());
+  ASSERT_GT(links.size(), 1u);
+  EXPECT_EQ(net.link(links[1]).turn, net::Turn::Left);
 }
 
 TEST(Route, SampleRouteAlwaysLegal) {
@@ -82,9 +100,9 @@ TEST(Route, SampleRouteAlwaysLegal) {
   Rng rng(99);
   for (RoadId entry : net.entry_roads()) {
     for (int i = 0; i < 200; ++i) {
-      const Route route = sample_route(net, entry, table, rng);
+      const Route route = sample(net, entry, table, rng);
       EXPECT_EQ(route.entry, entry);
-      EXPECT_TRUE(roads_of_route(net, route).has_value());
+      EXPECT_TRUE(net.road(roads_of_route(net, route).back()).is_exit());
     }
   }
 }
@@ -97,11 +115,7 @@ TEST(Route, SampleMatchesTableIProbabilities) {
   int left = 0, right = 0, straight = 0;
   constexpr int kN = 20000;
   for (int i = 0; i < kN; ++i) {
-    const Route route = sample_route(net, entry, table, rng);
-    net::Turn taken = net::Turn::Straight;
-    for (net::Turn t : route.turns) {
-      if (t != net::Turn::Straight) taken = t;
-    }
+    const net::Turn taken = sample(net, entry, table, rng).turn;
     (taken == net::Turn::Left ? left : taken == net::Turn::Right ? right : straight)++;
   }
   // North column of Table I: right 0.4, left 0.2, straight 0.4.
@@ -118,9 +132,9 @@ TEST(Route, TurningJunctionUniformlyDistributed) {
   std::map<std::size_t, int> turn_positions;
   constexpr int kN = 30000;
   for (int i = 0; i < kN; ++i) {
-    const Route route = sample_route(net, entry, table, rng);
-    for (std::size_t j = 0; j < route.turns.size(); ++j) {
-      if (route.turns[j] != net::Turn::Straight) {
+    const std::vector<LinkId> links = links_of_route(net, sample(net, entry, table, rng));
+    for (std::size_t j = 0; j < links.size(); ++j) {
+      if (net.link(links[j]).turn != net::Turn::Straight) {
         turn_positions[j]++;
         break;
       }
@@ -144,11 +158,45 @@ TEST(Route, SingleJunctionGridStillRoutes) {
   for (RoadId entry : net.entry_roads()) {
     EXPECT_EQ(straight_path_junctions(net, entry), 1);
     for (int i = 0; i < 50; ++i) {
-      const Route route = sample_route(net, entry, table, rng);
-      EXPECT_TRUE(roads_of_route(net, route).has_value());
-      EXPECT_EQ(route.junction_count(), 1u);
+      const std::vector<RoadId> roads = roads_of_route(net, sample(net, entry, table, rng));
+      ASSERT_EQ(roads.size(), 2u);
+      EXPECT_TRUE(net.road(roads.back()).is_exit());
     }
   }
+}
+
+// FNV-1a over the entry road and resolved link sequence of the first 2,000
+// spawns of a 3x3 run at seed 1.
+std::uint64_t route_digest(PatternKind pattern) {
+  const net::Network net = grid3();
+  DemandConfig cfg;
+  cfg.pattern = pattern;
+  DemandGenerator gen(net, cfg, 1);
+  const std::vector<SpawnRequest> spawns = gen.poll(0.0, 3600.0);
+  EXPECT_GE(spawns.size(), 2000u);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto add = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (std::size_t i = 0; i < 2000 && i < spawns.size(); ++i) {
+    const Route& route = spawns[i].route;
+    add(route.entry.value());
+    const std::vector<LinkId> links = links_of_route(net, route);
+    for (LinkId link : links) add(link.value());
+    add(links.size());
+  }
+  return hash;
+}
+
+// The values were captured when a route was its expanded per-junction turn
+// vector, walked with Network::find_link: resolving each junction's movement
+// on demand must take every vehicle over the same links.
+TEST(Route, LinkSequencesArePinned) {
+  EXPECT_EQ(route_digest(PatternKind::II), 0x89bdf3d711c35ce4ULL);
+  EXPECT_EQ(route_digest(PatternKind::Mixed), 0x55c11c05bb8638d0ULL);
 }
 
 }  // namespace
