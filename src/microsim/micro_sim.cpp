@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "src/microsim/krauss.hpp"
@@ -42,37 +43,41 @@ void MicroSim::build_runtime() {
   road_capacity_.reserve(net_.roads().size());
   for (const net::Road& road : net_.roads()) road_capacity_.push_back(road.capacity);
 
+  // Lane layout: an exit road has one unsignalled lane. Any other road has
+  // one dedicated lane per feasible movement, in the topology index's turn
+  // order (Left, Straight, Right) — exactly the dedicated-lane layout the
+  // paper assumes — or one mixed lane shared by all movements, where a
+  // vehicle's own route selects its movement at the stop line (head-of-line
+  // blocking). The lane table is sized once, then filled road by road.
+  std::uint32_t lane_total = 0;
   for (const net::Road& road : net_.roads()) {
     RoadRt& rt = roads_[road.id.index()];
-    if (road.is_exit()) {
-      rt.lanes.push_back(Lane{});  // single unsignalled lane
-      rt.to_junction = kNoJunction;
-      continue;
-    }
-    rt.to_junction = static_cast<std::uint32_t>(road.to.index());
-    // The topology index guarantees turn order (Left, Straight, Right) —
-    // exactly the dedicated-lane layout the paper assumes.
-    const std::span<const LinkId> movements = net_.links_from(road.id);
-    if (config_.dedicated_turn_lanes) {
-      // One dedicated lane per feasible movement, ordered Left/Straight/Right.
-      for (LinkId lid : movements) {
-        LinkRt& lrt = links_[lid.index()];
-        lrt.from_road = road.id;
-        lrt.lane_index = static_cast<int>(rt.lanes.size());
-        Lane lane;
-        lane.link = lid;
-        rt.lanes.push_back(std::move(lane));
-      }
-    } else {
-      // One mixed lane shared by all movements: a vehicle's own route
-      // selects its movement at the stop line (head-of-line blocking).
-      rt.lanes.push_back(Lane{});
-      for (LinkId lid : movements) {
-        LinkRt& lrt = links_[lid.index()];
-        lrt.from_road = road.id;
-        lrt.lane_index = 0;
+    rt.lane_begin = lane_total;
+    rt.lane_count = road.is_exit() || !config_.dedicated_turn_lanes
+                        ? 1
+                        : static_cast<std::uint32_t>(net_.links_from(road.id).size());
+    rt.to_junction =
+        road.is_exit() ? kNoJunction : static_cast<std::uint32_t>(road.to.index());
+    lane_total += rt.lane_count;
+  }
+  lanes_ = std::vector<Lane>(lane_total);
+  for (const net::Road& road : net_.roads()) {
+    if (road.is_exit()) continue;
+    const RoadRt& rt = roads_[road.id.index()];
+    int lane_index = 0;
+    for (LinkId lid : net_.links_from(road.id)) {
+      LinkRt& lrt = links_[lid.index()];
+      lrt.from_road = road.id;
+      if (config_.dedicated_turn_lanes) {
+        lrt.lane_index = lane_index++;
+        lane_of(rt, lrt.lane_index).link = lid;
       }
     }
+  }
+  entry_buffers_ = std::vector<std::deque<VehicleId>>(net_.entry_roads().size());
+  entry_slot_.assign(net_.roads().size(), kNoEntrySlot);
+  for (std::size_t k = 0; k < net_.entry_roads().size(); ++k) {
+    entry_slot_[net_.entry_roads()[k].index()] = static_cast<std::uint32_t>(k);
   }
 
   // Per-(intersection, phase) green-link index, CSR over one flat array:
@@ -108,8 +113,8 @@ void MicroSim::build_runtime() {
   link_queued_approach_.assign(net_.links().size(), 0);
   active_roads_.assign((net_.roads().size() + 63) / 64, 0);
   approach_count_.assign(net_.intersections().size(), 0);
-  std::size_t max_lanes = 1;
-  for (const RoadRt& rt : roads_) max_lanes = std::max(max_lanes, rt.lanes.size());
+  std::uint32_t max_lanes = 1;
+  for (const RoadRt& rt : roads_) max_lanes = std::max(max_lanes, rt.lane_count);
   lane_blocked_.assign(max_lanes, 0);
 }
 
@@ -119,16 +124,13 @@ void MicroSim::watch_road(RoadId road, std::string series_name) {
 }
 
 int MicroSim::lane_count(LinkId link) const {
-  const LinkRt& lrt = links_[link.index()];
-  const Lane& lane =
-      roads_[lrt.from_road.index()].lanes[static_cast<std::size_t>(lrt.lane_index)];
+  const Lane& lane = lane_of(link);
   if (lane.link) return static_cast<int>(lane.vehicles.size());
   // Mixed lane: count the vehicles whose route takes this movement.
-  int count = 0;
-  for (VehicleId vid : lane.vehicles) {
-    if (veh_next_link_[vid.index()] == link) ++count;
-  }
-  return count;
+  const VehicleId* ids = lane.vehicles.ids();
+  return static_cast<int>(std::count_if(ids, ids + lane.vehicles.size(), [&](VehicleId vid) {
+    return veh_next_link_[vid.index()] == link;
+  }));
 }
 
 int MicroSim::road_occupancy(RoadId road) const { return roads_[road.index()].occupancy; }
@@ -150,46 +152,39 @@ net::PhaseIndex MicroSim::displayed_phase(IntersectionId node) const {
 int MicroSim::vehicles_in_network() const { return in_network_count_; }
 
 std::vector<double> MicroSim::lane_positions(LinkId link) const {
-  const LinkRt& lrt = links_[link.index()];
-  const Lane& lane =
-      roads_[lrt.from_road.index()].lanes[static_cast<std::size_t>(lrt.lane_index)];
-  std::vector<double> positions;
-  positions.reserve(lane.pos.size());
-  for (std::size_t i = 0; i < lane.pos.size(); ++i) positions.push_back(lane.pos[i]);
-  return positions;
+  const LaneStore& vehicles = lane_of(link).vehicles;
+  return std::vector<double>(vehicles.pos(), vehicles.pos() + vehicles.size());
 }
 
 bool MicroSim::no_overlaps() const {
-  for (const RoadRt& rt : roads_) {
-    for (const Lane& lane : rt.lanes) {
-      for (std::size_t i = 0; i + 1 < lane.pos.size(); ++i) {
-        if (lane.pos[i + 1] > lane.pos[i] - config_.vehicle.length_m + 1e-6) return false;
-      }
+  for (const Lane& lane : lanes_) {
+    const double* pos = lane.vehicles.pos();
+    for (std::size_t i = 0; i + 1 < lane.vehicles.size(); ++i) {
+      if (pos[i + 1] > pos[i] - config_.vehicle.length_m + 1e-6) return false;
     }
   }
   return true;
 }
 
 int MicroSim::lane_queued_count(const Lane& lane, double threshold_mps) const {
-  int count = 0;
-  for (std::size_t i = 0; i < lane.speed.size(); ++i) {
-    if (lane.speed[i] < threshold_mps) ++count;
-  }
-  return count;
+  const double* speed = lane.vehicles.speed();
+  return static_cast<int>(std::count_if(speed, speed + lane.vehicles.size(),
+                                        [&](double v) { return v < threshold_mps; }));
 }
 
 int MicroSim::road_queued_count(RoadId road, double threshold_mps) const {
+  const RoadRt& rt = roads_[road.index()];
   int count = 0;
-  for (const Lane& lane : roads_[road.index()].lanes) {
+  for (const Lane& lane : std::span(lanes_).subspan(rt.lane_begin, rt.lane_count)) {
     count += lane_queued_count(lane, threshold_mps);
   }
   return count;
 }
 
 bool MicroSim::entry_clear(const RoadRt& rt, int lane_index) const {
-  const Lane& lane = rt.lanes[static_cast<std::size_t>(lane_index)];
-  if (lane.vehicles.empty()) return true;
-  const double rear_pos = lane.pos.back();
+  const LaneStore& vehicles = lane_of(rt, lane_index).vehicles;
+  if (vehicles.empty()) return true;
+  const double rear_pos = vehicles.pos()[vehicles.size() - 1];
   // The new vehicle's front bumper enters at pos 0; the rear vehicle's back
   // bumper must leave room for it plus the standstill gap.
   return rear_pos - config_.vehicle.length_m >= config_.vehicle.min_gap_m + 0.5;
@@ -280,10 +275,12 @@ void MicroSim::admit_spawns() {
     m.road = req.route.entry;
     veh_next_link_[vid.index()] = traffic::route_link(net_, m.route, 0, m.road);
     result_.metrics.generated += 1;
-    roads_[m.road.index()].buffer.push_back(vid);
+    entry_buffers_[entry_slot_[m.road.index()]].push_back(vid);
   }
-  for (RoadId entry : net_.entry_roads()) {
+  for (std::size_t k = 0; k < entry_buffers_.size(); ++k) {
+    const RoadId entry = net_.entry_roads()[k];
     RoadRt& rt = roads_[entry.index()];
+    std::deque<VehicleId>& buffer = entry_buffers_[k];
     const int capacity = road_capacity_[entry.index()];
     // Per-lane FIFO admission: dedicated turning lanes run the full road
     // length, so a vehicle waiting for a full lane does not physically block
@@ -291,8 +288,8 @@ void MicroSim::admit_spawns() {
     // lane; a lane that rejects its first candidate admits nobody this step.
     // The scratch is sized to the widest road of the network (build_runtime),
     // never to a fixed lane count.
-    std::fill(lane_blocked_.begin(), lane_blocked_.begin() + rt.lanes.size(), 0);
-    for (auto it = rt.buffer.begin(); it != rt.buffer.end() && rt.occupancy < capacity;) {
+    std::fill(lane_blocked_.begin(), lane_blocked_.begin() + rt.lane_count, 0);
+    for (auto it = buffer.begin(); it != buffer.end() && rt.occupancy < capacity;) {
       const VehicleId vid = *it;
       VehMeta& m = veh_meta_[vid.index()];
       const int lane = links_[veh_next_link_[vid.index()].index()].lane_index;
@@ -301,7 +298,7 @@ void MicroSim::admit_spawns() {
         ++it;
         continue;
       }
-      it = rt.buffer.erase(it);
+      it = buffer.erase(it);
       rt.occupancy += 1;
       mark_active(entry.index());
       approach_count_[rt.to_junction] += 1;
@@ -309,7 +306,7 @@ void MicroSim::admit_spawns() {
       m.lane = lane;
       m.entry_time = now_;
       in_network_count_ += 1;
-      rt.lanes[static_cast<std::size_t>(lane)].push_vehicle(
+      lane_of(rt, lane).vehicles.push(
           vid, 0.0, std::min(config_.insertion_speed_mps, net_.road(entry).speed_limit_mps),
           veh_waiting_[vid.index()]);
       result_.metrics.entered += 1;
@@ -318,7 +315,7 @@ void MicroSim::admit_spawns() {
       lane_blocked_[static_cast<std::size_t>(lane)] = 1;
     }
     result_.metrics.entry_blocked_time_s +=
-        static_cast<double>(rt.buffer.size()) * config_.dt_s;
+        static_cast<double>(buffer.size()) * config_.dt_s;
   }
 }
 
@@ -336,7 +333,7 @@ void MicroSim::release_junction_vehicles() {
     if (m.junction_exit <= now_ && entry_clear(target, m.lane)) {
       m.loc = Loc::Lane;
       if (target.to_junction != kNoJunction) approach_count_[target.to_junction] += 1;
-      target.lanes[static_cast<std::size_t>(m.lane)].push_vehicle(
+      lane_of(target, m.lane).vehicles.push(
           vid, 0.0, std::min(config_.insertion_speed_mps, net_.road(m.road).speed_limit_mps),
           veh_waiting_[vid.index()]);
     } else {
@@ -407,9 +404,9 @@ void MicroSim::service_junctions() {
       const LinkRt& lrt = links_[lid.index()];
       if (now_ < lrt.next_grant) continue;
       RoadRt& rt = roads_[lrt.from_road.index()];
-      Lane& lane = rt.lanes[static_cast<std::size_t>(lrt.lane_index)];
+      Lane& lane = lane_of(rt, lrt.lane_index);
       if (lane.vehicles.empty()) continue;
-      const VehicleId vid = lane.vehicles.front();
+      const VehicleId vid = lane.vehicles.ids()[0];
       // Mixed lane: this link only serves the head if it is the head's own
       // movement (dedicated lanes satisfy this by construction), and the stop
       // line serves at most one vehicle per tick even when several green links
@@ -419,15 +416,15 @@ void MicroSim::service_junctions() {
         continue;
       }
       const net::Road& road = net_.road(lrt.from_road);
-      if (lane.pos.front() < road.length_m - config_.service_zone_m) continue;
+      if (lane.vehicles.pos()[0] < road.length_m - config_.service_zone_m) continue;
       if (!try_grant(vid, lid)) continue;
       lane.serviced_at = now_;
-      veh_waiting_[vid.index()] = lane.waiting.front();
+      veh_waiting_[vid.index()] = lane.vehicles.waiting()[0];
       VehMeta& m = veh_meta_[vid.index()];
       m.junction_exit = now_ + config_.junction_crossing_s;
       rt.occupancy -= 1;
       approach_count_[ni] -= 1;
-      lane.pop_head();
+      lane.vehicles.pop_head();
       m.loc = Loc::Junction;
       in_junction_.push_back(vid);
     }
@@ -448,8 +445,9 @@ void MicroSim::sweep_lane(const net::Road& road, Lane& lane, StreamRng& rng) {
   const VehicleParams vp = config_.vehicle;
   const double road_length = road.length_m;
   const bool is_exit = road.is_exit();
-  double* pos = &lane.pos[0];
-  double* speed = &lane.speed[0];
+  double* pos = lane.vehicles.pos();
+  double* speed = lane.vehicles.speed();
+  double* waiting = lane.vehicles.waiting();
 
   // Kinematics: the vectorized kernel passes of lane_kernel.hpp — bulk
   // dawdle fill (one counter-stream batch, identical stream accounting to n
@@ -477,12 +475,11 @@ void MicroSim::sweep_lane(const net::Road& road, Lane& lane, StreamRng& rng) {
     // in road order, which fixes the floating-point metric accumulation
     // order. A completed vehicle is gone by decision time and must not count
     // in the waiting/memo passes below.
-    const VehicleId done = lane.vehicles.front();
-    veh_waiting_[done.index()] = lane.waiting[0];
+    const VehicleId done = lane.vehicles.ids()[0];
+    veh_waiting_[done.index()] = waiting[0];
     complete_vehicle(done);
     begin = 1;
   }
-  double* waiting = &lane.waiting[0];
   const double waiting_threshold = config_.waiting_speed_threshold_mps;
   for (std::size_t i = begin; i < n; ++i) {
     // Waiting-time accumulation, folded into the lane update so the per-tick
@@ -512,14 +509,14 @@ void MicroSim::sweep_lane(const net::Road& road, Lane& lane, StreamRng& rng) {
       // movement; invalid on exit roads, where no link row exists.
       for (std::size_t i = begin; i < n; ++i) {
         if (speed[i] < approach_threshold) {
-          const LinkId movement = veh_next_link_[lane.vehicles[i].index()];
+          const LinkId movement = veh_next_link_[lane.vehicles.ids()[i].index()];
           if (movement.valid()) link_queued_approach_[movement.index()] += 1;
         }
       }
     }
   }
   if (begin == 1) {
-    lane.pop_head();
+    lane.vehicles.pop_head();
   }
 }
 
@@ -558,7 +555,7 @@ void MicroSim::sweep_roads() {
       }
       const net::Road& road = roads[r];
       StreamRng& stream = road_streams_[r];
-      for (Lane& lane : rt.lanes) {
+      for (Lane& lane : std::span(lanes_).subspan(rt.lane_begin, rt.lane_count)) {
         // Empty dedicated lanes are common (traffic concentrates on a few
         // movements); skip them before paying the call.
         if (!lane.vehicles.empty()) sweep_lane(road, lane, stream);
@@ -625,11 +622,9 @@ stats::RunResult MicroSim::finish(double duration_s) {
   finished_ = true;
   // Flush the lane-carried waiting times of vehicles still on a lane back to
   // the per-vehicle array before closing their records.
-  for (RoadRt& rt : roads_) {
-    for (Lane& lane : rt.lanes) {
-      for (std::size_t i = 0; i < lane.vehicles.size(); ++i) {
-        veh_waiting_[lane.vehicles[i].index()] = lane.waiting[i];
-      }
+  for (const Lane& lane : lanes_) {
+    for (std::size_t i = 0; i < lane.vehicles.size(); ++i) {
+      veh_waiting_[lane.vehicles.ids()[i].index()] = lane.vehicles.waiting()[i];
     }
   }
   // Close open records in spawn order: slot recycling permutes vehicle

@@ -48,14 +48,17 @@
 // any state.
 //
 // Vehicle state is stored SoA, split hot from cold. The kinematic state the
-// sweep touches on every vehicle-step — position and speed — lives in per-lane
-// parallel arrays kept in lockstep with the lane's vehicle-id queue, so the
-// inner Krauss loop streams over contiguous doubles in follow order instead
-// of gathering through vehicle ids (the AoS layout paid one-plus cache lines
-// per vehicle-step for exactly this). Waiting time and the resolved next
-// movement are global arrays indexed by VehicleId (touched only for slow or
-// head vehicles), and the cold metadata (route, timestamps, junction
-// bookkeeping) sits in a VehMeta array that only the junction phase reads.
+// sweep touches on every vehicle-step — position and speed — lives in each
+// lane's single storage block (src/microsim/lane_store.hpp), next to the
+// lane's waiting times and vehicle ids, so the inner Krauss loop streams over
+// contiguous doubles in follow order instead of gathering through vehicle ids
+// (the AoS layout paid one-plus cache lines per vehicle-step for exactly
+// this). Every lane sits in one table in road order, so the sweep walks the
+// lanes of the active roads forward through one array. The resolved next
+// movement and the carried waiting total are global arrays indexed by
+// VehicleId (touched only for head or departing vehicles), and the cold
+// metadata (route, timestamps, junction bookkeeping) sits in a VehMeta array
+// that only the junction phase reads. Only entry roads own a spawn buffer.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +69,12 @@
 
 #include "src/core/controller.hpp"
 #include "src/microsim/lane_kernel.hpp"
+#include "src/microsim/lane_store.hpp"
 #include "src/microsim/params.hpp"
 #include "src/net/network.hpp"
 #include "src/stats/run_result.hpp"
 #include "src/traffic/demand.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/vec_queue.hpp"
 
 namespace abp::microsim {
 
@@ -125,10 +128,10 @@ class MicroSim {
   enum class Loc { Outside, Lane, Junction, Done };
 
   // Cold per-vehicle metadata. The hot kinematic state (position, speed,
-  // in-lane waiting time) lives in the per-lane SoA queues (Lane::pos/speed/
-  // waiting); the per-vehicle veh_waiting_ / veh_next_link_ arrays (indexed
-  // by VehicleId::index()) hold the carried waiting total and the resolved
-  // next movement.
+  // in-lane waiting time) lives in the lane blocks (Lane::vehicles); the
+  // per-vehicle veh_waiting_ / veh_next_link_ arrays (indexed by
+  // VehicleId::index()) hold the carried waiting total and the resolved next
+  // movement.
   struct VehMeta {
     traffic::Route route;
     // Global spawn ordinal. Slot recycling permutes vehicle indices, so
@@ -144,50 +147,31 @@ class MicroSim {
   };
 
   struct Lane {
+    // The lane's vehicles, head (largest pos) first: id, position, speed and
+    // the waiting time accumulated on this lane, in one block. The waiting
+    // time is carried in from the global veh_waiting_ array on push and
+    // written back on pop — a scattered access once per road traversal
+    // instead of once per queued vehicle-step.
+    LaneStore vehicles;
     // Movement this lane feeds; empty for the single lane of an exit road.
     std::optional<LinkId> link;
-    // SoA lane state, index-aligned and ordered head (largest pos) first:
-    // vehicles[i] / pos[i] / speed[i] / waiting[i] describe the same vehicle.
-    // All four queues see the identical push/pop sequence, and VecQueue's
-    // layout is a pure function of that sequence, so the alignment holds by
-    // construction (mutate only through push_vehicle/pop_head). Keeping the
-    // kinematics in the lane makes the sweep's hot loop a contiguous
-    // streaming pass. `waiting` is the vehicle's accumulated waiting time
-    // carried into the lane on push and written back to the global
-    // veh_waiting_ array on pop — a scattered access once per road traversal
-    // instead of once per queued vehicle-step.
-    VecQueue<VehicleId> vehicles;
-    VecQueue<double> pos;
-    VecQueue<double> speed;
-    VecQueue<double> waiting;
     // Tick timestamp of the last service grant from this lane. A stop line
     // is one physical server: on a mixed lane several green links share the
     // lane, and without this stamp a second link could serve the new head in
     // the same tick, doubling the lane's discharge rate.
     double serviced_at = -1.0;
-
-    void push_vehicle(VehicleId vid, double p, double s, double w) {
-      vehicles.push_back(vid);
-      pos.push_back(p);
-      speed.push_back(s);
-      waiting.push_back(w);
-    }
-    void pop_head() {
-      vehicles.pop_front();
-      pos.pop_front();
-      speed.pop_front();
-      waiting.pop_front();
-    }
   };
+  // The sweep walks lanes_ forward, so a lane's size is its stride.
+  static_assert(sizeof(Lane) <= 40);
 
+  // A road's lanes are lanes_[lane_begin .. lane_begin + lane_count).
   struct RoadRt {
-    std::vector<Lane> lanes;
+    std::uint32_t lane_begin = 0;
+    std::uint32_t lane_count = 0;
     // Vehicles on lanes + junction-box reservations headed here.
     int occupancy = 0;
     // Index of the junction this road arrives at; kNoJunction on exit roads.
     std::uint32_t to_junction = 0;
-    // Spawns waiting outside the network for space, FIFO.
-    std::deque<VehicleId> buffer;
   };
 
   struct LinkRt {
@@ -209,6 +193,7 @@ class MicroSim {
   };
 
   static constexpr std::uint32_t kNoJunction = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNoEntrySlot = ~std::uint32_t{0};
 
   struct Watch {
     RoadId road;
@@ -256,6 +241,17 @@ class MicroSim {
   [[nodiscard]] int lane_queued_count(const Lane& lane, double threshold_mps) const;
   // Sum of lane_queued_count over all lanes of the road (q_i of Eq. 1).
   [[nodiscard]] int road_queued_count(RoadId road, double threshold_mps) const;
+  // Lane `lane_index` of a road, and the lane that feeds `link`.
+  [[nodiscard]] Lane& lane_of(const RoadRt& rt, int lane_index) {
+    return lanes_[rt.lane_begin + static_cast<std::uint32_t>(lane_index)];
+  }
+  [[nodiscard]] const Lane& lane_of(const RoadRt& rt, int lane_index) const {
+    return lanes_[rt.lane_begin + static_cast<std::uint32_t>(lane_index)];
+  }
+  [[nodiscard]] const Lane& lane_of(LinkId link) const {
+    const LinkRt& lrt = links_[link.index()];
+    return lane_of(roads_[lrt.from_road.index()], lrt.lane_index);
+  }
   // True when a vehicle can be released at the start of the lane.
   [[nodiscard]] bool entry_clear(const RoadRt& rt, int lane_index) const;
 
@@ -295,6 +291,13 @@ class MicroSim {
   int in_network_count_ = 0;
 
   std::vector<RoadRt> roads_;
+  // Every lane of the network, road by road (RoadRt::lane_begin).
+  std::vector<Lane> lanes_;
+  // Spawns waiting outside the network for space, FIFO: one buffer per entry
+  // road, in net_.entry_roads() order. entry_slot_[road] indexes it
+  // (kNoEntrySlot on every other road).
+  std::vector<std::deque<VehicleId>> entry_buffers_;
+  std::vector<std::uint32_t> entry_slot_;
   std::vector<LinkRt> links_;
   // Precomputed green-link index (CSR): for intersection n displaying phase
   // p, the movements with right-of-way are

@@ -1,7 +1,9 @@
 #include "src/scenario/scenario_io.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -56,6 +58,47 @@ constexpr std::int64_t kMaxGridCells = 65536;
 // mixed demand at dt 0.5 s: 28,800 ticks); far longer runs only grow their
 // series without end.
 constexpr double kMaxTicks = 921600;
+
+// 2^22: about 80x the expected arrivals of the largest run any test, bench or
+// workload makes (dense8x8_micro: about 52k). Demand far beyond what the grid
+// can admit only grows the spawn buffers until std::bad_alloc.
+constexpr double kMaxArrivals = 4194304;
+
+// An upper bound on a run's expected arrivals: duration_s times the summed
+// rate of every entry road, each side at the smallest mean inter-arrival its
+// pattern, Mixed cycle or schedule segments can reach.
+double expected_arrivals_bound(const ScenarioConfig& c) {
+  const traffic::DemandConfig& d = c.demand;
+  double rate = 0.0;
+  for (const Token<net::Side>& side : kSideTokens) {
+    double mean = std::numeric_limits<double>::infinity();
+    if (!d.schedule.empty()) {
+      for (const traffic::ScheduleSegment& s : d.schedule.segments()) {
+        mean = std::min(mean, traffic::arrival_row(s.pattern).on(side.value) *
+                                  s.interarrival_scale);
+      }
+    } else if (d.pattern == traffic::PatternKind::Mixed) {
+      for (traffic::PatternKind k : {traffic::PatternKind::I, traffic::PatternKind::II,
+                                     traffic::PatternKind::III, traffic::PatternKind::IV}) {
+        mean = std::min(mean, traffic::arrival_row(k).on(side.value));
+      }
+    } else {
+      mean = traffic::arrival_row(d.pattern).on(side.value);
+    }
+    const bool north_south = side.value == net::Side::North || side.value == net::Side::South;
+    const int entry_roads = north_south ? c.grid.cols : c.grid.rows;
+    rate += entry_roads / (mean * d.interarrival_scale);
+  }
+  return c.duration_s * rate;
+}
+
+std::string arrivals_problem(double bound) {
+  std::ostringstream out;
+  out << "allows up to " << bound
+      << " expected arrivals over duration_s at the peak rate of every entry road; "
+         "must not exceed 4194304";
+  return out.str();
+}
 
 // The v3/v4 "shard" section: a single-process run, which is all that
 // remains. allow_oversubscribe never changed results, so either value loads.
@@ -329,6 +372,12 @@ void describe(V& v, ScenarioConfig& c) {
       c.simulator == SimulatorKind::Micro ? c.micro.dt_s : c.queue.step_s;
   v.check("duration_s", c.duration_s / step_s <= kMaxTicks,
           "must not exceed 921600 ticks of the selected backend's step");
+  // The message is formatted only for a refusal: describe() runs on every
+  // load, validation and dump.
+  const double arrivals = expected_arrivals_bound(c);
+  const bool arrivals_ok = arrivals <= kMaxArrivals;
+  v.check("demand.interarrival_scale", arrivals_ok,
+          arrivals_ok ? "" : arrivals_problem(arrivals).c_str());
   v.array("watches", c.watches, WatchSpec{});
   v.object("faults", c.faults);
   v.object("guard", c.guard);

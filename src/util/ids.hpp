@@ -51,7 +51,6 @@ struct RoadTag {};
 struct LinkTag {};
 struct IntersectionTag {};
 struct VehicleTag {};
-struct LaneTag {};
 
 // A directed road segment (a node N_i of the paper's queueing graph).
 using RoadId = StrongId<RoadTag>;
@@ -61,8 +60,6 @@ using LinkId = StrongId<LinkTag>;
 using IntersectionId = StrongId<IntersectionTag>;
 // A simulated vehicle.
 using VehicleId = StrongId<VehicleTag>;
-// A dedicated turning lane on a road.
-using LaneId = StrongId<LaneTag>;
 
 }  // namespace abp
 

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <deque>
+#include <random>
+#include <tuple>
 
 #include "src/core/factory.hpp"
+#include "src/microsim/lane_store.hpp"
 #include "src/net/grid.hpp"
 
 namespace abp::microsim {
@@ -320,6 +325,111 @@ TEST(MicroSim, IdleDecisionSkipIsInvisible) {
     const traffic::DemandConfig demand = demand_cfg(c.pattern, c.interarrival_scale);
     EXPECT_EQ(run_digest(net, demand, 900.0, true), run_digest(net, demand, 900.0, false));
   }
+}
+
+// --- The lane block against a std::deque model ------------------------------
+
+// Drives a LaneStore and a deque of (id, pos, speed, waiting) side by side and
+// compares them after every operation: the size, every slot, head first.
+class LaneStoreModel {
+ public:
+  void push() {
+    const bool was_empty = store_.empty();
+    const double x = static_cast<double>(next_id_);
+    const VehicleId id(next_id_++);
+    store_.push(id, x + 0.25, x + 0.5, x + 0.75);
+    model_.emplace_back(id, x + 0.25, x + 0.5, x + 0.75);
+    // A lane that emptied starts over at slot 0.
+    if (was_empty) {
+      EXPECT_EQ(store_.head(), 0u);
+    }
+    peak_ = std::max(peak_, store_.size());
+    check();
+  }
+  void pop() {
+    store_.pop_head();
+    model_.pop_front();
+    check();
+  }
+  [[nodiscard]] const LaneStore& store() const { return store_; }
+
+ private:
+  void check() const {
+    ASSERT_EQ(store_.size(), model_.size());
+    EXPECT_EQ(store_.empty(), model_.empty());
+    for (std::size_t i = 0; i < model_.size(); ++i) {
+      const auto& [id, pos, speed, waiting] = model_[i];
+      EXPECT_EQ(store_.ids()[i], id) << "slot " << i;
+      EXPECT_EQ(store_.pos()[i], pos) << "slot " << i;
+      EXPECT_EQ(store_.speed()[i], speed) << "slot " << i;
+      EXPECT_EQ(store_.waiting()[i], waiting) << "slot " << i;
+    }
+    EXPECT_LE(store_.head() + store_.size(), store_.capacity());
+    // The bound lane_store.hpp states: the block only grows when at least
+    // half its slots are live.
+    EXPECT_LE(store_.capacity(), std::max<std::uint32_t>(4, 4 * peak_));
+  }
+
+  LaneStore store_;
+  std::deque<std::tuple<VehicleId, double, double, double>> model_;
+  std::uint32_t peak_ = 0;
+  VehicleId::value_type next_id_ = 0;
+};
+
+TEST(LaneStore, SeededPushPopSequencesMatchADeque) {
+  for (std::uint32_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 gen(seed);
+    LaneStoreModel lane;
+    // Alternate filling and draining phases so the lane grows, shrinks, and
+    // empties out completely along the way.
+    for (int phase = 0; phase < 12; ++phase) {
+      std::bernoulli_distribution push_next(phase % 2 == 0 ? 0.7 : 0.3);
+      for (int op = 0; op < 200; ++op) {
+        if (lane.store().empty() || push_next(gen)) {
+          lane.push();
+        } else {
+          lane.pop();
+        }
+      }
+    }
+    while (!lane.store().empty()) lane.pop();
+    lane.push();
+  }
+}
+
+TEST(LaneStore, SteadyOccupancyKeepsTheBlockBounded) {
+  for (int occupancy = 1; occupancy <= 64; ++occupancy) {
+    SCOPED_TRACE(occupancy);
+    LaneStoreModel lane;
+    for (int i = 0; i < occupancy; ++i) lane.push();
+    for (int i = 0; i < 300; ++i) {
+      lane.push();
+      lane.pop();
+    }
+    while (!lane.store().empty()) lane.pop();
+    lane.push();
+  }
+}
+
+TEST(LaneStore, GrowsAndCompactsWhileTheHeadIsAdvanced) {
+  LaneStoreModel lane;
+  for (int i = 0; i < 4; ++i) lane.push();
+  ASSERT_EQ(lane.store().capacity(), 4u);
+  lane.pop();
+  ASSERT_EQ(lane.store().head(), 1u);
+  // Full at the tail with 3 of 4 slots live: doubles, live slots to slot 0.
+  lane.push();
+  EXPECT_EQ(lane.store().capacity(), 8u);
+  EXPECT_EQ(lane.store().head(), 0u);
+  for (int i = 0; i < 4; ++i) lane.push();
+  for (int i = 0; i < 6; ++i) lane.pop();
+  ASSERT_EQ(lane.store().head(), 6u);
+  ASSERT_EQ(lane.store().size(), 2u);
+  // Full at the tail with 2 of 8 slots live: compacts in place.
+  lane.push();
+  EXPECT_EQ(lane.store().capacity(), 8u);
+  EXPECT_EQ(lane.store().head(), 0u);
 }
 
 }  // namespace

@@ -196,6 +196,51 @@ TEST(ScenarioIoTest, TickCountIsBounded) {
   ExpectLoadError(R"({"version": 5, "micro": {"dt_s": 0}})", "micro.dt_s: must be > 0");
 }
 
+// The refusal names the field and gives the bound it computed.
+void ExpectArrivalsRefused(const std::string& text, const std::string& bound) {
+  try {
+    (void)load_scenario(text);
+    FAIL() << "expected the expected-arrivals limit to refuse " << text;
+  } catch (const ScenarioIoError& e) {
+    EXPECT_EQ(e.path(), "demand.interarrival_scale");
+    EXPECT_EQ(std::string(e.what()),
+              "demand.interarrival_scale: allows up to " + bound +
+                  " expected arrivals over duration_s at the peak rate of every entry "
+                  "road; must not exceed 4194304");
+  }
+}
+
+TEST(ScenarioIoTest, ExpectedArrivalsAreBounded) {
+  // 2x2 grid for 120 s at pattern II: 8 entry roads at one arrival per
+  // 6e-6 s would queue 1.6e8 vehicles outside the network.
+  ExpectArrivalsRefused(R"({"version": 6, "grid": {"rows": 2, "cols": 2},
+      "duration_s": 120, "demand": {"interarrival_scale": 1e-6}})",
+                        "1.6e+08");
+  // A schedule segment's scale counts too: the 3x3 grid's 12 entry roads at
+  // pattern I's rates divided by 1e6, for 600 s.
+  ExpectArrivalsRefused(R"({"version": 6, "duration_s": 600, "demand": {"segments": [
+        {"duration_s": 300, "pattern": "II"},
+        {"duration_s": 300, "pattern": "I", "interarrival_scale": 1e-6}]}})",
+                        "1.41714e+09");
+  // Mixed counts each side at its busiest hour, which no single row matches:
+  // 19,000 s on the largest grid is refused at Mixed but loads at pattern I
+  // (3.83M), the busiest row.
+  ExpectArrivalsRefused(R"({"version": 6, "grid": {"rows": 256, "cols": 256},
+      "duration_s": 19000, "demand": {"pattern": "mixed"}})",
+                        "4.3776e+06");
+  EXPECT_EQ(load_scenario(R"({"version": 6, "grid": {"rows": 256, "cols": 256},
+      "duration_s": 19000, "demand": {"pattern": "I"}})").duration_s, 19000.0);
+  // The largest grid at pattern I for 2 h (about 1.45M arrivals) still loads.
+  const ScenarioConfig big = load_scenario(R"({"version": 6,
+      "grid": {"rows": 256, "cols": 256}, "duration_s": 7200,
+      "demand": {"pattern": "I"}})");
+  EXPECT_EQ(big.grid.rows, 256);
+  // The limit is checked wherever a config is validated, --set included.
+  ScenarioConfig cfg;
+  EXPECT_THROW(apply_setting(cfg, "demand.interarrival_scale", "1e-6"), ScenarioIoError);
+  EXPECT_EQ(cfg.demand.interarrival_scale, 1.0);
+}
+
 TEST(ScenarioIoTest, EnumErrorsListTheTokens) {
   ExpectLoadError(R"({"version": 1, "controller": {"type": "nope"}})",
                   "controller.type: expected one of \"util\", \"cap\", \"orig\", \"fixed\"");
