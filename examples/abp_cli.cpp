@@ -11,7 +11,6 @@
 //   abp_cli [--scenario FILE] [--set PATH=VALUE]... [--dump-scenario]
 //           [--print-schema-fields] [--replications N] [--jobs N]
 //           [--allow-oversubscribe] [--csv PREFIX] [--incident T]
-//           [--tick-budget N] [--retries N]
 //           [--calibrate] [--surrogate-sweep] [--profile FILE] [--report FILE]
 //           [--sweep-controllers LIST] [--sweep-patterns LIST]
 //           [--sweep-periods LIST] [--spot-best-k N] [--spot-fraction F]
@@ -46,10 +45,9 @@
 // enable the runtime invariant guard; detector.* settings enable the online
 // changepoint detector over the junctions' sensor streams
 // (docs/CHANGEPOINT.md), reporting regime-shift events, and detector.adapt
-// lets detections re-tune the controllers; --tick-budget and --retries
-// configure the experiment runner's per-run deadline and retry policy in
-// --replications mode, where per-seed statuses (ok / timeout / error) are
-// reported and the summary is computed over the runs that completed.
+// lets detections re-tune the controllers. In --replications mode a seed
+// whose run raises is reported with status=error, the summary is computed
+// over the runs that completed, and the exit status is 1.
 //
 // Surrogate pipeline (docs/PERFORMANCE.md, "Surrogate throughput"):
 // --calibrate fits the queue backend to the micro backend for the merged
@@ -106,7 +104,6 @@ namespace {
                "[--dump-scenario]\n"
                "               [--print-schema-fields] [--replications N] [--jobs N]\n"
                "               [--allow-oversubscribe] [--csv PREFIX] [--incident T]\n"
-               "               [--tick-budget N] [--retries N]\n"
                "               [--calibrate] [--surrogate-sweep] [--profile FILE]\n"
                "               [--report FILE] [--sweep-controllers LIST]\n"
                "               [--sweep-patterns LIST] [--sweep-periods LIST]\n"
@@ -141,17 +138,12 @@ std::vector<std::string> split_fields(const std::string& s) {
   usage_error((std::string(flag) + ": invalid number \"" + s + "\"").c_str());
 }
 
-long long parse_i64(const std::string& s, const char* flag) {
+int parse_int(const std::string& s, const char* flag) {
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) bad_number(flag, s);
-  return v;
-}
-
-int parse_int(const std::string& s, const char* flag) {
-  const long long v = parse_i64(s, flag);
-  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
     bad_number(flag, s);
   }
   return static_cast<int>(v);
@@ -186,8 +178,6 @@ int main(int argc, char** argv) {
   bool print_schema_fields = false;
   int replications = 1;
   int jobs = 1;
-  long long tick_budget = 0;
-  int retries = 0;
   bool allow_oversubscribe = false;
   std::optional<double> incident_at;
   std::string csv_prefix;
@@ -220,10 +210,6 @@ int main(int argc, char** argv) {
       replications = parse_int(value(), "--replications");
     } else if (arg == "--jobs") {
       jobs = parse_int(value(), "--jobs");
-    } else if (arg == "--tick-budget") {
-      tick_budget = parse_i64(value(), "--tick-budget");
-    } else if (arg == "--retries") {
-      retries = parse_int(value(), "--retries");
     } else if (arg == "--allow-oversubscribe") {
       allow_oversubscribe = true;
     } else if (arg == "--incident") {
@@ -286,11 +272,6 @@ int main(int argc, char** argv) {
   }
   if (!report_file.empty() && !sweep_mode) {
     usage_error("--report only applies to --surrogate-sweep");
-  }
-  if (tick_budget < 0) usage_error("--tick-budget must be >= 0");
-  if (retries < 0) usage_error("--retries must be >= 0");
-  if ((tick_budget > 0 || retries > 0) && replications == 1) {
-    usage_error("--tick-budget/--retries only apply to --replications batches");
   }
 
   // Base configuration: the scenario file when given, the paper setup
@@ -439,12 +420,9 @@ int main(int argc, char** argv) {
 
     if (replications > 1) {
       // Batch mode: per-seed replication fleet through the experiment runner,
-      // with per-run statuses — a failing or deadline-hitting seed never
-      // takes its siblings' results down with it.
-      exp::ExperimentRunner runner({.jobs = jobs,
-                                    .allow_oversubscribe = allow_oversubscribe,
-                                    .tick_budget = tick_budget,
-                                    .retries = retries});
+      // with per-run statuses — a failing seed never takes its siblings'
+      // results down with it.
+      exp::ExperimentRunner runner({.jobs = jobs, .allow_oversubscribe = allow_oversubscribe});
       const std::vector<exp::RunStatus> statuses =
           runner.run_statuses(exp::replication_configs(cfg, replications));
       std::printf(
@@ -456,33 +434,19 @@ int main(int argc, char** argv) {
           cfg.grid.rows, cfg.grid.cols, cfg.duration_s, replications, jobs);
 
       Accumulator acc;
-      std::size_t errors = 0;
       std::size_t guard_violations = 0;
       std::size_t detections_total = 0;
       for (std::size_t i = 0; i < statuses.size(); ++i) {
         const exp::RunStatus& s = statuses[i];
         const unsigned long long run_seed = static_cast<unsigned long long>(cfg.seed + i);
-        switch (s.outcome) {
-          case exp::RunStatus::Outcome::Ok:
-            std::printf("seed=%llu avg_queuing_s=%.2f\n", run_seed,
-                        s.result.metrics.average_queuing_time_s());
-            acc.add(s.result.metrics.average_queuing_time_s());
-            guard_violations += s.result.guard.violations.size();
-            detections_total += s.result.detections.events.size();
-            break;
-          case exp::RunStatus::Outcome::Timeout:
-            // Partial result: valid up to the truncated horizon, excluded
-            // from the summary (mixing horizons would skew the mean).
-            std::printf("seed=%llu status=timeout t=%.0fs avg_queuing_s=%.2f (partial)\n",
-                        run_seed, s.result.duration_s,
-                        s.result.metrics.average_queuing_time_s());
-            guard_violations += s.result.guard.violations.size();
-            break;
-          case exp::RunStatus::Outcome::Error:
-            std::printf("seed=%llu status=error attempts=%d error=%s\n", run_seed,
-                        s.attempts, s.error.c_str());
-            errors += 1;
-            break;
+        if (s.ok()) {
+          std::printf("seed=%llu avg_queuing_s=%.2f\n", run_seed,
+                      s.result.metrics.average_queuing_time_s());
+          acc.add(s.result.metrics.average_queuing_time_s());
+          guard_violations += s.result.guard.violations.size();
+          detections_total += s.result.detections.events.size();
+        } else {
+          std::printf("seed=%llu status=error error=%s\n", run_seed, s.error.c_str());
         }
       }
       const int ok_count = static_cast<int>(acc.count());
@@ -508,19 +472,13 @@ int main(int argc, char** argv) {
         w.row({"seed", "status", "avg_queuing_s"});
         for (std::size_t i = 0; i < statuses.size(); ++i) {
           const exp::RunStatus& s = statuses[i];
-          const char* status_name = s.outcome == exp::RunStatus::Outcome::Ok ? "ok"
-                                    : s.outcome == exp::RunStatus::Outcome::Timeout
-                                        ? "timeout"
-                                        : "error";
-          w.typed_row(static_cast<unsigned long long>(cfg.seed + i), status_name,
-                      s.ok() || s.outcome == exp::RunStatus::Outcome::Timeout
-                          ? s.result.metrics.average_queuing_time_s()
-                          : 0.0);
+          w.typed_row(static_cast<unsigned long long>(cfg.seed + i), s.ok() ? "ok" : "error",
+                      s.ok() ? s.result.metrics.average_queuing_time_s() : 0.0);
         }
         if (!close_csv(out, path)) return 1;
         std::printf("csv written: %s\n", path.c_str());
       }
-      if (errors > 0) return 1;
+      if (ok_count < replications) return 1;
       if (cfg.guard.enabled && guard_violations > 0) return 3;
       return 0;
     }

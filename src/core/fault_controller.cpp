@@ -1,6 +1,8 @@
 #include "src/core/fault_controller.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 namespace abp::core {
@@ -40,14 +42,17 @@ bool FaultInjectedController::failure_active(double time) const {
 }
 
 int FaultInjectedController::noisy(int value, const SensorFaultWindow& fault) {
-  int offset = fault.bias;
+  // 64-bit arithmetic: the bias and the magnitude may each be any int the
+  // schema admits, and their sum with a reading can leave int's range.
+  std::int64_t offset = fault.bias;
   if (fault.noise_magnitude > 0) {
     // Unbiased draw from {-m, ..., +m}: `next() % span` would over-weight the
     // low offsets whenever span does not divide 2^64.
     const std::uint64_t span = 2ULL * static_cast<std::uint64_t>(fault.noise_magnitude) + 1;
-    offset += static_cast<int>(noise_rng_.bounded(span)) - fault.noise_magnitude;
+    offset += static_cast<std::int64_t>(noise_rng_.bounded(span)) - fault.noise_magnitude;
   }
-  return std::max(0, value + offset);
+  return static_cast<int>(std::clamp<std::int64_t>(
+      value + offset, 0, std::numeric_limits<int>::max()));
 }
 
 void FaultInjectedController::perturb(IntersectionObservation& obs,

@@ -10,6 +10,25 @@
 #include "src/sim/simulator.hpp"
 
 namespace abp::exp {
+namespace {
+
+// One run with its exception captured, so a throwing run cannot take the
+// batch down with it.
+RunStatus execute_one(const scenario::ScenarioConfig& config) {
+  RunStatus status;
+  try {
+    status.result = sim::make_simulator(config)->finish(config.duration_s);
+  } catch (const std::exception& e) {
+    status.error = e.what();
+    status.exception = std::current_exception();
+  } catch (...) {
+    status.error = "unknown exception";
+    status.exception = std::current_exception();
+  }
+  return status;
+}
+
+}  // namespace
 
 int max_safe_jobs() noexcept {
   const unsigned hc = std::thread::hardware_concurrency();
@@ -33,60 +52,6 @@ std::vector<scenario::ScenarioConfig> replication_configs(
 
 ExperimentRunner::ExperimentRunner(BatchOptions options) : options_(options) {
   if (options_.jobs < 1) throw std::invalid_argument("ExperimentRunner needs jobs >= 1");
-  if (options_.tick_budget < 0) {
-    throw std::invalid_argument("ExperimentRunner needs tick_budget >= 0");
-  }
-  if (options_.retries < 0) {
-    throw std::invalid_argument("ExperimentRunner needs retries >= 0");
-  }
-  pool_ = std::make_unique<ThreadPool>(options_.jobs);
-}
-
-RunStatus ExperimentRunner::execute_one(const scenario::ScenarioConfig& config) const {
-  // The tick budget converts to a simulated-time horizon through the
-  // backend's own step size; a run that fits inside the budget is untouched.
-  double horizon_s = config.duration_s;
-  bool truncated = false;
-  if (options_.tick_budget > 0) {
-    const double dt = config.simulator == scenario::SimulatorKind::Micro
-                          ? config.micro.dt_s
-                          : config.queue.step_s;
-    const double budget_s = dt * static_cast<double>(options_.tick_budget);
-    if (budget_s < config.duration_s) {
-      horizon_s = budget_s;
-      truncated = true;
-    }
-  }
-
-  RunStatus status;
-  for (int attempt = 0;; ++attempt) {
-    status.attempts = attempt + 1;
-    try {
-      status.result = sim::make_simulator(config)->finish(horizon_s);
-      if (truncated) {
-        status.outcome = RunStatus::Outcome::Timeout;
-        status.error = "tick budget " + std::to_string(options_.tick_budget) +
-                       " exhausted at t=" + std::to_string(horizon_s) +
-                       "s of " + std::to_string(config.duration_s) + "s";
-      } else {
-        status.outcome = RunStatus::Outcome::Ok;
-        status.error.clear();
-      }
-      status.exception = nullptr;
-      return status;
-    } catch (const std::exception& e) {
-      status.outcome = RunStatus::Outcome::Error;
-      status.error = e.what();
-      status.exception = std::current_exception();
-      status.result = {};
-    } catch (...) {
-      status.outcome = RunStatus::Outcome::Error;
-      status.error = "unknown exception";
-      status.exception = std::current_exception();
-      status.result = {};
-    }
-    if (attempt >= options_.retries) return status;
-  }
 }
 
 std::vector<RunStatus> ExperimentRunner::run_statuses(
@@ -107,21 +72,42 @@ std::vector<RunStatus> ExperimentRunner::run_statuses(
   std::vector<RunStatus> statuses(configs.size());
   if (configs.empty()) return statuses;
 
-  // Dynamic scheduling: each pool participant pulls the next unstarted run
-  // off an atomic cursor, so long runs don't serialize behind a static
-  // partition. Every run writes only its own status slot, and its outcome is
-  // a pure function of its config and the batch options — scheduling order
-  // cannot show up in the statuses. execute_one never lets an exception
-  // escape (it is captured into the status), so one bad run cannot take the
-  // batch down with it.
+  // Dynamic scheduling: each participant pulls the next unstarted run off an
+  // atomic cursor, so long runs don't serialize behind a static partition.
+  // Every run writes only its own status slot, and its outcome is a pure
+  // function of its config — scheduling order cannot show up in the
+  // statuses.
   std::atomic<std::size_t> next{0};
-  pool_->parallel_for(participants, [&](std::size_t, std::size_t) {
+  const auto drain = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= configs.size()) return;
       statuses[i] = execute_one(configs[i]);
     }
-  });
+  };
+  // execute_one captures every run's exception; only recording one can
+  // throw. A helper keeps what escapes it for the caller to rethrow after
+  // the join.
+  std::vector<std::exception_ptr> helper_errors(participants - 1);
+  {
+    // Declared after everything the helpers use, so unwinding joins them
+    // before it destroys any of it.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(participants - 1);
+    for (std::size_t h = 0; h + 1 < participants; ++h) {
+      helpers.emplace_back([&, h] {
+        try {
+          drain();
+        } catch (...) {
+          helper_errors[h] = std::current_exception();
+        }
+      });
+    }
+    drain();
+  }
+  for (const std::exception_ptr& e : helper_errors) {
+    if (e) std::rethrow_exception(e);
+  }
   return statuses;
 }
 
@@ -131,15 +117,8 @@ std::vector<stats::RunResult> ExperimentRunner::run(
   std::vector<stats::RunResult> results;
   results.reserve(statuses.size());
   for (RunStatus& status : statuses) {
-    switch (status.outcome) {
-      case RunStatus::Outcome::Ok:
-        results.push_back(std::move(status.result));
-        break;
-      case RunStatus::Outcome::Error:
-        std::rethrow_exception(status.exception);
-      case RunStatus::Outcome::Timeout:
-        throw std::runtime_error("ExperimentRunner: " + status.error);
-    }
+    if (!status.ok()) std::rethrow_exception(status.exception);
+    results.push_back(std::move(status.result));
   }
   return results;
 }

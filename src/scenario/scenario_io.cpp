@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <type_traits>
@@ -381,6 +380,11 @@ void describe(V& v, ScenarioConfig& c) {
   v.array("watches", c.watches, WatchSpec{});
   v.object("faults", c.faults);
   v.object("guard", c.guard);
+  // A guard checks at most once per tick; after each check it walks its next
+  // check time past `now` one interval at a time, which a sub-tick interval
+  // turns into a walk without end.
+  v.check("guard.interval_s", !c.guard.enabled || c.guard.interval_s >= step_s,
+          "must be >= the selected backend's step when guard.enabled is true");
   v.object("detector", c.detector);
   v.object("surrogate", c.surrogate);
   RetiredShard shard;
@@ -483,11 +487,7 @@ ScenarioConfig load_scenario(std::string_view json_text) {
 }
 
 ScenarioConfig load_scenario_file(const std::string& file_path) {
-  std::ifstream in(file_path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open scenario file: " + file_path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return load_scenario(text.str());
+  return load_scenario(json::read_file(file_path, "scenario"));
 }
 
 std::string dump_scenario(const ScenarioConfig& config) {

@@ -1,7 +1,5 @@
 #include "src/surrogate/calibration_profile.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/scenario/describe.hpp"
@@ -52,11 +50,7 @@ CalibrationProfile load_profile(std::string_view json_text) {
 }
 
 CalibrationProfile load_profile_file(const std::string& file_path) {
-  std::ifstream in(file_path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open profile file: " + file_path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return load_profile(text.str());
+  return load_profile(json::read_file(file_path, "profile"));
 }
 
 void apply_profile(const CalibrationProfile& profile,

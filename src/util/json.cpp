@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace abp::json {
 
@@ -460,6 +461,23 @@ void write_value(std::string& out, const Value& v, int depth) {
 }  // namespace
 
 Value parse(std::string_view text) { return Parser(text).run(); }
+
+std::string read_file(const std::string& path, const char* what) {
+  const auto fail = [&](const char* problem) {
+    throw std::runtime_error(std::string(what) + " file " + problem + ": " + path);
+  };
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error(std::string("cannot open ") + what + " file: " + path);
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    const auto n = static_cast<std::size_t>(in.gcount());
+    if (n > kMaxDocumentBytes - text.size()) fail("exceeds the 64 MiB document limit");
+    text.append(chunk, n);
+  }
+  if (in.bad()) fail("could not be read");
+  return text;
+}
 
 std::string dump(const Value& value) {
   std::string out;

@@ -14,10 +14,10 @@
 //
 // Deliberately not a general-purpose JSON library: no comments, no NaN/Inf
 // tokens (the scenario schema spells infinity as the string "inf"), no
-// \u escapes beyond ASCII pass-through, documents up to the scenario-file
-// scale only.
+// \u escapes beyond ASCII pass-through, documents up to kMaxDocumentBytes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -127,6 +127,18 @@ inline constexpr int kMaxNestingDepth = 256;
 // Parses one JSON document (trailing whitespace allowed, trailing garbage
 // rejected). Throws ParseError, including past kMaxNestingDepth.
 [[nodiscard]] Value parse(std::string_view text);
+
+// Largest document file read_file() accepts: 64 MiB. A 256x256 grid with an
+// override at every junction dumps to about 40 MiB, and every document a
+// dump writes must load back from its file.
+inline constexpr std::size_t kMaxDocumentBytes = std::size_t{64} << 20;
+
+// Reads the whole file at `path` in chunks, never allocating the limit up
+// front. Throws std::runtime_error naming the `what` file ("scenario",
+// "profile") and the path when it cannot be opened or read, or when it holds
+// more than kMaxDocumentBytes, so an endless stream such as /dev/zero ends
+// in a message instead of std::bad_alloc.
+[[nodiscard]] std::string read_file(const std::string& path, const char* what);
 
 // Serializes with 2-space indentation, object keys in insertion order, and a
 // trailing newline — the canonical form the scenario round-trip tests pin

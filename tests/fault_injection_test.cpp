@@ -17,7 +17,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "src/core/fault_controller.hpp"
 #include "src/exp/experiment_runner.hpp"
@@ -377,6 +379,32 @@ TEST(FaultInjectedController, NoiseIsDeterministicPerSeedAndClampedAtZero) {
   };
   EXPECT_EQ(run_once(kSeed), run_once(kSeed));  // same seed, same burst
   EXPECT_NE(run_once(kSeed), run_once(kSeed + 1));
+}
+
+// Bias and magnitude may each be any int the schema admits; the noisy
+// reading is computed without int overflow and clamped to [0, INT_MAX].
+TEST(FaultInjectedController, ExtremeNoiseStaysInRange) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  constexpr int kMin = std::numeric_limits<int>::min();
+  for (const auto& [bias, magnitude] : {std::pair{kMax, 0}, std::pair{kMin, kMax}}) {
+    SCOPED_TRACE(bias);
+    auto primary = std::make_unique<ProbeController>(1);
+    ProbeController* p = primary.get();
+    core::FaultInjectedController ctrl(
+        std::move(primary), std::make_unique<ProbeController>(2), {},
+        {{0.0, 100.0, core::SensorFaultKind::Noise, bias, magnitude}}, kSeed, 5);
+    for (int t = 0; t < 50; ++t) {
+      (void)ctrl.decide(make_obs(static_cast<double>(t), 1));
+      const core::LinkState& s = p->last_obs.links[0];
+      for (int reading : {s.queue, s.upstream_total, s.downstream_queue}) {
+        EXPECT_GE(reading, 0);
+        // With no noise, INT_MAX plus any positive reading saturates.
+        if (magnitude == 0) {
+          EXPECT_EQ(reading, kMax);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

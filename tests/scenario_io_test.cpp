@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 
+#include "src/surrogate/calibration_profile.hpp"
 #include "src/util/json.hpp"
 
 namespace abp::scenario {
@@ -196,6 +201,26 @@ TEST(ScenarioIoTest, TickCountIsBounded) {
   ExpectLoadError(R"({"version": 5, "micro": {"dt_s": 0}})", "micro.dt_s: must be > 0");
 }
 
+TEST(ScenarioIoTest, EnabledGuardChecksAtMostOncePerTick) {
+  const std::string problem =
+      "guard.interval_s: must be >= the selected backend's step when guard.enabled is true";
+  // Micro ticks every dt_s (0.5 s by default), the queue backend every step_s.
+  ExpectLoadError(R"({"version": 6, "guard": {"enabled": true, "interval_s": 1e-300}})",
+                  problem);
+  ExpectLoadError(R"({"version": 6, "guard": {"enabled": true, "interval_s": 0.25}})",
+                  problem);
+  EXPECT_EQ(load_scenario(R"({"version": 6, "guard": {"enabled": true, "interval_s": 0.5}})")
+                .guard.interval_s,
+            0.5);
+  ExpectLoadError(R"({"version": 6, "simulator": "queue",
+      "guard": {"enabled": true, "interval_s": 0.5}})",
+                  problem);
+  // A disabled guard never checks, so its interval is free.
+  EXPECT_EQ(load_scenario(R"({"version": 6, "guard": {"interval_s": 1e-300}})")
+                .guard.interval_s,
+            1e-300);
+}
+
 // The refusal names the field and gives the bound it computed.
 void ExpectArrivalsRefused(const std::string& text, const std::string& bound) {
   try {
@@ -315,6 +340,39 @@ TEST(ScenarioIoTest, ErrorExposesThePath) {
 TEST(ScenarioIoTest, MissingFileThrows) {
   EXPECT_THROW((void)load_scenario_file("/nonexistent/scenario.json"),
                std::runtime_error);
+}
+
+// A document file is read up to json::kMaxDocumentBytes and refused beyond
+// it, so an endless stream such as /dev/zero ends in a message, not in
+// std::bad_alloc.
+TEST(ScenarioIoTest, OversizedFileIsRefusedBeforeParsing) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("abp_oversized_" + std::to_string(::getpid()) + ".json");
+  {
+    std::ofstream create(path, std::ios::binary);
+  }
+  // Sparse: the zeros cost no disk.
+  std::filesystem::resize_file(path, json::kMaxDocumentBytes);
+  // At the limit the file is read whole and fails only as JSON.
+  EXPECT_THROW((void)load_scenario_file(path.string()), json::ParseError);
+  std::filesystem::resize_file(path, json::kMaxDocumentBytes + 1);
+  try {
+    (void)load_scenario_file(path.string());
+    ADD_FAILURE() << "expected the document size limit to refuse the file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "scenario file exceeds the 64 MiB document limit: " + path.string());
+  }
+  // Calibration profiles go through the same reader.
+  try {
+    (void)surrogate::load_profile_file(path.string());
+    ADD_FAILURE() << "expected the document size limit to refuse the profile";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "profile file exceeds the 64 MiB document limit: " + path.string());
+  }
+  std::filesystem::remove(path);
 }
 
 // Builds a config exercising every serializable field with awkward values.
