@@ -22,9 +22,11 @@ UtilBpController::UtilBpController(IntersectionPlan plan, UtilBpConfig config,
   }
 }
 
-bool UtilBpController::holds_when_idle(double time) const {
-  if (current_ == net::kTransitionPhase) return time < transition_until_;
-  return !plan_.phases[static_cast<std::size_t>(current_)].empty();
+double UtilBpController::idle_hold_until() const {
+  if (current_ == net::kTransitionPhase) return transition_until_;
+  return plan_.phases[static_cast<std::size_t>(current_)].empty()
+             ? -std::numeric_limits<double>::infinity()
+             : std::numeric_limits<double>::infinity();
 }
 
 void UtilBpController::reset() {

@@ -53,10 +53,10 @@ class UtilBpController final : public SignalController {
 
   [[nodiscard]] net::PhaseIndex decide(const IntersectionObservation& obs) override;
   // On an idle observation every gain is alpha (Eq. 8), so Case 1 holds the
-  // running amber, and a non-empty control phase survives Cases 2 and 3
-  // (scenario 2's gmax ties go to the incumbent): true in exactly those two
-  // states.
-  [[nodiscard]] bool holds_when_idle(double time) const override;
+  // running amber until it expires, and a non-empty control phase survives
+  // Cases 2 and 3 (scenario 2's gmax ties go to the incumbent) for good: the
+  // amber's expiry, +infinity, or -infinity in any other state.
+  [[nodiscard]] double idle_hold_until() const override;
   void reset() override;
   [[nodiscard]] std::string name() const override { return "UTIL-BP"; }
 

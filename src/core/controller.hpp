@@ -6,6 +6,7 @@
 // transition phase (index 0), whose timing the policy manages itself.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -22,15 +23,18 @@ class SignalController {
   // monotone in time: calls arrive with non-decreasing obs.time.
   [[nodiscard]] virtual net::PhaseIndex decide(const IntersectionObservation& obs) = 0;
 
-  // True when a decide() at `time` on an *idle* observation — every link's
+  // The time before which a decide() on an *idle* observation — every link's
   // queue reading 0 and every outgoing road below its capacity, all other
-  // readings arbitrary — would return the phase the previous decide()
-  // returned and change no state. A simulator may then skip that call
-  // altogether (MicroSim does, with a perfect sensor). The default is the
-  // always-safe false; only a policy that can prove the property overrides
-  // it, and decorators keep the default because they have per-decision side
-  // effects of their own.
-  [[nodiscard]] virtual bool holds_when_idle(double /*time*/) const { return false; }
+  // readings arbitrary — returns the phase the previous decide() returned
+  // and changes no state: at any `time < idle_hold_until()`. Its value may
+  // change only in decide() and reset(), so a simulator can cache it after
+  // each decision and skip the idle calls it covers (MicroSim does, with a
+  // perfect sensor). The default, -infinity, covers no call; only a policy
+  // that can prove the property overrides it, and decorators keep the
+  // default because they have per-decision side effects of their own.
+  [[nodiscard]] virtual double idle_hold_until() const {
+    return -std::numeric_limits<double>::infinity();
+  }
 
   // Restores the initial state so the controller can be reused for a new run.
   virtual void reset() = 0;

@@ -58,6 +58,7 @@ void MicroSim::build_runtime() {
                         : static_cast<std::uint32_t>(net_.links_from(road.id).size());
     rt.to_junction =
         road.is_exit() ? kNoJunction : static_cast<std::uint32_t>(road.to.index());
+    rt.from_junction = kNoJunction;
     lane_total += rt.lane_count;
   }
   lanes_ = std::vector<Lane>(lane_total);
@@ -106,13 +107,19 @@ void MicroSim::build_runtime() {
                          static_cast<std::uint32_t>(link.to_road.index()),
                          net_.road(link.from_road).capacity, net_.road(link.to_road).capacity,
                          link.service_rate});
+    roads_[link.to_road.index()].from_junction = static_cast<std::uint32_t>(link.owner.index());
   }
 
   road_queued_approach_.assign(net_.roads().size(), 0);
   road_queued_congestion_.assign(net_.roads().size(), 0);
   link_queued_approach_.assign(net_.links().size(), 0);
   active_roads_.assign((net_.roads().size() + 63) / 64, 0);
-  approach_count_.assign(net_.intersections().size(), 0);
+  const std::size_t junction_words = (net_.intersections().size() + 63) / 64;
+  ready_junctions_.assign(junction_words, 0);
+  queued_junctions_.assign(junction_words, 0);
+  blocked_junctions_.assign(junction_words, 0);
+  hold_until_.reserve(controllers_.size());
+  for (const core::ControllerPtr& c : controllers_) hold_until_.push_back(c->idle_hold_until());
   std::uint32_t max_lanes = 1;
   for (const RoadRt& rt : roads_) max_lanes = std::max(max_lanes, rt.lane_count);
   lane_blocked_.assign(max_lanes, 0);
@@ -217,34 +224,28 @@ const core::IntersectionObservation& MicroSim::observe(const net::Intersection& 
   return obs;
 }
 
-bool MicroSim::decision_idle(const net::Intersection& node) const {
+void MicroSim::control_step() {
   // An imperfect sensor draws from rng_ on every reading, so a skipped
   // observation would shift the stream. A perfect one hands the controller
-  // the memo counts as they are: every queue reading must be 0.
-  if (!config_.sensor.perfect()) return false;
-  for (LinkId lid : node.links) {
-    if (link_queued_approach_[lid.index()] != 0) return false;
-  }
-  // Eq. (8)'s full-road sentinel beta could make another phase win.
-  for (LinkId lid : node.links) {
-    const LinkObs& link = link_obs_[lid.index()];
-    if (roads_[link.to_road].occupancy >= link.downstream_capacity) return false;
-  }
-  return controllers_[node.id.index()]->holds_when_idle(now_);
-}
-
-void MicroSim::control_step() {
-  for (const net::Intersection& node : net_.intersections()) {
-    // The decision would return the displayed phase and change no state; an
-    // unchanged phase would only extend the trace's end time, which finish()
-    // sets anyway.
-    if (decision_idle(node)) continue;
-    const net::PhaseIndex phase = controllers_[node.id.index()]->decide(observe(node));
-    if (phase < 0 || phase >= static_cast<int>(node.phases.size())) {
+  // the memo counts as they are.
+  const bool perfect = config_.sensor.perfect();
+  const std::vector<net::Intersection>& nodes = net_.intersections();
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    // Idle — every queue reading 0, and no full outgoing road, whose Eq. (8)
+    // sentinel beta could make another phase win — before the controller's
+    // hold: the decision would return the displayed phase and change no
+    // state. An unchanged phase would only extend the trace's end time, which
+    // finish() sets anyway.
+    const std::uint64_t busy = queued_junctions_[j / 64] | blocked_junctions_[j / 64];
+    if (perfect && ((busy >> (j % 64)) & 1) == 0 && now_ < hold_until_[j]) continue;
+    core::SignalController& controller = *controllers_[j];
+    const net::PhaseIndex phase = controller.decide(observe(nodes[j]));
+    if (phase < 0 || phase >= static_cast<int>(nodes[j].phases.size())) {
       throw std::logic_error("controller returned an out-of-range phase");
     }
-    displayed_[node.id.index()] = phase;
-    result_.phase_traces[node.id.index()].record(now_, phase);
+    hold_until_[j] = controller.idle_hold_until();
+    displayed_[j] = phase;
+    result_.phase_traces[j].record(now_, phase);
   }
 }
 
@@ -300,15 +301,18 @@ void MicroSim::admit_spawns() {
       }
       it = buffer.erase(it);
       rt.occupancy += 1;
-      mark_active(entry.index());
-      approach_count_[rt.to_junction] += 1;
+      mark(active_roads_, entry.index());
       m.loc = Loc::Lane;
       m.lane = lane;
       m.entry_time = now_;
       in_network_count_ += 1;
-      lane_of(rt, lane).vehicles.push(
-          vid, 0.0, std::min(config_.insertion_speed_mps, net_.road(entry).speed_limit_mps),
-          veh_waiting_[vid.index()]);
+      LaneStore& vehicles = lane_of(rt, lane).vehicles;
+      // Pushed onto an empty lane, the vehicle is its head, which on a road
+      // shorter than the service zone can be served this tick.
+      mark(ready_junctions_, rt.to_junction, vehicles.empty());
+      vehicles.push(vid, 0.0,
+                    std::min(config_.insertion_speed_mps, net_.road(entry).speed_limit_mps),
+                    veh_waiting_[vid.index()]);
       result_.metrics.entered += 1;
       // The lane just received a vehicle at its entry point; nobody else fits
       // behind it this step.
@@ -332,10 +336,14 @@ void MicroSim::release_junction_vehicles() {
     RoadRt& target = roads_[m.road.index()];
     if (m.junction_exit <= now_ && entry_clear(target, m.lane)) {
       m.loc = Loc::Lane;
-      if (target.to_junction != kNoJunction) approach_count_[target.to_junction] += 1;
-      lane_of(target, m.lane).vehicles.push(
-          vid, 0.0, std::min(config_.insertion_speed_mps, net_.road(m.road).speed_limit_mps),
-          veh_waiting_[vid.index()]);
+      LaneStore& vehicles = lane_of(target, m.lane).vehicles;
+      // As in admission: a new head may be inside the service zone already.
+      if (target.to_junction != kNoJunction) {
+        mark(ready_junctions_, target.to_junction, vehicles.empty());
+      }
+      vehicles.push(vid, 0.0,
+                    std::min(config_.insertion_speed_mps, net_.road(m.road).speed_limit_mps),
+                    veh_waiting_[vid.index()]);
     } else {
       in_junction_[kept++] = vid;
     }
@@ -371,7 +379,7 @@ bool MicroSim::try_grant(VehicleId vid, LinkId link) {
                                    : l.service_rate;
   lrt.next_grant = now_ + 1.0 / physical_rate;
   target.occupancy += 1;
-  mark_active(to_road.index());
+  mark(active_roads_, to_road.index());
   m.road = to_road;
   m.lane = target_lane;
   m.junction += 1;
@@ -392,41 +400,43 @@ void MicroSim::service_junctions() {
   // and if that movement is red the whole lane waits behind it (head-of-line
   // blocking). Grants read and write state of the *downstream* road
   // (occupancy reservation, insertion-gap check), so they all run here,
-  // before the sweep moves any vehicle. A junction with no vehicle on an
-  // approach lane is skipped outright: an empty lane never grants.
-  for (std::size_t ni = 0; ni < approach_count_.size(); ++ni) {
-    if (approach_count_[ni] == 0) continue;
-    const std::uint32_t slot =
-        phase_slot_base_[ni] + static_cast<std::uint32_t>(displayed_[ni]);
-    const std::uint32_t slot_end = phase_link_offsets_[slot + 1];
-    for (std::uint32_t k = phase_link_offsets_[slot]; k < slot_end; ++k) {
-      const LinkId lid = phase_links_[k];
-      const LinkRt& lrt = links_[lid.index()];
-      if (now_ < lrt.next_grant) continue;
-      RoadRt& rt = roads_[lrt.from_road.index()];
-      Lane& lane = lane_of(rt, lrt.lane_index);
-      if (lane.vehicles.empty()) continue;
-      const VehicleId vid = lane.vehicles.ids()[0];
-      // Mixed lane: this link only serves the head if it is the head's own
-      // movement (dedicated lanes satisfy this by construction), and the stop
-      // line serves at most one vehicle per tick even when several green links
-      // share the lane.
-      if (!lane.link &&
-          (veh_next_link_[vid.index()] != lid || lane.serviced_at == now_)) {
-        continue;
+  // before the sweep moves any vehicle. Only the junctions marked ready are
+  // visited, in junction order: at every other one no approach head is
+  // inside its service zone, so nothing could be granted.
+  for (std::size_t w = 0; w < ready_junctions_.size(); ++w) {
+    for (std::uint64_t bits = ready_junctions_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t ni = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      const std::uint32_t slot =
+          phase_slot_base_[ni] + static_cast<std::uint32_t>(displayed_[ni]);
+      const std::uint32_t slot_end = phase_link_offsets_[slot + 1];
+      for (std::uint32_t k = phase_link_offsets_[slot]; k < slot_end; ++k) {
+        const LinkId lid = phase_links_[k];
+        const LinkRt& lrt = links_[lid.index()];
+        if (now_ < lrt.next_grant) continue;
+        RoadRt& rt = roads_[lrt.from_road.index()];
+        Lane& lane = lane_of(rt, lrt.lane_index);
+        if (lane.vehicles.empty()) continue;
+        const VehicleId vid = lane.vehicles.ids()[0];
+        // Mixed lane: this link only serves the head if it is the head's own
+        // movement (dedicated lanes satisfy this by construction), and the
+        // stop line serves at most one vehicle per tick even when several
+        // green links share the lane.
+        if (!lane.link &&
+            (veh_next_link_[vid.index()] != lid || lane.serviced_at == now_)) {
+          continue;
+        }
+        const net::Road& road = net_.road(lrt.from_road);
+        if (lane.vehicles.pos()[0] < road.length_m - config_.service_zone_m) continue;
+        if (!try_grant(vid, lid)) continue;
+        lane.serviced_at = now_;
+        veh_waiting_[vid.index()] = lane.vehicles.waiting()[0];
+        VehMeta& m = veh_meta_[vid.index()];
+        m.junction_exit = now_ + config_.junction_crossing_s;
+        rt.occupancy -= 1;
+        lane.vehicles.pop_head();
+        m.loc = Loc::Junction;
+        in_junction_.push_back(vid);
       }
-      const net::Road& road = net_.road(lrt.from_road);
-      if (lane.vehicles.pos()[0] < road.length_m - config_.service_zone_m) continue;
-      if (!try_grant(vid, lid)) continue;
-      lane.serviced_at = now_;
-      veh_waiting_[vid.index()] = lane.vehicles.waiting()[0];
-      VehMeta& m = veh_meta_[vid.index()];
-      m.junction_exit = now_ + config_.junction_crossing_s;
-      rt.occupancy -= 1;
-      approach_count_[ni] -= 1;
-      lane.vehicles.pop_head();
-      m.loc = Loc::Junction;
-      in_junction_.push_back(vid);
     }
   }
 }
@@ -537,6 +547,14 @@ void MicroSim::sweep_roads() {
     std::fill(road_queued_congestion_.begin(), road_queued_congestion_.end(), 0);
     std::fill(link_queued_approach_.begin(), link_queued_approach_.end(), 0);
   }
+  // The junction bitmaps are rebuilt from the lanes this sweep moves: ready
+  // on every tick for next tick's service, queued and blocked on a
+  // memo-rebuild tick for next tick's control step.
+  std::fill(ready_junctions_.begin(), ready_junctions_.end(), 0);
+  if (memo_pending_) {
+    std::fill(queued_junctions_.begin(), queued_junctions_.end(), 0);
+    std::fill(blocked_junctions_.begin(), blocked_junctions_.end(), 0);
+  }
   const std::vector<net::Road>& roads = net_.roads();
   // Set bits are visited in road order, which keeps the lane and memo
   // accesses sequential. Clearing a bit never disturbs the walk: `bits` is a
@@ -555,10 +573,28 @@ void MicroSim::sweep_roads() {
       }
       const net::Road& road = roads[r];
       StreamRng& stream = road_streams_[r];
+      // Service's own zone test, with the same arithmetic.
+      const double zone_start = road.length_m - config_.service_zone_m;
+      const bool approach = rt.to_junction != kNoJunction;
+      bool head_in_zone = false;
       for (Lane& lane : std::span(lanes_).subspan(rt.lane_begin, rt.lane_count)) {
         // Empty dedicated lanes are common (traffic concentrates on a few
         // movements); skip them before paying the call.
-        if (!lane.vehicles.empty()) sweep_lane(road, lane, stream);
+        if (lane.vehicles.empty()) continue;
+        sweep_lane(road, lane, stream);
+        // An approach lane keeps its head through the sweep. Branch-free: the
+        // zone test is as unpredictable as the lane states. Accumulated in a
+        // local, so the bitmap word is written once per road.
+        head_in_zone |= approach && !(lane.vehicles.pos()[0] < zone_start);
+      }
+      if (approach) mark(ready_junctions_, rt.to_junction, head_in_zone);
+      if (memo_pending_) {
+        // A visited road's rows are rebuilt; an unvisited one is empty, with
+        // zero rows and an occupancy below its capacity (never below 1).
+        if (approach) mark(queued_junctions_, rt.to_junction, road_queued_approach_[r] != 0);
+        if (rt.from_junction != kNoJunction) {
+          mark(blocked_junctions_, rt.from_junction, rt.occupancy >= road.capacity);
+        }
       }
     }
   }

@@ -38,14 +38,15 @@
 //
 // --- Active set ---
 // A tick pays for active state only: the sweep visits the roads whose bitmap
-// bit is set (occupied, or holding memo rows not yet re-zeroed), stop-line
-// service visits only junctions with a vehicle on an approach lane, and a
-// control step skips the observation and decision of a junction that is
-// idle — every queue reading 0, no full outgoing road — whenever the sensor
-// is perfect and its controller declares, through
-// SignalController::holds_when_idle, that the decision would keep the
-// displayed phase. Every skip is exact: skipped work could not have changed
-// any state.
+// bit is set (occupied, or holding memo rows not yet re-zeroed), and marks
+// per-junction bitmaps as it moves the heads. Stop-line service visits only
+// the junctions marked *ready* (an approach lane's head inside its service
+// zone). A control step skips the observation and decision of a junction
+// that the memo-rebuild sweep left unmarked — not *queued* (every queue
+// reading 0) and not *blocked* (no full outgoing road) — whenever the sensor
+// is perfect and the time is before the hold its controller declared after
+// its last decision (SignalController::idle_hold_until). Every skip is exact:
+// skipped work could not have changed any state.
 //
 // Vehicle state is stored SoA, split hot from cold. The kinematic state the
 // sweep touches on every vehicle-step — position and speed — lives in each
@@ -172,6 +173,9 @@ class MicroSim {
     int occupancy = 0;
     // Index of the junction this road arrives at; kNoJunction on exit roads.
     std::uint32_t to_junction = 0;
+    // Index of the junction whose links enter this road; kNoJunction when no
+    // link does (entry roads).
+    std::uint32_t from_junction = 0;
   };
 
   struct LinkRt {
@@ -223,14 +227,11 @@ class MicroSim {
   // Grants a crossing to `vid` (head of a green lane) if rate, capacity and
   // downstream insertion allow; returns true when granted.
   bool try_grant(VehicleId vid, LinkId link);
-  // Marks a road whose occupancy just rose as active for the sweep.
-  void mark_active(std::size_t road_index) {
-    active_roads_[road_index / 64] |= std::uint64_t{1} << (road_index % 64);
+  // Sets bit `index` of a bitmap (bit i % 64 of word i / 64) when `on`, with
+  // a shift and an OR instead of a branch.
+  static void mark(std::vector<std::uint64_t>& bitmap, std::size_t index, bool on = true) {
+    bitmap[index / 64] |= std::uint64_t{on} << (index % 64);
   }
-  // True when a control step may skip the junction's decision (perfect
-  // sensor, every queue reading 0, no full outgoing road, controller holds):
-  // see the active-set note at the top of this file.
-  [[nodiscard]] bool decision_idle(const net::Intersection& node) const;
   void complete_vehicle(VehicleId vid);
   void sample_watches();
   // Fills and returns the reusable observation buffer (valid until the next
@@ -328,11 +329,26 @@ class MicroSim {
   // road's memo rows. Invariant: bit clear => occupancy 0 and memo rows zero,
   // so the sweep may skip every clear bit.
   std::vector<std::uint64_t> active_roads_;
-  // Vehicles on the approach lanes of each junction (lanes of the non-exit
-  // roads arriving there): up at the two lane pushes onto a non-exit road
-  // (admission, box release), down at the stop-line pop. Stop-line service
-  // skips a junction at 0: it has nothing to serve.
-  std::vector<int> approach_count_;
+  // Per-junction bitmaps the sweep marks as it moves the vehicles. Ready:
+  // some approach lane's head is inside its service zone. Cleared at the
+  // start of every sweep, marked once the lanes of an approach road are
+  // updated and at a push onto an empty approach lane (admission, box
+  // release): a head moves only in the sweep and changes identity only at
+  // such a push or at a stop-line pop, whose new head cannot be granted in
+  // the same service pass (one link per dedicated lane, serviced_at on a
+  // mixed lane). Stop-line service visits the set bits only.
+  std::vector<std::uint64_t> ready_junctions_;
+  // Queued: some approach road's memo approach count is non-zero, i.e. some
+  // link's queue reading is (a road's link rows sum to its approach row).
+  // Blocked: some road a link of the junction enters is at design capacity.
+  // Rebuilt by every memo-rebuild sweep; nothing changes either between that
+  // sweep and the control step that reads them, which opens the next tick.
+  std::vector<std::uint64_t> queued_junctions_;
+  std::vector<std::uint64_t> blocked_junctions_;
+  // Per junction, the controller's idle_hold_until(), cached at construction
+  // and after each of its decisions. Only decide() and reset() may change
+  // it, and the simulator never calls reset().
+  std::vector<double> hold_until_;
   std::vector<LinkObs> link_obs_;
   // Per-entry-road admission scratch, sized to the widest road once.
   std::vector<char> lane_blocked_;

@@ -99,6 +99,42 @@ std::string arrivals_problem(double bound) {
   return out.str();
 }
 
+// The first grid reference past the grid's last row or column, in document
+// order, as the (path, problem) a refusal reports; both empty when every
+// reference lies inside the grid. Formatted only for a refusal. A negative
+// index fails its own field rule first.
+std::pair<std::string, std::string> out_of_grid_reference(const ScenarioConfig& c) {
+  std::pair<std::string, std::string> found;
+  auto visit = [&](const char* list, std::size_t i, const char* ref, int row, int col) {
+    if (!found.first.empty() || (row < c.grid.rows && col < c.grid.cols)) return;
+    const bool bad_row = row >= c.grid.rows;
+    found.first = std::string(list) + "[" + std::to_string(i) + "]" + ref +
+                  (bad_row ? ".row" : ".col");
+    found.second = bad_row ? "must be < grid.rows (" + std::to_string(c.grid.rows) + ")"
+                           : "must be < grid.cols (" + std::to_string(c.grid.cols) + ")";
+  };
+  for (std::size_t i = 0; i < c.controller_overrides.size(); ++i) {
+    const GridNodeRef& n = c.controller_overrides[i].node;
+    visit("controller_overrides", i, ".node", n.row, n.col);
+  }
+  for (std::size_t i = 0; i < c.watches.size(); ++i) {
+    visit("watches", i, "", c.watches[i].row, c.watches[i].col);
+  }
+  for (std::size_t i = 0; i < c.faults.capacity.size(); ++i) {
+    const GridRoadRef& r = c.faults.capacity[i].road;
+    visit("faults.capacity", i, ".road", r.row, r.col);
+  }
+  for (std::size_t i = 0; i < c.faults.sensors.size(); ++i) {
+    const GridNodeRef& n = c.faults.sensors[i].node;
+    visit("faults.sensors", i, ".node", n.row, n.col);
+  }
+  for (std::size_t i = 0; i < c.faults.controllers.size(); ++i) {
+    const GridNodeRef& n = c.faults.controllers[i].node;
+    visit("faults.controllers", i, ".node", n.row, n.col);
+  }
+  return found;
+}
+
 // The v3/v4 "shard" section: a single-process run, which is all that
 // remains. allow_oversubscribe never changed results, so either value loads.
 struct RetiredShard {
@@ -379,6 +415,9 @@ void describe(V& v, ScenarioConfig& c) {
           arrivals_ok ? "" : arrivals_problem(arrivals).c_str());
   v.array("watches", c.watches, WatchSpec{});
   v.object("faults", c.faults);
+  // Refused here rather than when make_simulator() resolves the reference.
+  const auto [grid_ref, grid_ref_problem] = out_of_grid_reference(c);
+  v.check(grid_ref.c_str(), grid_ref.empty(), grid_ref_problem.c_str());
   v.object("guard", c.guard);
   // A guard checks at most once per tick; after each check it walks its next
   // check time past `now` one interval at a time, which a sub-tick interval

@@ -291,7 +291,7 @@ IntersectionObservation random_obs(Rng& rng, double time, int capacity = 120) {
   return obs;
 }
 
-// The idle observation of SignalController::holds_when_idle: every queue
+// The idle observation of SignalController::idle_hold_until: every queue
 // reading 0 and every outgoing road below capacity; every other reading is
 // arbitrary, so random.
 IntersectionObservation idle_obs(Rng& rng, double time, int capacity = 120) {
@@ -314,10 +314,11 @@ IntersectionObservation idle_obs(Rng& rng, double time, int capacity = 120) {
 class UtilBpIdleHook : public ::testing::TestWithParam<UtilBpConfig> {};
 
 // The contract a simulator relies on to skip a decision: whenever the hook
-// is true, an idle decision returns the previous phase and leaves no trace —
-// the next real decision equals that of a twin controller that never saw the
-// idle call. Checked along a seeded random run under each g* policy, with
-// decisions every 0.5 or 1 s so ambers both run and expire between them.
+// covers a time, an idle decision returns the previous phase and leaves no
+// trace — the hook keeps its value, and the next real decision equals that of
+// a twin controller that never saw the idle call. Checked along a seeded
+// random run under each g* policy, with decisions every 0.5 or 1 s so ambers
+// both run and expire between them.
 TEST_P(UtilBpIdleHook, IdleDecisionKeepsPhaseAndState) {
   UtilBpController controller(fig1_plan(), GetParam());
   UtilBpController twin(fig1_plan(), GetParam());
@@ -328,9 +329,11 @@ TEST_P(UtilBpIdleHook, IdleDecisionKeepsPhaseAndState) {
   int held_control = 0;
   for (int k = 0; k < 4000; ++k) {
     time += rng.bernoulli(0.5) ? 0.5 : 1.0;
-    if (controller.holds_when_idle(time)) {
+    const double hold = controller.idle_hold_until();
+    if (time < hold) {
       (previous == net::kTransitionPhase ? held_amber : held_control) += 1;
       ASSERT_EQ(controller.decide(idle_obs(rng, time)), previous) << "t=" << time;
+      ASSERT_EQ(controller.idle_hold_until(), hold) << "t=" << time;
       time += rng.bernoulli(0.5) ? 0.5 : 1.0;
     }
     const IntersectionObservation obs = random_obs(rng, time);
@@ -369,13 +372,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(UtilBp, IdleHookFalseBeforeTheFirstPhaseAndAfterAmberExpiry) {
   UtilBpController c(two_phase_plan(), paper_config());
   // Initial (expired) transition: the first decision must pick a phase.
-  EXPECT_FALSE(c.holds_when_idle(0.0));
+  EXPECT_FALSE(0.0 < c.idle_hold_until());
   EXPECT_EQ(c.decide(obs_at(0.0, {10, 3}, {0, 0})), 1);
-  EXPECT_TRUE(c.holds_when_idle(1.0));
+  EXPECT_TRUE(1.0 < c.idle_hold_until());
   EXPECT_EQ(c.decide(obs_at(1.0, {0, 30}, {0, 0})), net::kTransitionPhase);
-  EXPECT_TRUE(c.holds_when_idle(4.9));
+  EXPECT_TRUE(4.9 < c.idle_hold_until());
   // Amber ends at t = 5: Case 3 re-selects, so an idle decision could switch.
-  EXPECT_FALSE(c.holds_when_idle(5.0));
+  EXPECT_FALSE(5.0 < c.idle_hold_until());
 }
 
 // Every other policy and every decorator keeps the default: fixed-slot BP
@@ -393,8 +396,8 @@ TEST(UtilBp, IdleHookFalseForEveryOtherController) {
     const ControllerPtr c = make_controller(spec, fig1_plan());
     (void)c->decide(obs);
     SCOPED_TRACE(c->name());
-    EXPECT_FALSE(c->holds_when_idle(0.5));
-    EXPECT_FALSE(c->holds_when_idle(100.0));
+    EXPECT_FALSE(0.5 < c->idle_hold_until());
+    EXPECT_FALSE(100.0 < c->idle_hold_until());
   }
 
   auto util = [] { return std::make_unique<UtilBpController>(fig1_plan(), paper_config()); };
@@ -406,9 +409,9 @@ TEST(UtilBp, IdleHookFalseForEveryOtherController) {
   for (SignalController* c : std::vector<SignalController*>{&faulty, &adaptive, &bare}) {
     EXPECT_NE(c->decide(obs), net::kTransitionPhase);
   }
-  ASSERT_TRUE(bare.holds_when_idle(0.5));
-  EXPECT_FALSE(faulty.holds_when_idle(0.5));
-  EXPECT_FALSE(adaptive.holds_when_idle(0.5));
+  ASSERT_TRUE(0.5 < bare.idle_hold_until());
+  EXPECT_FALSE(0.5 < faulty.idle_hold_until());
+  EXPECT_FALSE(0.5 < adaptive.idle_hold_until());
 }
 
 }  // namespace

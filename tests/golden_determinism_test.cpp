@@ -118,13 +118,17 @@ class StateDigest {
 // roads keep filling and draining. The state is vehicles in the network,
 // every road's occupancy and queued count, every displayed phase and every
 // lane's vehicle positions.
-std::uint64_t sparse_micro_state_digest() {
+scenario::ScenarioConfig sparse_micro_config() {
   scenario::ScenarioConfig cfg =
       scenario::paper_scenario(traffic::PatternKind::I, core::ControllerType::UtilBp);
   cfg.grid.rows = 16;
   cfg.grid.cols = 16;
   cfg.seed = kSeed;
   cfg.simulator = scenario::SimulatorKind::Micro;
+  return cfg;
+}
+
+std::uint64_t micro_state_digest(const scenario::ScenarioConfig& cfg) {
   const net::Network network = sim::build_validated(sim::effective_grid(cfg));
   traffic::DemandGenerator demand(network, cfg.demand, cfg.seed);
   microsim::MicroSim micro = sim::construct_backend<microsim::MicroSim>(
@@ -158,8 +162,21 @@ std::uint64_t sparse_micro_state_digest() {
 // active-set tick and the serial sweep: the skips and the inline exit-road
 // completions must be invisible.
 TEST(GoldenDeterminism, MicroSimSparseMidRunStateDigestIsPinned) {
-  const std::uint64_t digest = sparse_micro_state_digest();
+  const std::uint64_t digest = micro_state_digest(sparse_micro_config());
   EXPECT_EQ(digest, 0xe5435e00bcad631cULL) << std::hex << digest;
+}
+
+// The same run on 20 m roads, shorter than the 25 m stop-line service zone:
+// a vehicle admitted onto an entry road or released from a junction box onto
+// an empty lane is inside the zone at once, so stop-line service may grant it
+// in the same tick, before any lane sweep has moved it. The value predates
+// the junction active sets, whose ready bitmap must cover those pushes too.
+TEST(GoldenDeterminism, MicroSimShortRoadMidRunStateDigestIsPinned) {
+  scenario::ScenarioConfig cfg = sparse_micro_config();
+  cfg.grid.road_length_m = 20.0;
+  cfg.grid.boundary_length_m = 20.0;
+  const std::uint64_t digest = micro_state_digest(cfg);
+  EXPECT_EQ(digest, 0xbda45d9e9a957b80ULL) << std::hex << digest;
 }
 
 TEST(GoldenDeterminism, QueueSimPinnedMetrics) {

@@ -28,11 +28,14 @@ class ConstantController final : public core::SignalController {
   net::PhaseIndex phase_;
 };
 
-net::Network grid(int n = 1, int capacity = 120) {
+net::Network grid(int n = 1, int capacity = 120,
+                  double road_length_m = net::GridConfig{}.road_length_m) {
   net::GridConfig cfg;
   cfg.rows = n;
   cfg.cols = n;
   cfg.capacity = capacity;
+  cfg.road_length_m = road_length_m;
+  cfg.boundary_length_m = road_length_m;
   return net::build_grid(cfg);
 }
 
@@ -244,8 +247,8 @@ TEST(MicroSim, RejectsBadConstruction) {
   EXPECT_THROW(MicroSim(net, MicroSimConfig{}, {}, demand, 1), std::invalid_argument);
 }
 
-// Forwards every call to the wrapped controller but keeps holds_when_idle's
-// false default, so MicroSim never skips a decision of the junction.
+// Forwards every call to the wrapped controller but keeps idle_hold_until's
+// -infinity default, so MicroSim never skips a decision of the junction.
 class NeverSkippedController final : public core::SignalController {
  public:
   explicit NeverSkippedController(core::ControllerPtr inner) : inner_(std::move(inner)) {}
@@ -262,7 +265,8 @@ class NeverSkippedController final : public core::SignalController {
 // FNV-1a over every tick's displayed phases, road occupancies, lane counts
 // and lane positions, plus the closing metrics.
 std::uint64_t run_digest(const net::Network& net, const traffic::DemandConfig& demand_config,
-                         double duration_s, bool allow_idle_skip) {
+                         const MicroSimConfig& config, double duration_s,
+                         bool allow_idle_skip) {
   traffic::DemandGenerator demand(net, demand_config, 17);
   std::vector<core::ControllerPtr> controllers = core::make_controllers(util_spec(), net);
   if (!allow_idle_skip) {
@@ -270,7 +274,7 @@ std::uint64_t run_digest(const net::Network& net, const traffic::DemandConfig& d
       c = std::make_unique<NeverSkippedController>(std::move(c));
     }
   }
-  MicroSim sim(net, MicroSimConfig{}, std::move(controllers), demand, 3);
+  MicroSim sim(net, config, std::move(controllers), demand, 3);
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   auto add = [&hash](std::uint64_t word) {
     for (int byte = 0; byte < 8; ++byte) {
@@ -309,21 +313,34 @@ std::uint64_t run_digest(const net::Network& net, const traffic::DemandConfig& d
 // every junction at every control step. The first case uses one-vehicle
 // roads under a tenth of pattern I's demand, so an outgoing road is often
 // full while the approaches are empty — where Eq. (8)'s beta sentinel can
-// make UTIL-BP leave its phase, so the skip must not apply.
+// make UTIL-BP leave its phase, so the skip must not apply. The mixed-lane
+// case counts a junction's queue readings from one shared lane per road, and
+// the 20 m case runs roads shorter than the stop-line service zone, where a
+// vehicle pushed onto an empty lane can be served before the sweep moves it.
 TEST(MicroSim, IdleDecisionSkipIsInvisible) {
   struct Case {
     int size;
     int capacity;
     traffic::PatternKind pattern;
     double interarrival_scale;
+    bool dedicated_turn_lanes = true;
+    double road_length_m = 220.0;
   };
   for (const Case& c : {Case{2, 1, traffic::PatternKind::I, 10.0},
                         Case{3, 6, traffic::PatternKind::III, 1.0},
-                        Case{4, 120, traffic::PatternKind::I, 1.0}}) {
-    SCOPED_TRACE(c.size);
-    const net::Network net = grid(c.size, c.capacity);
+                        Case{4, 120, traffic::PatternKind::I, 1.0},
+                        Case{3, 120, traffic::PatternKind::II, 1.0, false},
+                        Case{3, 120, traffic::PatternKind::I, 1.0, true, 20.0}}) {
+    SCOPED_TRACE(::testing::Message() << c.size << "x" << c.size << ", capacity "
+                                      << c.capacity << ", dedicated "
+                                      << c.dedicated_turn_lanes << ", roads "
+                                      << c.road_length_m << " m");
+    const net::Network net = grid(c.size, c.capacity, c.road_length_m);
     const traffic::DemandConfig demand = demand_cfg(c.pattern, c.interarrival_scale);
-    EXPECT_EQ(run_digest(net, demand, 900.0, true), run_digest(net, demand, 900.0, false));
+    MicroSimConfig config;
+    config.dedicated_turn_lanes = c.dedicated_turn_lanes;
+    EXPECT_EQ(run_digest(net, demand, config, 900.0, true),
+              run_digest(net, demand, config, 900.0, false));
   }
 }
 

@@ -314,6 +314,50 @@ TEST(ScenarioIoTest, DuplicateControllerOverridesAreRejected) {
                   "controller_overrides[1]: duplicate override for junction (0, 1)");
 }
 
+// A grid reference past the last row or column is refused at load, at the
+// element's own path, instead of failing mid-setup in make_simulator(). The
+// last in-grid row and column load.
+TEST(ScenarioIoTest, OutOfGridReferencesAreRefusedAtTheirPath) {
+  const std::string grid = R"("grid": {"rows": 3, "cols": 4})";
+  ExpectLoadError(R"({"version": 1, )" + grid + R"(, "watches": [
+        {"row": 2, "col": 3, "side": "east", "name": "last"},
+        {"row": 3, "col": 0, "side": "east", "name": "x"}]})",
+                  "watches[1].row: must be < grid.rows (3)");
+  ExpectLoadError(R"({"version": 1, )" + grid + R"(, "controller_overrides": [
+        {"node": {"row": 0, "col": 4}}]})",
+                  "controller_overrides[0].node.col: must be < grid.cols (4)");
+  ExpectLoadError(R"({"version": 1, )" + grid + R"(, "faults": {"capacity": [
+        {"road": {"row": 3, "col": 0, "side": "north"}}]}})",
+                  "faults.capacity[0].road.row: must be < grid.rows (3)");
+  ExpectLoadError(R"({"version": 1, )" + grid + R"(, "faults": {"sensors": [
+        {"node": {"row": 2, "col": 3}},
+        {"node": {"row": 0, "col": 7}, "start_s": 10, "end_s": 20}]}})",
+                  "faults.sensors[1].node.col: must be < grid.cols (4)");
+  ExpectLoadError(R"({"version": 1, )" + grid + R"(, "faults": {"controllers": [
+        {"node": {"row": 5, "col": 0}}]}})",
+                  "faults.controllers[0].node.row: must be < grid.rows (3)");
+
+  const ScenarioConfig last = load_scenario(R"({"version": 1, )" + grid + R"(,
+    "watches": [{"row": 2, "col": 3, "side": "east", "name": "last"}],
+    "controller_overrides": [{"node": {"row": 2, "col": 3}}],
+    "faults": {"capacity": [{"road": {"row": 2, "col": 3, "side": "north"}}],
+               "sensors": [{"node": {"row": 2, "col": 3}}],
+               "controllers": [{"node": {"row": 2, "col": 3}}]}})");
+  EXPECT_EQ(last.watches.size(), 1u);
+  EXPECT_EQ(last.faults.controllers.size(), 1u);
+
+  // A --set is refused the same way, and leaves the config untouched.
+  ScenarioConfig cfg;
+  EXPECT_THROW(apply_setting(cfg, "watches[].row", "3"), ScenarioIoError);
+  EXPECT_TRUE(cfg.watches.empty());
+  try {
+    apply_setting(cfg, "faults.sensors[].node.col", "3");
+    FAIL() << "expected ScenarioIoError";
+  } catch (const ScenarioIoError& e) {
+    EXPECT_EQ(std::string(e.what()), "faults.sensors[0].node.col: must be < grid.cols (3)");
+  }
+}
+
 TEST(ScenarioIoTest, OverridesInheritTheRunWideSpec) {
   const ScenarioConfig cfg = load_scenario(R"({"version": 1,
     "controller": {"type": "fixed", "fixed_time": {"green_duration_s": 26, "amber_duration_s": 4}},
