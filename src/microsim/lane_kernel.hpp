@@ -1,7 +1,9 @@
-// Vectorized Krauss lane kernel: the micro-sim sweep's per-lane update as
+// Krauss lane kernel: the micro-sim sweep's per-lane update (lane_update) as
 // multi-pass, branchless, auto-vectorizable array passes over the lane's SoA
-// state (Lane::pos/speed), plus the scalar reference implementation the
-// equality tests and the kernel microbench compare against.
+// state (Lane::pos/speed), or, on lanes of at most kFusedLaneMax vehicles, as
+// one fused head-first pass of the same arithmetic; plus the scalar
+// reference implementation the equality tests and the kernel microbench
+// compare against.
 //
 // The synchronous Krauss (1998) update makes every per-vehicle computation
 // within a lane depend only on *previous-step* leader kinematics, so the
@@ -25,7 +27,8 @@
 // by tests/microsim_krauss_test.cpp and end-to-end by the golden determinism
 // and scenario-library pins. Dawdle draws come from StreamRng's bulk fill
 // (counter-based, so a batch of n draws is indistinguishable from n scalar
-// calls, including the final counter).
+// calls, including the final counter). The fused pass runs passes 1-4's
+// operations vehicle by vehicle (lane_update_fused).
 #pragma once
 
 #include <algorithm>
@@ -73,14 +76,47 @@ inline void lane_gaps(const double* __restrict pos, const double* __restrict spe
   lead_v[0] = 0.0;
 }
 
+// The per-update constants of the synchronous Krauss speed rule.
+struct KraussTerms {
+  double a_dt;
+  double bt;
+  double bt2;
+  double two_b;
+  double dawdle_scale;
+
+  KraussTerms(const VehicleParams& p, double dt)
+      : a_dt(p.accel_mps2 * dt),
+        bt(p.decel_mps2 * p.tau_s),
+        bt2(bt * bt),
+        two_b(2.0 * p.decel_mps2),
+        dawdle_scale(p.sigma * p.accel_mps2 * dt) {}
+};
+
+// next_speed()'s desired speed min(speed_limit, v + a dt, v_safe) before
+// dawdling, with its two data-dependent branches (gap <= 0, the max(0, ..)
+// clips) rewritten as selects: identical arithmetic on identical operands, so
+// the result is bit-identical (the sqrt is computed unconditionally on
+// max(0, radicand) — a vectorized sqrt lane costs what the scalar fast path
+// saved, which is how next_speed_fast's sqrt-eliding branch generalizes to a
+// per-element mask that never needs materializing). Never -0.0: both min
+// operands are max(0, ..) results or positive.
+[[nodiscard]] inline double krauss_desired(double v, double gap, double lead_v,
+                                           double speed_limit, const KraussTerms& k) {
+  const double cap = std::min(speed_limit, v + k.a_dt);
+  const double radicand = k.bt2 + lead_v * lead_v + k.two_b * gap;
+  const double root = std::sqrt(std::max(0.0, radicand));
+  double v_safe = std::max(0.0, -k.bt + root);
+  // The gap <= 0 select is written as a conditional overwrite rather than a
+  // ternary: gcc 12's if-conversion turns this form into a blend but leaves
+  // the equivalent ternary as control flow, which blocks vectorizing the
+  // whole of lane_speeds.
+  if (gap <= 0.0) v_safe = 0.0;
+  return std::min(cap, v_safe);
+}
+
 // Pass 2 — branchless synchronous Krauss speed update, in place. Element i
 // performs exactly next_speed(speed[i], gap[i], lead_v[i], ...) of
-// krauss.hpp, with its two data-dependent branches (gap <= 0, the max(0, ..)
-// clips) rewritten as selects: identical arithmetic on identical operands in
-// array order, so the result is bit-identical (the sqrt is computed
-// unconditionally on max(0, radicand) — a vectorized sqrt lane costs what
-// the scalar fast path saved, which is how next_speed_fast's sqrt-eliding
-// branch generalizes to a per-element mask that never needs materializing).
+// krauss.hpp through krauss_desired, in array order.
 // `draws` must hold vehicle-ordered dawdle draws (draws[i] belongs to slot i,
 // filled tail-first via StreamRng::fill_u01_tailfirst); nullptr disables
 // dawdling exactly like passing rand01 = 0 per element.
@@ -88,40 +124,18 @@ inline void lane_speeds(double* __restrict speed, const double* __restrict gap,
                         const double* __restrict lead_v, const double* __restrict draws,
                         std::size_t n, double speed_limit, const VehicleParams& p,
                         double dt) {
-  const double a_dt = p.accel_mps2 * dt;
-  const double bt = p.decel_mps2 * p.tau_s;
-  const double bt2 = bt * bt;
-  const double two_b = 2.0 * p.decel_mps2;
-  const double dawdle_scale = p.sigma * p.accel_mps2 * dt;
-  // The gap <= 0 select is written as a conditional overwrite rather than a
-  // ternary: gcc 12's if-conversion turns this form into a blend but leaves
-  // the equivalent ternary as control flow, which blocks vectorizing the
-  // whole pass.
+  const KraussTerms k(p, dt);
   if (draws != nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
-      const double cap = std::min(speed_limit, speed[i] + a_dt);
-      const double g = gap[i];
-      const double l = lead_v[i];
-      const double radicand = bt2 + l * l + two_b * g;
-      const double root = std::sqrt(std::max(0.0, radicand));
-      double v_safe = std::max(0.0, -bt + root);
-      if (g <= 0.0) v_safe = 0.0;
-      const double v_des = std::min(cap, v_safe);
-      speed[i] = std::max(0.0, v_des - dawdle_scale * draws[i]);
+      const double v_des = krauss_desired(speed[i], gap[i], lead_v[i], speed_limit, k);
+      speed[i] = std::max(0.0, v_des - k.dawdle_scale * draws[i]);
     }
   } else {
+    // rand01 = 0 makes the dawdle term (+-)0.0; v_des is never -0.0, so
+    // subtracting it is the identity and the reference's max(0, v_des - 0.0)
+    // is max(0, v_des).
     for (std::size_t i = 0; i < n; ++i) {
-      const double cap = std::min(speed_limit, speed[i] + a_dt);
-      const double g = gap[i];
-      const double l = lead_v[i];
-      const double radicand = bt2 + l * l + two_b * g;
-      const double root = std::sqrt(std::max(0.0, radicand));
-      double v_safe = std::max(0.0, -bt + root);
-      if (g <= 0.0) v_safe = 0.0;
-      // rand01 = 0 makes the dawdle term (+-)0.0; v_des is never -0.0 (both
-      // min operands are max(0, ..) results or positive), so subtracting it
-      // is the identity and the reference's max(0, v_des - 0.0) is v_des.
-      speed[i] = std::max(0.0, std::min(cap, v_safe));
+      speed[i] = std::max(0.0, krauss_desired(speed[i], gap[i], lead_v[i], speed_limit, k));
     }
   }
 }
@@ -189,12 +203,86 @@ inline void lane_update_vectorized(double* pos, double* speed, std::size_t n,
   }
 }
 
+// Lanes of at most this many vehicles take lane_update_fused; longer ones
+// take lane_update_vectorized (see the note on occupancy cutoffs below).
+inline constexpr std::size_t kFusedLaneMax = 4;
+
+// The full kinematic lane update as one head-first pass, for lanes of at
+// most kFusedLaneMax vehicles: per vehicle, the operations of passes 1-4 on
+// the same operands, with no scratch arrays. A follower's gap and leader
+// speed come from its leader's previous-step state, kept in locals before
+// the leader's slot is overwritten (pass 1); its speed from krauss_desired
+// and the same dawdle term (pass 2); its position from the same add (pass
+// 3). The head's stop-line hold is a select (a red-light head trips it every
+// tick), and each follower is clamped against its leader's *final* position
+// and speed (pass 4). Running the clamp test on every follower is exact:
+// lane_integrate's flag is clear only when no follower passes its leader's
+// tentative position, and without a clamp the tentative positions are the
+// final ones. Draws come from one fill_u01_tailfirst call, as in
+// lane_update_vectorized; with `rng` nullptr the dawdle term is 0.0 * 0.0,
+// and v_des - 0.0 is lane_speeds' v_des (never -0.0).
+inline void lane_update_fused(double* pos, double* speed, std::size_t n, double speed_limit,
+                              double road_length, bool is_exit, const VehicleParams& p,
+                              double dt, StreamRng* rng) {
+  if (n == 0) [[unlikely]] return;  // no head to read; the reference is a no-op too
+  const KraussTerms k(p, dt);
+  double draws[kFusedLaneMax] = {};
+  double dawdle_scale = 0.0;
+  if (rng != nullptr) {
+    rng->fill_u01_tailfirst(draws, n);
+    dawdle_scale = k.dawdle_scale;
+  }
+  // The leader's previous-step position and speed, for the follower's gap.
+  double lead_pos = pos[0];
+  double lead_v = speed[0];
+  const double head_gap = is_exit ? kFreeGap : road_length - pos[0];
+  double v = std::max(
+      0.0, krauss_desired(speed[0], head_gap, 0.0, speed_limit, k) - dawdle_scale * draws[0]);
+  double x = pos[0] + v * dt;
+  const bool hold = !is_exit && x > road_length - 0.2;  // hold at the stop line
+  // The leader's final position and speed, for the follower's overlap guard.
+  double final_pos = hold ? road_length - 0.2 : x;
+  double final_v = hold ? 0.0 : v;
+  pos[0] = final_pos;
+  speed[0] = final_v;
+  for (std::size_t i = 1; i < n; ++i) {
+    const double old_pos = pos[i];
+    const double old_v = speed[i];
+    const double gap = lead_pos - p.length_m - old_pos - p.min_gap_m;
+    v = std::max(0.0,
+                 krauss_desired(old_v, gap, lead_v, speed_limit, k) - dawdle_scale * draws[i]);
+    x = old_pos + v * dt;
+    const double limit = final_pos - p.length_m - 0.1;
+    const bool clamp = x > limit;
+    final_pos = clamp ? std::max(0.0, limit) : x;
+    final_v = clamp ? std::min(v, final_v) : v;
+    pos[i] = final_pos;
+    speed[i] = final_v;
+    lead_pos = old_pos;
+    lead_v = old_v;
+  }
+}
+
+// The sweep's lane update: lane_update_fused up to kFusedLaneMax vehicles,
+// lane_update_vectorized above. Both are bit-identical to
+// lane_update_reference.
+inline void lane_update(double* pos, double* speed, std::size_t n, double speed_limit,
+                        double road_length, bool is_exit, const VehicleParams& p, double dt,
+                        StreamRng* rng, LaneKernelScratch& scratch) {
+  if (n <= kFusedLaneMax) {
+    lane_update_fused(pos, speed, n, speed_limit, road_length, is_exit, p, dt, rng);
+  } else {
+    lane_update_vectorized(pos, speed, n, speed_limit, road_length, is_exit, p, dt, rng,
+                           scratch);
+  }
+}
+
 // Scalar reference: the pre-vectorization per-vehicle loop, kept as the
 // semantic baseline, the target of the lane-level bit-equality pin, and one
-// side of bench_krauss_kernel's comparison. Consumes rng draws tail-first (slot n-1 first), exactly as the
-// historical sweep did — fill_u01_tailfirst reproduces precisely this
-// consumption order, which is why the two implementations share one stream
-// position.
+// side of bench_krauss_kernel's comparison. Consumes rng draws tail-first
+// (slot n-1 first), exactly as the historical sweep did — fill_u01_tailfirst
+// reproduces precisely this consumption order, which is why the
+// implementations share one stream position.
 inline void lane_update_reference(double* pos, double* speed, std::size_t n,
                                   double speed_limit, double road_length, bool is_exit,
                                   const VehicleParams& p, double dt, StreamRng* rng) {
@@ -243,13 +331,19 @@ inline void lane_update_reference(double* pos, double* speed, std::size_t n,
   }
 }
 
-// Note on occupancy cutoffs: bench_krauss_kernel shows the scalar loop ahead
-// of the kernel below ~8 vehicles *in isolation* — but that advantage is a
-// microbench artifact (a single lane in steady state trains the branch
-// predictor perfectly, hiding the scalar loop's data-dependent branches). In
-// the real sweep, where lane states vary from tick to tick, dispatching
-// short lanes to the scalar loop measured ~15% *slower* end-to-end than
-// running the branchless kernel everywhere, so the sweep always uses the
-// kernel (see docs/PERFORMANCE.md "Vectorized lane kernel").
+// Note on occupancy cutoffs: bench_krauss_kernel shows the scalar reference
+// ahead of the vectorized passes below ~8 vehicles *in isolation* — but that
+// advantage is a microbench artifact (a single lane in steady state trains
+// the branch predictor perfectly, hiding the reference's data-dependent
+// branches). In the real sweep, where lane states vary from tick to tick,
+// dispatching short lanes to the reference measured ~15% *slower* end to end
+// than running the vectorized passes everywhere. What short lanes do pay for
+// is the passes' fixed cost: four loops and three scratch arrays for a
+// handful of vehicles. lane_update_fused removes it with the same branchless
+// arithmetic in one pass, and most lane visits of a sparse grid hold at most
+// kFusedLaneMax vehicles (83% on a 64x64 grid filling from empty). Longer
+// lanes keep the vectorized passes: a fused pass at every occupancy measured
+// slower on the dense 8x8 benchmark, where most vehicle-steps sit on longer
+// lanes (see docs/PERFORMANCE.md "Vectorized lane kernel").
 
 }  // namespace abp::microsim

@@ -81,23 +81,25 @@ void MicroSim::build_runtime() {
     entry_slot_[net_.entry_roads()[k].index()] = static_cast<std::uint32_t>(k);
   }
 
-  // Per-(intersection, phase) green-link index, CSR over one flat array:
-  // phase_links_[phase_link_offsets_[slot] .. phase_link_offsets_[slot + 1])
-  // with slot = phase_slot_base_[node] + displayed phase. Built once here —
-  // phase composition is finalized-time topology — so the junction phase
-  // reads the displayed phase's movements directly instead of a green set
-  // rebuilt every control step. Order inside a slot is the phase's own link
-  // order, so iterating nodes in index order reproduces the historical
-  // (intersection, phase-link) grant order exactly.
-  phase_slot_base_.clear();
-  phase_slot_base_.reserve(net_.intersections().size());
-  phase_link_offsets_.assign(1, 0);
-  phase_links_.clear();
+  // Stop-line service grants in ascending link id, which is the (junction,
+  // phase-link) order only if each junction's links ascend past the previous
+  // junction's and each phase lists its links in ascending order.
+  // Network::finalize numbers links junction by junction and builds every
+  // phase as a subsequence of its junction's links.
+  const auto descending = [](LinkId a, LinkId b) { return a.index() >= b.index(); };
+  std::size_t next_link = 0;  // the lowest id the next junction link may have
   for (const net::Intersection& node : net_.intersections()) {
-    phase_slot_base_.push_back(static_cast<std::uint32_t>(phase_link_offsets_.size() - 1));
+    bool ordered = true;
+    for (LinkId lid : node.links) {
+      ordered = ordered && lid.index() >= next_link;
+      next_link = lid.index() + 1;
+    }
     for (const net::Phase& phase : node.phases) {
-      for (LinkId lid : phase.links) phase_links_.push_back(lid);
-      phase_link_offsets_.push_back(static_cast<std::uint32_t>(phase_links_.size()));
+      ordered = ordered && std::adjacent_find(phase.links.begin(), phase.links.end(),
+                                              descending) == phase.links.end();
+    }
+    if (!ordered) {
+      throw std::logic_error("links must ascend by junction and within every phase");
     }
   }
 
@@ -114,8 +116,10 @@ void MicroSim::build_runtime() {
   road_queued_congestion_.assign(net_.roads().size(), 0);
   link_queued_approach_.assign(net_.links().size(), 0);
   active_roads_.assign((net_.roads().size() + 63) / 64, 0);
+  const std::size_t link_words = (net_.links().size() + 63) / 64;
+  green_links_.assign(link_words, 0);
+  ready_links_.assign(link_words, 0);
   const std::size_t junction_words = (net_.intersections().size() + 63) / 64;
-  ready_junctions_.assign(junction_words, 0);
   queued_junctions_.assign(junction_words, 0);
   blocked_junctions_.assign(junction_words, 0);
   hold_until_.reserve(controllers_.size());
@@ -244,7 +248,16 @@ void MicroSim::control_step() {
       throw std::logic_error("controller returned an out-of-range phase");
     }
     hold_until_[j] = controller.idle_hold_until();
-    displayed_[j] = phase;
+    // The green bits follow the displayed phase; an unchanged phase keeps them.
+    if (phase != displayed_[j]) {
+      for (LinkId lid : nodes[j].phases[static_cast<std::size_t>(displayed_[j])].links) {
+        green_links_[lid.index() / 64] &= ~(std::uint64_t{1} << (lid.index() % 64));
+      }
+      for (LinkId lid : nodes[j].phases[static_cast<std::size_t>(phase)].links) {
+        mark(green_links_, lid.index());
+      }
+      displayed_[j] = phase;
+    }
     result_.phase_traces[j].record(now_, phase);
   }
 }
@@ -308,8 +321,9 @@ void MicroSim::admit_spawns() {
       in_network_count_ += 1;
       LaneStore& vehicles = lane_of(rt, lane).vehicles;
       // Pushed onto an empty lane, the vehicle is its head, which on a road
-      // shorter than the service zone can be served this tick.
-      mark(ready_junctions_, rt.to_junction, vehicles.empty());
+      // shorter than the service zone can be served this tick, on its own
+      // movement (the lane's link, on a dedicated lane).
+      mark(ready_links_, veh_next_link_[vid.index()].index(), vehicles.empty());
       vehicles.push(vid, 0.0,
                     std::min(config_.insertion_speed_mps, net_.road(entry).speed_limit_mps),
                     veh_waiting_[vid.index()]);
@@ -338,8 +352,9 @@ void MicroSim::release_junction_vehicles() {
       m.loc = Loc::Lane;
       LaneStore& vehicles = lane_of(target, m.lane).vehicles;
       // As in admission: a new head may be inside the service zone already.
+      // On an exit road the vehicle has no next movement.
       if (target.to_junction != kNoJunction) {
-        mark(ready_junctions_, target.to_junction, vehicles.empty());
+        mark(ready_links_, veh_next_link_[vid.index()].index(), vehicles.empty());
       }
       vehicles.push(vid, 0.0,
                     std::min(config_.insertion_speed_mps, net_.road(m.road).speed_limit_mps),
@@ -391,52 +406,45 @@ void MicroSim::service_junctions() {
   // A green movement serves the head vehicle at most once per 1/mu seconds,
   // provided it has reached the service zone at the stop line. Service moves
   // the vehicle into the junction box immediately; everything behind it keeps
-  // following normally in the sweep. Only the currently green links are
-  // visited — each node's displayed phase selects its slot of the precomputed
-  // green-link index, so red movements are never scanned and control steps no
-  // longer rebuild any green set. On a mixed lane the head vehicle's own route
-  // decides the movement
-  // — the grant happens on the link matching the head's resolved next_link,
-  // and if that movement is red the whole lane waits behind it (head-of-line
-  // blocking). Grants read and write state of the *downstream* road
-  // (occupancy reservation, insertion-gap check), so they all run here,
-  // before the sweep moves any vehicle. Only the junctions marked ready are
-  // visited, in junction order: at every other one no approach head is
-  // inside its service zone, so nothing could be granted.
-  for (std::size_t w = 0; w < ready_junctions_.size(); ++w) {
-    for (std::uint64_t bits = ready_junctions_[w]; bits != 0; bits &= bits - 1) {
-      const std::size_t ni = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      const std::uint32_t slot =
-          phase_slot_base_[ni] + static_cast<std::uint32_t>(displayed_[ni]);
-      const std::uint32_t slot_end = phase_link_offsets_[slot + 1];
-      for (std::uint32_t k = phase_link_offsets_[slot]; k < slot_end; ++k) {
-        const LinkId lid = phase_links_[k];
-        const LinkRt& lrt = links_[lid.index()];
-        if (now_ < lrt.next_grant) continue;
-        RoadRt& rt = roads_[lrt.from_road.index()];
-        Lane& lane = lane_of(rt, lrt.lane_index);
-        if (lane.vehicles.empty()) continue;
-        const VehicleId vid = lane.vehicles.ids()[0];
-        // Mixed lane: this link only serves the head if it is the head's own
-        // movement (dedicated lanes satisfy this by construction), and the
-        // stop line serves at most one vehicle per tick even when several
-        // green links share the lane.
-        if (!lane.link &&
-            (veh_next_link_[vid.index()] != lid || lane.serviced_at == now_)) {
-          continue;
-        }
-        const net::Road& road = net_.road(lrt.from_road);
-        if (lane.vehicles.pos()[0] < road.length_m - config_.service_zone_m) continue;
-        if (!try_grant(vid, lid)) continue;
-        lane.serviced_at = now_;
-        veh_waiting_[vid.index()] = lane.vehicles.waiting()[0];
-        VehMeta& m = veh_meta_[vid.index()];
-        m.junction_exit = now_ + config_.junction_crossing_s;
-        rt.occupancy -= 1;
-        lane.vehicles.pop_head();
-        m.loc = Loc::Junction;
-        in_junction_.push_back(vid);
+  // following normally in the sweep. Only the green links are visited — the
+  // control step keeps the displayed phases' links in a bitmap, so red
+  // movements are never scanned. On a mixed lane the head vehicle's own
+  // route decides the movement — the grant happens on the link matching the
+  // head's resolved next_link, and if that movement is red the whole lane
+  // waits behind it (head-of-line blocking). Grants read and write state of
+  // the *downstream* road (occupancy reservation, insertion-gap check), so
+  // they all run here, before the sweep moves any vehicle. Only the green
+  // links marked ready are visited, in ascending id, which build_runtime()
+  // checked is the (junction, phase-link) order: at every other green link
+  // the lane is empty, its head is short of the service zone, or (mixed lane)
+  // the head takes another movement, so nothing could be granted.
+  for (std::size_t w = 0; w < ready_links_.size(); ++w) {
+    for (std::uint64_t bits = ready_links_[w] & green_links_[w]; bits != 0; bits &= bits - 1) {
+      const LinkId lid(static_cast<LinkId::value_type>(w * 64 + std::countr_zero(bits)));
+      const LinkRt& lrt = links_[lid.index()];
+      if (now_ < lrt.next_grant) continue;
+      RoadRt& rt = roads_[lrt.from_road.index()];
+      Lane& lane = lane_of(rt, lrt.lane_index);
+      if (lane.vehicles.empty()) continue;
+      const VehicleId vid = lane.vehicles.ids()[0];
+      // Mixed lane: this link only serves the head if it is the head's own
+      // movement (dedicated lanes satisfy this by construction), and the
+      // stop line serves at most one vehicle per tick even when several
+      // green links share the lane.
+      if (!lane.link && (veh_next_link_[vid.index()] != lid || lane.serviced_at == now_)) {
+        continue;
       }
+      const net::Road& road = net_.road(lrt.from_road);
+      if (lane.vehicles.pos()[0] < road.length_m - config_.service_zone_m) continue;
+      if (!try_grant(vid, lid)) continue;
+      lane.serviced_at = now_;
+      veh_waiting_[vid.index()] = lane.vehicles.waiting()[0];
+      VehMeta& m = veh_meta_[vid.index()];
+      m.junction_exit = now_ + config_.junction_crossing_s;
+      rt.occupancy -= 1;
+      lane.vehicles.pop_head();
+      m.loc = Loc::Junction;
+      in_junction_.push_back(vid);
     }
   }
 }
@@ -459,18 +467,18 @@ void MicroSim::sweep_lane(const net::Road& road, Lane& lane, StreamRng& rng) {
   double* speed = lane.vehicles.speed();
   double* waiting = lane.vehicles.waiting();
 
-  // Kinematics: the vectorized kernel passes of lane_kernel.hpp — bulk
-  // dawdle fill (one counter-stream batch, identical stream accounting to n
-  // scalar draws), gap stencil, branchless synchronous-Krauss speed pass,
-  // fused integrate + stop-line clamp, and the rare sequential overlap
-  // fallback. Used at every occupancy: the branchless form also beats the
-  // scalar loop on short lanes in the real sweep, where varied lane states
-  // defeat the branch predictor (see lane_kernel.hpp on why the microbench
-  // suggests otherwise). Bit-identical to the scalar reference by
-  // construction (element-wise FP in array order is the same arithmetic in
-  // the same order); tests/microsim_krauss_test.cpp pins it lane-for-lane.
-  lane_update_vectorized(pos, speed, n, road.speed_limit_mps, road_length, is_exit, vp,
-                         dt, vp.sigma > 0.0 ? &rng : nullptr, sweep_scratch_);
+  // Kinematics: lane_kernel.hpp's lane_update — one fused head-first pass on
+  // lanes of at most kFusedLaneMax vehicles, and above that the vectorized
+  // passes: bulk dawdle fill (one counter-stream batch, identical stream
+  // accounting to n scalar draws), gap stencil, branchless synchronous-Krauss
+  // speed pass, fused integrate + stop-line clamp, and the rare sequential
+  // overlap fallback. Both paths are branchless where the lane states are
+  // unpredictable, and bit-identical to the scalar reference by construction
+  // (the same arithmetic on the same operands in the same order);
+  // tests/microsim_krauss_test.cpp pins them lane for lane at every
+  // occupancy up to 64.
+  lane_update(pos, speed, n, road.speed_limit_mps, road_length, is_exit, vp, dt,
+              vp.sigma > 0.0 ? &rng : nullptr, sweep_scratch_);
 
   // Accounting tail — completion, waiting time, queued-count memos —
   // on the final speeds/positions. The integer memo counts commute, so
@@ -547,10 +555,10 @@ void MicroSim::sweep_roads() {
     std::fill(road_queued_congestion_.begin(), road_queued_congestion_.end(), 0);
     std::fill(link_queued_approach_.begin(), link_queued_approach_.end(), 0);
   }
-  // The junction bitmaps are rebuilt from the lanes this sweep moves: ready
-  // on every tick for next tick's service, queued and blocked on a
-  // memo-rebuild tick for next tick's control step.
-  std::fill(ready_junctions_.begin(), ready_junctions_.end(), 0);
+  // The bitmaps are rebuilt from the lanes this sweep moves: the ready links
+  // on every tick for next tick's service, the queued and blocked junctions
+  // on a memo-rebuild tick for next tick's control step.
+  std::fill(ready_links_.begin(), ready_links_.end(), 0);
   if (memo_pending_) {
     std::fill(queued_junctions_.begin(), queued_junctions_.end(), 0);
     std::fill(blocked_junctions_.begin(), blocked_junctions_.end(), 0);
@@ -576,18 +584,19 @@ void MicroSim::sweep_roads() {
       // Service's own zone test, with the same arithmetic.
       const double zone_start = road.length_m - config_.service_zone_m;
       const bool approach = rt.to_junction != kNoJunction;
-      bool head_in_zone = false;
       for (Lane& lane : std::span(lanes_).subspan(rt.lane_begin, rt.lane_count)) {
         // Empty dedicated lanes are common (traffic concentrates on a few
         // movements); skip them before paying the call.
         if (lane.vehicles.empty()) continue;
         sweep_lane(road, lane, stream);
-        // An approach lane keeps its head through the sweep. Branch-free: the
-        // zone test is as unpredictable as the lane states. Accumulated in a
-        // local, so the bitmap word is written once per road.
-        head_in_zone |= approach && !(lane.vehicles.pos()[0] < zone_start);
+        if (!approach) continue;
+        // An approach lane keeps its head through the sweep; its movement is
+        // the lane's link, or on a mixed lane the head's own. Branch-free:
+        // the zone test is as unpredictable as the lane states.
+        const LinkId movement =
+            lane.link ? *lane.link : veh_next_link_[lane.vehicles.ids()[0].index()];
+        mark(ready_links_, movement.index(), !(lane.vehicles.pos()[0] < zone_start));
       }
-      if (approach) mark(ready_junctions_, rt.to_junction, head_in_zone);
       if (memo_pending_) {
         // A visited road's rows are rebuilt; an unvisited one is empty, with
         // zero rows and an occupancy below its capacity (never below 1).

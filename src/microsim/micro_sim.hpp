@@ -39,14 +39,17 @@
 // --- Active set ---
 // A tick pays for active state only: the sweep visits the roads whose bitmap
 // bit is set (occupied, or holding memo rows not yet re-zeroed), and marks
-// per-junction bitmaps as it moves the heads. Stop-line service visits only
-// the junctions marked *ready* (an approach lane's head inside its service
-// zone). A control step skips the observation and decision of a junction
-// that the memo-rebuild sweep left unmarked — not *queued* (every queue
-// reading 0) and not *blocked* (no full outgoing road) — whenever the sensor
-// is perfect and the time is before the hold its controller declared after
-// its last decision (SignalController::idle_hold_until). Every skip is exact:
-// skipped work could not have changed any state.
+// per-link and per-junction bitmaps as it moves the heads. Stop-line service
+// visits only the links that are both *ready* (the head of the lane feeding
+// the link is inside its service zone, and on a mixed lane takes that link)
+// and *green* (in the displayed phase), in ascending link id, which is the
+// (junction, phase-link) order. A control step skips the observation and
+// decision of a junction that the memo-rebuild sweep left unmarked — not
+// *queued* (every queue reading 0) and not *blocked* (no full outgoing road)
+// — whenever the sensor is perfect and the time is before the hold its
+// controller declared after its last decision
+// (SignalController::idle_hold_until). Every skip is exact: skipped work
+// could not have changed any state.
 //
 // Vehicle state is stored SoA, split hot from cold. The kinematic state the
 // sweep touches on every vehicle-step — position and speed — lives in each
@@ -212,15 +215,15 @@ class MicroSim {
   [[nodiscard]] VehicleId alloc_vehicle();
   void admit_spawns();
   void release_junction_vehicles();
-  // Junction phase: stop-line service for the head vehicle of every green
-  // lane. Grants mutate cross-road state (downstream occupancy, the junction
-  // box), so this runs before the sweep.
+  // Junction phase: stop-line service for the head vehicle of every ready
+  // green link. Grants mutate cross-road state (downstream occupancy, the
+  // junction box), so this runs before the sweep.
   void service_junctions();
   // Krauss update of every lane of the active roads, in road order.
   void sweep_roads();
-  // One lane's update: the vectorized kernel passes of lane_kernel.hpp over
-  // the lane's SoA arrays, then the (branchy, per-vehicle) accounting tail —
-  // exit-road completion, waiting-time accumulation, queued-count memos.
+  // One lane's update: lane_kernel.hpp's lane_update over the lane's SoA
+  // arrays, then the (branchy, per-vehicle) accounting tail — exit-road
+  // completion, waiting-time accumulation, queued-count memos.
   void sweep_lane(const net::Road& road, Lane& lane, StreamRng& rng);
   // Zeroes one road's memo rows (road counters + its movements' link rows).
   void zero_memo_rows(std::size_t road_index);
@@ -300,17 +303,25 @@ class MicroSim {
   std::vector<std::deque<VehicleId>> entry_buffers_;
   std::vector<std::uint32_t> entry_slot_;
   std::vector<LinkRt> links_;
-  // Precomputed green-link index (CSR): for intersection n displaying phase
-  // p, the movements with right-of-way are
-  //   phase_links_[phase_link_offsets_[s] .. phase_link_offsets_[s + 1])
-  // with s = phase_slot_base_[n] + p. Built once in build_runtime() from the
-  // finalized phase plans; the transition phase's slot is empty, so the
-  // junction phase needs no special case and control_step() maintains no
-  // green set at all.
-  std::vector<LinkId> phase_links_;
-  std::vector<std::uint32_t> phase_link_offsets_;
-  std::vector<std::uint32_t> phase_slot_base_;
   std::vector<net::PhaseIndex> displayed_;
+  // Per-link bitmaps that stop-line service walks as ready & green, word by
+  // word, in ascending link id. build_runtime() checks that this is the
+  // (junction, phase-link) order: every junction's links ascend past the
+  // previous junction's, and every phase lists its links in ascending order.
+  // Green: the links of every junction's displayed phase, rewritten by the
+  // control step where a junction's phase changes (the transition phase has
+  // no links, so amber clears them). Ready: the head of the lane feeding the
+  // link may be served — cleared at the start of every sweep, marked after
+  // each approach lane's update where !(head pos < road length - service
+  // zone) on the lane's link (dedicated) or on the head's own movement
+  // (mixed), and at a push onto an empty approach lane (admission, box
+  // release) on the pushed vehicle's movement. It is exact: a head moves only
+  // in the sweep, and changes identity only at such a push or at a stop-line
+  // pop, whose new head cannot be granted in the same service pass (one link
+  // per dedicated lane, serviced_at on a mixed lane); a mixed lane's head
+  // keeps its movement while it heads the lane.
+  std::vector<std::uint64_t> green_links_;
+  std::vector<std::uint64_t> ready_links_;
   // Vehicles currently inside a junction box, unordered.
   std::vector<VehicleId> in_junction_;
   // Control-step memo tables: queued counts per road (both detector
@@ -329,20 +340,12 @@ class MicroSim {
   // road's memo rows. Invariant: bit clear => occupancy 0 and memo rows zero,
   // so the sweep may skip every clear bit.
   std::vector<std::uint64_t> active_roads_;
-  // Per-junction bitmaps the sweep marks as it moves the vehicles. Ready:
-  // some approach lane's head is inside its service zone. Cleared at the
-  // start of every sweep, marked once the lanes of an approach road are
-  // updated and at a push onto an empty approach lane (admission, box
-  // release): a head moves only in the sweep and changes identity only at
-  // such a push or at a stop-line pop, whose new head cannot be granted in
-  // the same service pass (one link per dedicated lane, serviced_at on a
-  // mixed lane). Stop-line service visits the set bits only.
-  std::vector<std::uint64_t> ready_junctions_;
-  // Queued: some approach road's memo approach count is non-zero, i.e. some
-  // link's queue reading is (a road's link rows sum to its approach row).
-  // Blocked: some road a link of the junction enters is at design capacity.
-  // Rebuilt by every memo-rebuild sweep; nothing changes either between that
-  // sweep and the control step that reads them, which opens the next tick.
+  // Per-junction bitmaps the memo-rebuild sweep marks as it moves the
+  // vehicles. Queued: some approach road's memo approach count is non-zero,
+  // i.e. some link's queue reading is (a road's link rows sum to its approach
+  // row). Blocked: some road a link of the junction enters is at design
+  // capacity. Nothing changes either between that sweep and the control step
+  // that reads them, which opens the next tick.
   std::vector<std::uint64_t> queued_junctions_;
   std::vector<std::uint64_t> blocked_junctions_;
   // Per junction, the controller's idle_hold_until(), cached at construction

@@ -179,6 +179,34 @@ TEST(GoldenDeterminism, MicroSimShortRoadMidRunStateDigestIsPinned) {
   EXPECT_EQ(digest, 0xbda45d9e9a957b80ULL) << std::hex << digest;
 }
 
+// The same fold on a 3x3 grid whose stop-line service zone is 0.2 m, the
+// distance at which the lane kernel holds a head before the stop line. A held
+// head then sits exactly at length_m - service_zone_m, the one position where
+// the sweep's ready mark (!(pos < zone_start)) and service's own zone test
+// (pos < zone_start) must agree; a sweep that tested `<=` would never mark it
+// and the grid would stall. Captured before the per-link ready bits.
+TEST(GoldenDeterminism, MicroSimZoneBoundaryMidRunStateDigestIsPinned) {
+  scenario::ScenarioConfig cfg = sparse_micro_config();
+  cfg.grid.rows = 3;
+  cfg.grid.cols = 3;
+  cfg.micro.service_zone_m = 0.2;
+  const std::uint64_t digest = micro_state_digest(cfg);
+  EXPECT_EQ(digest, 0x53fd7dde2a7b68b4ULL) << std::hex << digest;
+}
+
+// The sparse 16x16 run with one mixed lane per road, where the head's own
+// resolved movement picks the link that may serve it (head-of-line blocking)
+// and several green links share one stop line. No scenarios/*.json sets the
+// flag, so this is the mixed-lane path's only pin captured at an earlier
+// commit. Captured before the per-link ready bits, whose mark on a mixed lane
+// is the head's movement.
+TEST(GoldenDeterminism, MicroSimMixedLaneMidRunStateDigestIsPinned) {
+  scenario::ScenarioConfig cfg = sparse_micro_config();
+  cfg.micro.dedicated_turn_lanes = false;
+  const std::uint64_t digest = micro_state_digest(cfg);
+  EXPECT_EQ(digest, 0x5c278fc97d43a0bcULL) << std::hex << digest;
+}
+
 TEST(GoldenDeterminism, QueueSimPinnedMetrics) {
   const auto r = scenario::run_scenario(golden_config(scenario::SimulatorKind::Queue));
   EXPECT_EQ(r.metrics.generated, 1272u);

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+
+#include "src/net/grid.hpp"
 
 namespace abp::net {
 namespace {
@@ -191,6 +194,37 @@ TEST(Network, ServiceRateAppliedToAllLinks) {
   net.add_road(out);
   net.finalize(Handedness::LeftHand, 0.25);
   EXPECT_DOUBLE_EQ(net.links().front().service_rate, 0.25);
+}
+
+// The micro sim's stop-line service walks green links in ascending id and
+// relies on that being the (junction, phase-link) order: each junction's
+// links are one contiguous ascending run of ids, the runs ascend with the
+// junction index, and every phase lists its links in ascending order.
+TEST(Network, LinkIdsAscendByJunctionAndWithinEveryPhase) {
+  for (const auto& [rows, cols] : {std::pair{1, 1}, std::pair{3, 3}, std::pair{2, 5}}) {
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols);
+    GridConfig config;
+    config.rows = rows;
+    config.cols = cols;
+    const Network net = build_grid(config);
+    std::size_t next = 0;
+    for (const Intersection& node : net.intersections()) {
+      ASSERT_FALSE(node.links.empty()) << node.name;
+      EXPECT_EQ(node.links.front().index(), next) << node.name;
+      for (std::size_t k = 0; k < node.links.size(); ++k) {
+        EXPECT_EQ(node.links[k].index(), next + k) << node.name;
+        EXPECT_EQ(net.link(node.links[k]).owner, node.id) << node.name;
+      }
+      next += node.links.size();
+      for (const Phase& phase : node.phases) {
+        for (std::size_t k = 1; k < phase.links.size(); ++k) {
+          EXPECT_LT(phase.links[k - 1].index(), phase.links[k].index())
+              << node.name << " " << phase.name;
+        }
+      }
+    }
+    EXPECT_EQ(next, net.links().size());
+  }
 }
 
 }  // namespace
