@@ -1,6 +1,7 @@
 // Krauss lane-kernel microbench: ns per vehicle-step of the scalar reference
-// vs the vectorized kernel (src/microsim/lane_kernel.hpp), at lane
-// occupancies {1, 4, 16, 64} — the serial floor every other layer of the
+// vs lane_update, the sweep's own dispatch (src/microsim/lane_kernel.hpp: the
+// fused pass up to kFusedLaneMax vehicles, the vectorized passes above), at
+// lane occupancies {1, 4, 16, 64} — the serial floor every other layer of the
 // micro-sim multiplies, measured as an artifact instead of prose.
 //
 // Workload: a platoon released toward a stop line on a 500 m road. The head
@@ -15,15 +16,17 @@
 //
 // Output: stdout table, CSV mirror under ./bench_results/, and a JSON report
 // (argv[1], default BENCH_krauss_kernel.json) following the throughput
-// bench's schema: rows keyed (occupancy, variant) with ns_per_vehicle_step
-// as the measurement and vehicle_steps as the load descriptor. ABP_FAST=1
-// scales the tick counts down 10x.
+// bench's schema: the machine's hardware_concurrency, then rows keyed
+// (occupancy, variant) with ns_per_vehicle_step as the measurement and
+// vehicle_steps as the load descriptor. ABP_FAST=1 scales the tick counts
+// down 10x.
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
 #include <bit>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -70,14 +73,12 @@ LaneState release_state(int n) {
 }
 
 // One tick of either variant over the lane state.
-void tick(bool vectorized, LaneState& s, StreamRng& rng,
-          microsim::LaneKernelScratch& scratch) {
+void tick(bool kernel, LaneState& s, StreamRng& rng, microsim::LaneKernelScratch& scratch) {
   const microsim::VehicleParams p;
   const std::size_t n = s.pos.size();
-  if (vectorized) {
-    microsim::lane_update_vectorized(s.pos.data(), s.speed.data(), n, kSpeedLimit,
-                                     kRoadLength, /*is_exit=*/false, p, kDt, &rng,
-                                     scratch);
+  if (kernel) {
+    microsim::lane_update(s.pos.data(), s.speed.data(), n, kSpeedLimit, kRoadLength,
+                          /*is_exit=*/false, p, kDt, &rng, scratch);
   } else {
     microsim::lane_update_reference(s.pos.data(), s.speed.data(), n, kSpeedLimit,
                                     kRoadLength, /*is_exit=*/false, p, kDt, &rng);
@@ -88,18 +89,18 @@ void tick(bool vectorized, LaneState& s, StreamRng& rng,
 // stay bit-identical, or the comparison below is meaningless.
 void verify_equivalence(int n) {
   LaneState ref = release_state(n);
-  LaneState vec = release_state(n);
+  LaneState ker = release_state(n);
   StreamRng rng_ref(2020, static_cast<std::uint64_t>(n));
-  StreamRng rng_vec(2020, static_cast<std::uint64_t>(n));
+  StreamRng rng_ker(2020, static_cast<std::uint64_t>(n));
   microsim::LaneKernelScratch scratch;
   for (int t = 0; t < kResetEvery; ++t) {
     tick(false, ref, rng_ref, scratch);
-    tick(true, vec, rng_vec, scratch);
+    tick(true, ker, rng_ker, scratch);
     for (std::size_t i = 0; i < ref.pos.size(); ++i) {
       if (std::bit_cast<std::uint64_t>(ref.pos[i]) !=
-              std::bit_cast<std::uint64_t>(vec.pos[i]) ||
+              std::bit_cast<std::uint64_t>(ker.pos[i]) ||
           std::bit_cast<std::uint64_t>(ref.speed[i]) !=
-              std::bit_cast<std::uint64_t>(vec.speed[i])) {
+              std::bit_cast<std::uint64_t>(ker.speed[i])) {
         std::fprintf(stderr, "FATAL: variants diverged (n=%d tick=%d slot=%zu)\n", n, t,
                      i);
         std::exit(1);
@@ -108,16 +109,16 @@ void verify_equivalence(int n) {
   }
 }
 
-Row measure(bool vectorized, int n, long long target_vehicle_steps) {
+Row measure(bool kernel, int n, long long target_vehicle_steps) {
   Row row;
   row.occupancy = n;
-  row.variant = vectorized ? "vectorized" : "scalar";
+  row.variant = kernel ? "lane_update" : "scalar";
   LaneState s = release_state(n);
   StreamRng rng(2020, static_cast<std::uint64_t>(n));
   microsim::LaneKernelScratch scratch;
   const long long ticks = target_vehicle_steps / n;
   // Warmup: one full reset cadence (pulls code+data hot, sizes the scratch).
-  for (int t = 0; t < kResetEvery; ++t) tick(vectorized, s, rng, scratch);
+  for (int t = 0; t < kResetEvery; ++t) tick(kernel, s, rng, scratch);
   s = release_state(n);
   row.wall_seconds = timed_seconds([&] {
     for (long long t = 0; t < ticks; ++t) {
@@ -128,7 +129,7 @@ Row measure(bool vectorized, int n, long long target_vehicle_steps) {
         std::copy(fresh.pos.begin(), fresh.pos.end(), s.pos.begin());
         std::copy(fresh.speed.begin(), fresh.speed.end(), s.speed.begin());
       }
-      tick(vectorized, s, rng, scratch);
+      tick(kernel, s, rng, scratch);
     }
   });
   row.vehicle_steps = ticks * n;
@@ -140,7 +141,9 @@ Row measure(bool vectorized, int n, long long target_vehicle_steps) {
 void write_json(const std::string& path, const std::vector<Row>& rows) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"krauss_kernel\",\n"
-      << "  \"compiler\": \"" << kCompiler << "\",\n  \"rows\": [\n";
+      << "  \"compiler\": \"" << kCompiler << "\",\n"
+      << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n"
+      << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"occupancy\": " << r.occupancy << ", \"variant\": \"" << r.variant
@@ -164,8 +167,9 @@ int main(int argc, char** argv) {
       static_cast<long long>(40'000'000 * duration_scale());
   const int occupancies[] = {1, 4, 16, 64};
 
-  print_header("Krauss lane kernel (ns per vehicle-step, scalar vs vectorized)");
-  std::printf("compiler: %s\n", kCompiler);
+  print_header("Krauss lane kernel (ns per vehicle-step, scalar vs lane_update)");
+  std::printf("compiler: %s, hardware_concurrency: %u\n", kCompiler,
+              std::thread::hardware_concurrency());
   std::printf("%-10s %-11s %14s %10s %18s\n", "occupancy", "variant", "vehicle-steps",
               "wall [s]", "ns/vehicle-step");
 
@@ -174,8 +178,8 @@ int main(int argc, char** argv) {
   csv << "occupancy,variant,vehicle_steps,wall_seconds,ns_per_vehicle_step\n";
   for (int n : occupancies) {
     verify_equivalence(n);
-    for (bool vectorized : {false, true}) {
-      Row row = measure(vectorized, n, target_steps);
+    for (bool kernel : {false, true}) {
+      Row row = measure(kernel, n, target_steps);
       std::printf("%-10d %-11s %14lld %10.3f %18.2f\n", row.occupancy,
                   row.variant.c_str(), row.vehicle_steps, row.wall_seconds,
                   row.ns_per_vehicle_step());

@@ -81,28 +81,6 @@ void MicroSim::build_runtime() {
     entry_slot_[net_.entry_roads()[k].index()] = static_cast<std::uint32_t>(k);
   }
 
-  // Stop-line service grants in ascending link id, which is the (junction,
-  // phase-link) order only if each junction's links ascend past the previous
-  // junction's and each phase lists its links in ascending order.
-  // Network::finalize numbers links junction by junction and builds every
-  // phase as a subsequence of its junction's links.
-  const auto descending = [](LinkId a, LinkId b) { return a.index() >= b.index(); };
-  std::size_t next_link = 0;  // the lowest id the next junction link may have
-  for (const net::Intersection& node : net_.intersections()) {
-    bool ordered = true;
-    for (LinkId lid : node.links) {
-      ordered = ordered && lid.index() >= next_link;
-      next_link = lid.index() + 1;
-    }
-    for (const net::Phase& phase : node.phases) {
-      ordered = ordered && std::adjacent_find(phase.links.begin(), phase.links.end(),
-                                              descending) == phase.links.end();
-    }
-    if (!ordered) {
-      throw std::logic_error("links must ascend by junction and within every phase");
-    }
-  }
-
   link_obs_.reserve(net_.links().size());
   for (const net::Link& link : net_.links()) {
     link_obs_.push_back({static_cast<std::uint32_t>(link.from_road.index()),
@@ -414,8 +392,8 @@ void MicroSim::service_junctions() {
   // waits behind it (head-of-line blocking). Grants read and write state of
   // the *downstream* road (occupancy reservation, insertion-gap check), so
   // they all run here, before the sweep moves any vehicle. Only the green
-  // links marked ready are visited, in ascending id, which build_runtime()
-  // checked is the (junction, phase-link) order: at every other green link
+  // links marked ready are visited, in ascending id, which Network::finalize
+  // guarantees is the (junction, phase-link) order: at every other green link
   // the lane is empty, its head is short of the service zone, or (mixed lane)
   // the head takes another movement, so nothing could be granted.
   for (std::size_t w = 0; w < ready_links_.size(); ++w) {

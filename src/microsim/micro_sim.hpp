@@ -305,9 +305,8 @@ class MicroSim {
   std::vector<LinkRt> links_;
   std::vector<net::PhaseIndex> displayed_;
   // Per-link bitmaps that stop-line service walks as ready & green, word by
-  // word, in ascending link id. build_runtime() checks that this is the
-  // (junction, phase-link) order: every junction's links ascend past the
-  // previous junction's, and every phase lists its links in ascending order.
+  // word, in ascending link id, which net::Network::finalize guarantees is
+  // the (junction, phase-link) order.
   // Green: the links of every junction's displayed phase, rewritten by the
   // control step where a junction's phase changes (the transition phase has
   // no links, so amber clears them). Ready: the head of the lane feeding the

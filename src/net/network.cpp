@@ -62,6 +62,25 @@ void Network::finalize(Handedness handedness, double default_service_rate) {
     build_links_for(node, default_service_rate);
     build_standard_phases(node);
   }
+  // The link order finalize() guarantees: build_links_for numbers links
+  // junction by junction and build_standard_phases builds every phase as a
+  // subsequence of its junction's links; this checks that they still do.
+  const auto descending = [](LinkId a, LinkId b) { return a.index() >= b.index(); };
+  std::size_t next_link = 0;  // the lowest id the next junction link may have
+  for (const Intersection& node : intersections_) {
+    bool ordered = true;
+    for (LinkId lid : node.links) {
+      ordered = ordered && lid.index() >= next_link;
+      next_link = lid.index() + 1;
+    }
+    for (const Phase& phase : node.phases) {
+      ordered = ordered && std::adjacent_find(phase.links.begin(), phase.links.end(),
+                                              descending) == phase.links.end();
+    }
+    if (!ordered) {
+      throw std::logic_error("links must ascend by junction and within every phase");
+    }
+  }
   build_topology_index();
   finalized_ = true;
 }

@@ -34,6 +34,10 @@ class Network {
   // Builds approach arrays, links and the standard phase plan for every
   // junction. `default_service_rate` is mu for every created link.
   // Must be called exactly once, after all roads and intersections are added.
+  // Guarantees that ascending link id is the (junction, phase-link) order:
+  // each junction's links ascend past the previous junction's, and every
+  // phase lists its links in ascending order (throws std::logic_error
+  // otherwise). Both simulators serve green links in that order.
   void finalize(Handedness handedness, double default_service_rate = 1.0);
 
   [[nodiscard]] bool finalized() const noexcept { return finalized_; }

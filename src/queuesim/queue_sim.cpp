@@ -1,6 +1,7 @@
 #include "src/queuesim/queue_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace abp::queuesim {
@@ -23,7 +24,22 @@ QueueSim::QueueSim(const net::Network& network, QueueSimConfig config,
   entry_buffer_.resize(net_.roads().size());
   road_queued_.assign(net_.roads().size(), 0);
   road_capacity_.reserve(net_.roads().size());
-  for (const net::Road& road : net_.roads()) road_capacity_.push_back(road.capacity);
+  for (const net::Road& road : net_.roads()) {
+    road_capacity_.push_back(road.capacity);
+    roads_[road.id.index()].exit = road.is_exit();
+  }
+  link_rows_.reserve(net_.links().size());
+  for (const net::Link& link : net_.links()) {
+    const net::Road& from = net_.road(link.from_road);
+    const net::Road& to = net_.road(link.to_road);
+    const double rate_dt = link.service_rate * config_.step_s;
+    link_rows_.push_back({static_cast<std::uint32_t>(from.id.index()),
+                          static_cast<std::uint32_t>(to.id.index()), from.capacity, to.capacity,
+                          link.service_rate, rate_dt, std::max(1.0, rate_dt),
+                          to.free_flow_time_s()});
+  }
+  green_links_.assign((net_.links().size() + 63) / 64, 0);
+  transit_roads_.assign((net_.roads().size() + 63) / 64, 0);
   result_.phase_traces.resize(net_.intersections().size());
 }
 
@@ -58,15 +74,15 @@ const core::IntersectionObservation& QueueSim::observe(const net::Intersection& 
   obs.links.clear();
   obs.links.reserve(node.links.size());
   for (LinkId lid : node.links) {
-    const net::Link& link = net_.link(lid);
+    const LinkRow& link = link_rows_[lid.index()];
     core::LinkState state;
     state.queue = static_cast<int>(links_[lid.index()].queue.size());
-    state.upstream_total = queued_on_road(link.from_road);
-    state.upstream_capacity = net_.road(link.from_road).capacity;
-    state.downstream_queue =
-        net_.road(link.to_road).is_exit() ? 0 : queued_on_road(link.to_road);
-    state.downstream_total = roads_[link.to_road.index()].occupancy;
-    state.downstream_capacity = net_.road(link.to_road).capacity;
+    state.upstream_total = road_queued_[link.from_road];
+    state.upstream_capacity = link.upstream_capacity;
+    // An exit road never holds a queued vehicle, so this reads 0 there.
+    state.downstream_queue = road_queued_[link.to_road];
+    state.downstream_total = roads_[link.to_road].occupancy;
+    state.downstream_capacity = link.downstream_capacity;
     state.service_rate = link.service_rate;
     obs.links.push_back(state);
   }
@@ -75,23 +91,38 @@ const core::IntersectionObservation& QueueSim::observe(const net::Intersection& 
 
 void QueueSim::control_step() {
   for (const net::Intersection& node : net_.intersections()) {
-    const net::PhaseIndex phase = controllers_[node.id.index()]->decide(observe(node));
+    const std::size_t j = node.id.index();
+    const net::PhaseIndex phase = controllers_[j]->decide(observe(node));
     if (phase < 0 || phase >= static_cast<int>(node.phases.size())) {
       throw std::logic_error("controller returned an out-of-range phase");
     }
-    if (phase != displayed_[node.id.index()]) {
+    if (phase != displayed_[j]) {
       // A phase change cuts service credit of links that lost green.
       for (LinkId lid : node.links) links_[lid.index()].credit = 0.0;
+      for (LinkId lid : node.phases[static_cast<std::size_t>(displayed_[j])].links) {
+        green_links_[lid.index() / 64] &= ~(std::uint64_t{1} << (lid.index() % 64));
+      }
+      for (LinkId lid : node.phases[static_cast<std::size_t>(phase)].links) {
+        green_links_[lid.index() / 64] |= std::uint64_t{1} << (lid.index() % 64);
+      }
+      displayed_[j] = phase;
     }
-    displayed_[node.id.index()] = phase;
-    result_.phase_traces[node.id.index()].record(now_, phase);
+    result_.phase_traces[j].record(now_, phase);
   }
 }
 
 void QueueSim::route_vehicle_into_queue(VehicleId vid, RoadId road) {
-  const VehicleRecord& v = vehicles_[vid.index()];
+  VehicleRecord& v = vehicles_[vid.index()];
   links_[traffic::route_link(net_, v.route, v.junction, road).index()].queue.push_back(vid);
   road_queued_[road.index()] += 1;
+  v.stay_start = tick_;
+}
+
+double QueueSim::queued_seconds(std::uint64_t ticks) {
+  while (queued_seconds_.size() <= ticks) {
+    queued_seconds_.push_back(queued_seconds_.back() + config_.step_s);
+  }
+  return queued_seconds_[ticks];
 }
 
 void QueueSim::complete_vehicle(VehicleId vid) {
@@ -99,7 +130,7 @@ void QueueSim::complete_vehicle(VehicleId vid) {
   v.in_network = false;
   in_network_count_ -= 1;
   result_.metrics.completed += 1;
-  result_.metrics.queuing_time_s.add(v.queue_time);
+  result_.metrics.queuing_time_s.add(queued_seconds(v.queued_ticks));
   result_.metrics.travel_time_s.add(now_ - v.entry_time);
   free_slots_.push_back(vid.value());
 }
@@ -140,6 +171,7 @@ void QueueSim::admit_spawns(double from, double to) {
       v.entry_time = now_;  // waiting outside the network is not queuing time
       road.occupancy += 1;
       road.transit.push_back({now_ + net_.road(entry).free_flow_time_s(), vid});
+      mark_transit(entry.index());
       result_.metrics.entered += 1;
     }
     if (!buffer.empty()) {
@@ -150,47 +182,52 @@ void QueueSim::admit_spawns(double from, double to) {
 }
 
 void QueueSim::arbitrate_and_serve() {
-  for (const net::Intersection& node : net_.intersections()) {
-    const net::PhaseIndex phase = displayed_[node.id.index()];
-    if (phase == net::kTransitionPhase) continue;
-    for (LinkId lid : node.phases[static_cast<std::size_t>(phase)].links) {
-      const net::Link& link = net_.link(lid);
-      LinkQueueState& lq = links_[lid.index()];
-      RoadState& upstream = roads_[link.from_road.index()];
-      RoadState& downstream = roads_[link.to_road.index()];
-      const int downstream_cap = road_capacity_[link.to_road.index()];
+  for (std::size_t w = 0; w < green_links_.size(); ++w) {
+    for (std::uint64_t bits = green_links_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t lid = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      const LinkRow& link = link_rows_[lid];
+      LinkQueueState& lq = links_[lid];
+      RoadState& upstream = roads_[link.from_road];
+      RoadState& downstream = roads_[link.to_road];
+      const int downstream_cap = road_capacity_[link.to_road];
       // Service credit replenishes at mu while green; the cap prevents banking
       // service across steps in which the queue was empty.
-      const double rate_dt = link.service_rate * config_.step_s;
-      lq.credit = std::min(lq.credit + rate_dt, std::max(1.0, rate_dt));
-      // Arrival stamps use the pre-advance tick time; the division is
-      // deferred until the first vehicle actually serves.
-      double arrive = -1.0;
+      lq.credit = std::min(lq.credit + link.rate_dt, link.burst);
+      // Arrival stamps use the pre-advance tick time.
+      const double arrive = now_ + link.to_free_flow_s;
       while (lq.credit >= 1.0 && !lq.queue.empty() && downstream.occupancy < downstream_cap) {
-        if (arrive < 0.0) arrive = now_ + net_.road(link.to_road).free_flow_time_s();
         lq.credit -= 1.0;
-        road_queued_[link.from_road.index()] -= 1;
+        road_queued_[link.from_road] -= 1;
         upstream.occupancy -= 1;
         downstream.occupancy += 1;
         const VehicleId vid = lq.queue.front();
         lq.queue.pop_front();
-        vehicles_[vid.index()].junction += 1;
+        VehicleRecord& v = vehicles_[vid.index()];
+        v.queued_ticks += tick_ - v.stay_start;
+        v.junction += 1;
         downstream.transit.push_back({arrive, vid});
+        mark_transit(link.to_road);
       }
     }
   }
 }
 
-void QueueSim::drain_due_transits(const net::Road& road) {
-  RoadState& state = roads_[road.id.index()];
-  while (!state.transit.empty() && state.transit.front().arrive_time <= now_) {
-    const VehicleId vid = state.transit.front().vehicle;
-    state.transit.pop_front();
-    if (road.is_exit()) {
-      state.occupancy -= 1;
-      complete_vehicle(vid);
-    } else {
-      route_vehicle_into_queue(vid, road.id);
+void QueueSim::drain_due_transits() {
+  for (std::size_t w = 0; w < transit_roads_.size(); ++w) {
+    for (std::uint64_t bits = transit_roads_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t r = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      RoadState& state = roads_[r];
+      while (!state.transit.empty() && state.transit.front().arrive_time <= now_) {
+        const VehicleId vid = state.transit.front().vehicle;
+        state.transit.pop_front();
+        if (state.exit) {
+          state.occupancy -= 1;
+          complete_vehicle(vid);
+        } else {
+          route_vehicle_into_queue(vid, RoadId(static_cast<RoadId::value_type>(r)));
+        }
+      }
+      if (state.transit.empty()) transit_roads_[w] &= ~(std::uint64_t{1} << (r % 64));
     }
   }
 }
@@ -217,16 +254,11 @@ void QueueSim::step() {
   now_ += config_.step_s;
   // Completions happen in road order, so the floating-point metric sums
   // accumulate in exit-road order.
-  for (const net::Road& road : net_.roads()) drain_due_transits(road);
-  // One contiguous pass over the movement queues. Every queued vehicle's
-  // accumulator is touched exactly once per tick, so the iteration order
-  // cannot change any sum; vehicles the drain above just routed into a queue
-  // count this tick, and completed vehicles are in no queue.
-  for (const LinkQueueState& lq : links_) {
-    for (VehicleId vid : lq.queue) {
-      vehicles_[vid.index()].queue_time += config_.step_s;
-    }
-  }
+  drain_due_transits();
+  // Every vehicle now in a movement queue has queued for this tick, including
+  // those the drain just routed in: a stay that starts at tick t and is
+  // served at tick u counts u - t ticks.
+  tick_ += 1;
 }
 
 stats::RunResult& QueueSim::run_until(double until_s) {
@@ -238,6 +270,14 @@ stats::RunResult& QueueSim::run_until(double until_s) {
 stats::RunResult QueueSim::finish(double duration_s) {
   run_until(duration_s);
   finished_ = true;
+  // Close the open stays: every vehicle still queued has queued through the
+  // last tick.
+  for (const LinkQueueState& lq : links_) {
+    for (VehicleId vid : lq.queue) {
+      VehicleRecord& v = vehicles_[vid.index()];
+      v.queued_ticks += tick_ - v.stay_start;
+    }
+  }
   // Close open records so heavy congestion is visible in the metric rather
   // than silently dropped. Closing happens in spawn order: slot recycling
   // permutes vehicle indices, and the metric SampleSets are floating-point
@@ -252,7 +292,7 @@ stats::RunResult QueueSim::finish(double duration_s) {
   for (const auto& [seq, vid] : open) {
     VehicleRecord& v = vehicles_[vid.index()];
     result_.metrics.in_network_at_end += 1;
-    result_.metrics.queuing_time_s.add(v.queue_time);
+    result_.metrics.queuing_time_s.add(queued_seconds(v.queued_ticks));
     result_.metrics.travel_time_s.add(now_ - v.entry_time);
     v.in_network = false;
   }

@@ -18,15 +18,19 @@
 // --- Tick (see docs/PERFORMANCE.md) ---
 // One serial pass per tick: the controllers decide, demand is admitted
 // (batched: one DemandGenerator::poll_into per tick into a reused buffer),
-// then every green movement is served in (intersection, phase-link) order,
+// then every green movement is served in ascending link id, which
+// net::Network::finalize guarantees is the (intersection, phase-link) order,
 // each served vehicle moving straight into the downstream road's transit
 // FIFO. Due transits are then drained in road order, routing arrivals into
 // their movement queues and completing vehicles that reach the end of an
-// exit road, and every queued vehicle accrues one step of queuing time. All
-// stochastic draws (arrival times, route sampling) happen at admission on
+// exit road. A vehicle's queuing time is one step per tick it spends in a
+// movement queue; it is counted per stay (the tick it joins the queue, the
+// tick it is served) rather than by visiting every queued vehicle each tick.
+// All stochastic draws (arrival times, route sampling) happen at admission on
 // per-entry-road streams, so fixed-seed runs are bit-reproducible.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "src/core/controller.hpp"
@@ -102,7 +106,10 @@ class QueueSim {
     // Index of the next junction the vehicle reaches (0 on the entry road).
     std::size_t junction = 0;
     double entry_time = 0.0;
-    double queue_time = 0.0;
+    // Ticks spent in movement queues by closed stays, and the tick the open
+    // stay began (meaningful only while the vehicle is queued).
+    std::uint64_t queued_ticks = 0;
+    std::uint64_t stay_start = 0;
     bool in_network = false;
   };
 
@@ -116,12 +123,28 @@ class QueueSim {
     VecQueue<TransitEntry> transit;
     // Occupancy counter: transit + all link queues.
     int occupancy = 0;
+    // Exit road: a due transit completes instead of joining a queue.
+    bool exit = false;
   };
 
   struct LinkQueueState {
     VecQueue<VehicleId> queue;
     // Fractional service credit; replenished while green, capped at one burst.
     double credit = 0.0;
+  };
+
+  // Static per-link inputs, flattened once at construction so observe() and
+  // arbitrate_and_serve() read one row per link instead of chasing the
+  // network's links and roads.
+  struct LinkRow {
+    std::uint32_t from_road = 0;
+    std::uint32_t to_road = 0;
+    int upstream_capacity = 0;    // design W of from_road
+    int downstream_capacity = 0;  // design W of to_road
+    double service_rate = 0.0;    // mu
+    double rate_dt = 0.0;         // mu * step_s: credit gained per green tick
+    double burst = 0.0;           // max(1, rate_dt): the credit cap
+    double to_free_flow_s = 0.0;  // free-flow time of to_road
   };
 
   struct Watch {
@@ -137,13 +160,22 @@ class QueueSim {
   void admit_spawns(double from, double to);
   // Service phase, run before the tick advances now_: replenishes each green
   // movement's credit (capped at one burst), then serves while credit, queue
-  // and downstream capacity allow, in (intersection, phase-link) order,
-  // pushing each served vehicle into the downstream transit FIFO stamped
-  // with now_ plus the road's free-flow time.
+  // and downstream capacity allow, in ascending link id, pushing each served
+  // vehicle into the downstream transit FIFO stamped with now_ plus the
+  // road's free-flow time.
   void arbitrate_and_serve();
-  // Pops a road's due transits: arrivals join their movement queue, and on
-  // an exit road the vehicle completes.
-  void drain_due_transits(const net::Road& road);
+  // Pops the due transits of every road whose FIFO is non-empty, in road
+  // order: arrivals join their movement queue, and on an exit road the
+  // vehicle completes.
+  void drain_due_transits();
+  // A road's transit FIFO received a vehicle.
+  void mark_transit(std::size_t road) {
+    transit_roads_[road / 64] |= std::uint64_t{1} << (road % 64);
+  }
+  // Seconds of `ticks` queued ticks: that many additions of step_s from 0.0,
+  // the sum a tick-by-tick accrual builds (ticks * step_s rounds differently
+  // when step_s is not a binary fraction). Memoized, grown on demand.
+  [[nodiscard]] double queued_seconds(std::uint64_t ticks);
   void sample_watches();
   void route_vehicle_into_queue(VehicleId vid, RoadId road);
   void complete_vehicle(VehicleId vid);
@@ -157,12 +189,24 @@ class QueueSim {
   traffic::DemandGenerator& demand_;
 
   double now_ = 0.0;
+  // Ticks completed; the queuing-time clock of every stay.
+  std::uint64_t tick_ = 0;
   double next_control_ = 0.0;
   double next_sample_ = 0.0;
 
   std::vector<RoadState> roads_;
   std::vector<LinkQueueState> links_;
+  std::vector<LinkRow> link_rows_;
   std::vector<net::PhaseIndex> displayed_;  // per intersection
+  // Per-link bitmap of every junction's displayed-phase links, rewritten by
+  // the control step where a junction's phase changes (the transition phase
+  // has no links). Service walks its set bits.
+  std::vector<std::uint64_t> green_links_;
+  // Per-road bitmap: the road's transit FIFO is non-empty. Set at every push
+  // (admission, service), cleared by the drain when it empties the FIFO.
+  std::vector<std::uint64_t> transit_roads_;
+  // queued_seconds() memo: entry k is k additions of step_s from 0.0.
+  std::vector<double> queued_seconds_{0.0};
   std::vector<VehicleRecord> vehicles_;
   // Slots of completed vehicles available for reuse.
   std::vector<VehicleId::value_type> free_slots_;
@@ -174,7 +218,7 @@ class QueueSim {
   // Effective inflow capacity per road: the design W from the network,
   // overridden by set_road_capacity() during incidents. Admission and the
   // serve-credit downstream check read this; observations read the design
-  // capacity from net_.
+  // capacity from link_rows_.
   std::vector<int> road_capacity_;
   // Spawns waiting for space on their (full) entry road, FIFO per road.
   std::vector<VecQueue<VehicleId>> entry_buffer_;

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/microsim/micro_sim.hpp"
+#include "src/queuesim/queue_sim.hpp"
 #include "src/scenario/scenario.hpp"
 #include "src/sim/run_setup.hpp"
 
@@ -218,6 +219,88 @@ TEST(GoldenDeterminism, QueueSimPinnedMetrics) {
   EXPECT_EQ(r.metrics.queuing_time_s.mean(), 0x1.7639f656f1827p+4);  // 23.38915094
   EXPECT_EQ(r.metrics.travel_time_s.mean(), 0x1.0b67d95bc609bp+6);   // 66.85141509
   EXPECT_EQ(r.metrics.entry_blocked_time_s, 0x0p+0);
+}
+
+// The paper's 3x3 grid under pattern II and UTIL-BP, driven on the queue
+// backend directly so a test can read its state between ticks.
+scenario::ScenarioConfig queue_3x3_config(std::uint64_t seed, double duration_s) {
+  scenario::ScenarioConfig cfg =
+      scenario::paper_scenario(traffic::PatternKind::II, core::ControllerType::UtilBp);
+  cfg.seed = seed;
+  cfg.simulator = scenario::SimulatorKind::Queue;
+  cfg.duration_s = duration_s;
+  return cfg;
+}
+
+struct QueueRun {
+  explicit QueueRun(const scenario::ScenarioConfig& cfg)
+      : network(sim::build_validated(sim::effective_grid(cfg))),
+        demand(network, cfg.demand, cfg.seed),
+        queue(sim::construct_backend<queuesim::QueueSim>(
+            cfg, network, demand, sim::make_run_controllers(cfg, network, nullptr))) {}
+
+  net::Network network;
+  traffic::DemandGenerator demand;
+  queuesim::QueueSim queue;
+};
+
+// A queue run stepping at 0.1 s, which no binary fraction represents. A
+// vehicle's queuing time is one addition of step_s per tick it spends in a
+// movement queue, starting from 0.0; at this step that sum differs from the
+// product K * step_s for almost every tick count K, while every other queue
+// pin steps at 1.0, 2.0 or 0.5 s, where the two agree. Vehicles are still
+// queued when the run ends, so the records finish() closes are in the pin
+// too. Captured while every queued vehicle still accrued its time tick by
+// tick.
+TEST(GoldenDeterminism, QueueSimNonDyadicStepQueuingTimeIsPinned) {
+  scenario::ScenarioConfig cfg = queue_3x3_config(5, 900.0);
+  cfg.queue.step_s = 0.1;
+  cfg.queue.control_interval_s = 1.0;
+  QueueRun run(cfg);
+  run.queue.run_until(cfg.duration_s);
+  int queued = 0;
+  for (const net::Road& road : run.network.roads()) queued += run.queue.queued_on_road(road.id);
+  EXPECT_GT(queued, 0);
+  const stats::RunResult r = run.queue.finish(cfg.duration_s);
+  EXPECT_GT(r.metrics.in_network_at_end, 0u);
+  EXPECT_EQ(r.metrics.queuing_time_s.count(), 1799u);
+  EXPECT_EQ(r.metrics.travel_time_s.count(), 1799u);
+  EXPECT_EQ(r.metrics.queuing_time_s.mean(), 0x1.7d88a33f7eaabp+5)  // 47.69171762
+      << std::hexfloat << r.metrics.queuing_time_s.mean();
+  EXPECT_EQ(r.metrics.travel_time_s.mean(), 0x1.aba6ce3917abbp+6)  // 106.91289605
+      << std::hexfloat << r.metrics.travel_time_s.mean();
+}
+
+// Folds the queue state after every tick of a 3x3 run whose roads hold
+// W = 10 vehicles, so downstream capacity binds. Each served vehicle frees a
+// place on its upstream road, which a movement visited later in the same
+// service pass may fill, so the order in which service visits the green
+// movements decides who moves; the 2x2 digest in queuesim_test runs at
+// W = 120. Captured while service walked junction by junction and phase link
+// by phase link.
+TEST(GoldenDeterminism, QueueSimBindingCapacityMidRunStateDigestIsPinned) {
+  scenario::ScenarioConfig cfg = queue_3x3_config(3, 600.0);
+  cfg.grid.capacity = 10;
+  QueueRun run(cfg);
+  StateDigest digest;
+  for (int t = 1; t <= 600; ++t) {
+    run.queue.run_until(static_cast<double>(t));
+    digest.add(run.queue.vehicles_in_network());
+    for (const net::Road& road : run.network.roads()) {
+      digest.add(run.queue.road_occupancy(road.id));
+      digest.add(run.queue.queued_on_road(road.id));
+    }
+    for (const net::Link& link : run.network.links()) {
+      digest.add(run.queue.link_queue(link.id));
+      digest.add(run.queue.link_credit(link.id));
+    }
+    for (const net::Intersection& node : run.network.intersections()) {
+      digest.add(run.queue.displayed_phase(node.id));
+    }
+  }
+  const stats::RunResult r = run.queue.finish(cfg.duration_s);
+  EXPECT_EQ(r.metrics.completed, 1013u);
+  EXPECT_EQ(digest.value(), 0x8913598311246688ULL) << std::hex << digest.value();
 }
 
 // One run per non-identity pressure preset (Eq. 4), back-pressure controller
