@@ -14,12 +14,18 @@
 // lockstep and verified bit-identical, so the table can never quietly
 // compare diverged computations.
 //
-// Output: stdout table, CSV mirror under ./bench_results/, and a JSON report
-// (argv[1], default BENCH_krauss_kernel.json) following the throughput
-// bench's schema: the machine's hardware_concurrency, then rows keyed
-// (occupancy, variant) with ns_per_vehicle_step as the measurement and
-// vehicle_steps as the load descriptor. ABP_FAST=1 scales the tick counts
-// down 10x.
+// Each (occupancy, variant) row is timed in kRepeats repeats; a repeat times
+// both variants, and consecutive repeats alternate which one runs first, so
+// drift on the machine and the warm-up order fall on both alike. A row
+// reports the median and the quartiles of its repeats.
+//
+// Output: stdout table, CSV mirror under ./bench_results/ (one line per
+// repeat), and a JSON report (argv[1], default BENCH_krauss_kernel.json):
+// the machine's hardware_concurrency, then rows keyed (occupancy, variant)
+// with the median, quartiles and every repeat of ns_per_vehicle_step, and
+// vehicle_steps per repeat as the load descriptor. ABP_FAST=1 scales the
+// tick counts down 10x.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
@@ -40,17 +46,24 @@ constexpr double kDt = 0.5;
 constexpr double kSpeedLimit = 13.9;
 constexpr double kRoadLength = 500.0;
 constexpr int kResetEvery = 600;  // ticks between releases (~queue re-forms)
+constexpr int kRepeats = 7;
 
 struct Row {
   int occupancy = 0;
   std::string variant;
-  long long vehicle_steps = 0;
-  double wall_seconds = 0.0;
-  [[nodiscard]] double ns_per_vehicle_step() const {
-    return vehicle_steps > 0 ? wall_seconds * 1e9 / static_cast<double>(vehicle_steps)
-                             : 0.0;
-  }
+  long long vehicle_steps = 0;  // per repeat
+  std::vector<double> ns;       // ns per vehicle-step of each repeat, in run order
 };
+
+// Linear-interpolation quantile of the repeats (Python's
+// statistics.quantiles(method="inclusive") at p = 0.25, 0.5, 0.75).
+double quantile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  const double h = static_cast<double>(samples.size() - 1) * p;
+  const std::size_t lo = static_cast<std::size_t>(h);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  return samples[lo] + (h - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+}
 
 struct LaneState {
   std::vector<double> pos;
@@ -109,18 +122,18 @@ void verify_equivalence(int n) {
   }
 }
 
-Row measure(bool kernel, int n, long long target_vehicle_steps) {
-  Row row;
-  row.occupancy = n;
-  row.variant = kernel ? "lane_update" : "scalar";
+// One timed repeat of one variant: ns per vehicle-step over `ticks` ticks.
+// The variant is a template argument, so each timed loop is compiled for
+// its own variant, whichever order the repeats call them in.
+template <bool kernel>
+double measure_ns(int n, long long ticks) {
   LaneState s = release_state(n);
   StreamRng rng(2020, static_cast<std::uint64_t>(n));
   microsim::LaneKernelScratch scratch;
-  const long long ticks = target_vehicle_steps / n;
   // Warmup: one full reset cadence (pulls code+data hot, sizes the scratch).
   for (int t = 0; t < kResetEvery; ++t) tick(kernel, s, rng, scratch);
   s = release_state(n);
-  row.wall_seconds = timed_seconds([&] {
+  const double seconds = timed_seconds([&] {
     for (long long t = 0; t < ticks; ++t) {
       if (t % kResetEvery == 0) {
         // Re-release the platoon so the regime mix stays fixed; same cadence
@@ -132,10 +145,9 @@ Row measure(bool kernel, int n, long long target_vehicle_steps) {
       tick(kernel, s, rng, scratch);
     }
   });
-  row.vehicle_steps = ticks * n;
   // Sink the state so the loop cannot be optimized out.
   if (std::bit_cast<std::uint64_t>(s.pos[0]) == 0xdeadbeefULL) std::printf("!");
-  return row;
+  return seconds * 1e9 / static_cast<double>(ticks * n);
 }
 
 void write_json(const std::string& path, const std::vector<Row>& rows) {
@@ -147,10 +159,14 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"occupancy\": " << r.occupancy << ", \"variant\": \"" << r.variant
-        << "\", \"vehicle_steps\": " << r.vehicle_steps
-        << ", \"wall_seconds\": " << r.wall_seconds
-        << ", \"ns_per_vehicle_step\": " << r.ns_per_vehicle_step() << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+        << "\", \"vehicle_steps_per_repeat\": " << r.vehicle_steps
+        << ", \"repeats\": " << r.ns.size()
+        << ", \"ns_per_vehicle_step_median\": " << quantile(r.ns, 0.5)
+        << ", \"ns_per_vehicle_step_q1\": " << quantile(r.ns, 0.25)
+        << ", \"ns_per_vehicle_step_q3\": " << quantile(r.ns, 0.75)
+        << ", \"ns_per_vehicle_step_runs\": [";
+    for (std::size_t k = 0; k < r.ns.size(); ++k) out << (k ? ", " : "") << r.ns[k];
+    out << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::cout << "[json] " << path << "\n";
@@ -164,28 +180,36 @@ int main(int argc, char** argv) {
 
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_krauss_kernel.json";
   const long long target_steps =
-      static_cast<long long>(40'000'000 * duration_scale());
+      static_cast<long long>(10'000'000 * duration_scale());
   const int occupancies[] = {1, 4, 16, 64};
 
   print_header("Krauss lane kernel (ns per vehicle-step, scalar vs lane_update)");
-  std::printf("compiler: %s, hardware_concurrency: %u\n", kCompiler,
-              std::thread::hardware_concurrency());
-  std::printf("%-10s %-11s %14s %10s %18s\n", "occupancy", "variant", "vehicle-steps",
-              "wall [s]", "ns/vehicle-step");
+  std::printf("compiler: %s, hardware_concurrency: %u, %d repeats per row\n", kCompiler,
+              std::thread::hardware_concurrency(), kRepeats);
+  std::printf("%-10s %-11s %14s %10s %10s %10s\n", "occupancy", "variant",
+              "steps/repeat", "median ns", "q1", "q3");
 
   std::vector<Row> rows;
   std::ofstream csv = open_csv("krauss_kernel");
-  csv << "occupancy,variant,vehicle_steps,wall_seconds,ns_per_vehicle_step\n";
+  csv << "occupancy,variant,repeat,vehicle_steps,ns_per_vehicle_step\n";
   for (int n : occupancies) {
     verify_equivalence(n);
-    for (bool kernel : {false, true}) {
-      Row row = measure(kernel, n, target_steps);
-      std::printf("%-10d %-11s %14lld %10.3f %18.2f\n", row.occupancy,
-                  row.variant.c_str(), row.vehicle_steps, row.wall_seconds,
-                  row.ns_per_vehicle_step());
+    const long long ticks = target_steps / n;
+    Row pair[2] = {{n, "scalar", ticks * n, {}}, {n, "lane_update", ticks * n, {}}};
+    for (int r = 0; r < kRepeats; ++r) {
+      for (int k = 0; k < 2; ++k) {
+        const bool kernel = (k == 1) != (r % 2 == 1);  // odd repeats: kernel first
+        Row& row = pair[kernel ? 1 : 0];
+        row.ns.push_back(kernel ? measure_ns<true>(n, ticks) : measure_ns<false>(n, ticks));
+        csv << n << "," << row.variant << "," << r << "," << row.vehicle_steps << ","
+            << row.ns.back() << "\n";
+      }
+    }
+    for (Row& row : pair) {
+      std::printf("%-10d %-11s %14lld %10.2f %10.2f %10.2f\n", row.occupancy,
+                  row.variant.c_str(), row.vehicle_steps, quantile(row.ns, 0.5),
+                  quantile(row.ns, 0.25), quantile(row.ns, 0.75));
       std::fflush(stdout);
-      csv << row.occupancy << "," << row.variant << "," << row.vehicle_steps << ","
-          << row.wall_seconds << "," << row.ns_per_vehicle_step() << "\n";
       rows.push_back(std::move(row));
     }
   }

@@ -38,7 +38,7 @@ struct ControllerSpec {
 // divides by, mirroring Eq. (7)'s W* convention.
 [[nodiscard]] double max_road_capacity(const net::Network& network);
 
-// Convenience: one controller per intersection of the network, indexed by
+// Convenience: a controller for each intersection of the network, indexed by
 // IntersectionId::index().
 [[nodiscard]] std::vector<ControllerPtr> make_controllers(const ControllerSpec& spec,
                                                           const net::Network& network);

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <span>
-#include <stdexcept>
 
 #include "src/microsim/krauss.hpp"
 #include "src/microsim/lane_kernel.hpp"
@@ -14,34 +12,18 @@ namespace abp::microsim {
 MicroSim::MicroSim(const net::Network& network, MicroSimConfig config,
                    std::vector<core::ControllerPtr> controllers,
                    traffic::DemandGenerator& demand, std::uint64_t seed)
-    : net_(network),
+    : RunCore(network, std::move(controllers), demand, config.dt_s, config.control_interval_s,
+              config.sample_interval_s),
       config_(config),
-      controllers_(std::move(controllers)),
-      demand_(demand),
+      sensor_perfect_(config.sensor.perfect()),
       rng_(seed),
       seed_(seed) {
-  if (!net_.finalized()) throw std::invalid_argument("network must be finalized");
-  if (config_.dt_s <= 0.0) throw std::invalid_argument("dt must be positive");
-  if (config_.control_interval_s < config_.dt_s) {
-    throw std::invalid_argument("control interval must be >= dt");
-  }
-  if (controllers_.size() != net_.intersections().size()) {
-    throw std::invalid_argument("need exactly one controller per intersection");
-  }
-  build_runtime();
-}
-
-void MicroSim::build_runtime() {
   roads_.resize(net_.roads().size());
   links_.resize(net_.links().size());
-  displayed_.assign(net_.intersections().size(), net::kTransitionPhase);
-  result_.phase_traces.resize(net_.intersections().size());
   road_streams_.reserve(net_.roads().size());
   for (std::size_t r = 0; r < net_.roads().size(); ++r) {
     road_streams_.emplace_back(seed_, static_cast<std::uint64_t>(r));
   }
-  road_capacity_.reserve(net_.roads().size());
-  for (const net::Road& road : net_.roads()) road_capacity_.push_back(road.capacity);
 
   // Lane layout: an exit road has one unsignalled lane. Any other road has
   // one dedicated lane per feasible movement, in the topology index's turn
@@ -75,11 +57,6 @@ void MicroSim::build_runtime() {
       }
     }
   }
-  entry_buffers_ = std::vector<std::deque<VehicleId>>(net_.entry_roads().size());
-  entry_slot_.assign(net_.roads().size(), kNoEntrySlot);
-  for (std::size_t k = 0; k < net_.entry_roads().size(); ++k) {
-    entry_slot_[net_.entry_roads()[k].index()] = static_cast<std::uint32_t>(k);
-  }
 
   link_obs_.reserve(net_.links().size());
   for (const net::Link& link : net_.links()) {
@@ -94,22 +71,13 @@ void MicroSim::build_runtime() {
   road_queued_congestion_.assign(net_.roads().size(), 0);
   link_queued_approach_.assign(net_.links().size(), 0);
   active_roads_.assign((net_.roads().size() + 63) / 64, 0);
-  const std::size_t link_words = (net_.links().size() + 63) / 64;
-  green_links_.assign(link_words, 0);
-  ready_links_.assign(link_words, 0);
+  ready_links_.assign(green_links_.size(), 0);
   const std::size_t junction_words = (net_.intersections().size() + 63) / 64;
   queued_junctions_.assign(junction_words, 0);
   blocked_junctions_.assign(junction_words, 0);
-  hold_until_.reserve(controllers_.size());
-  for (const core::ControllerPtr& c : controllers_) hold_until_.push_back(c->idle_hold_until());
   std::uint32_t max_lanes = 1;
   for (const RoadRt& rt : roads_) max_lanes = std::max(max_lanes, rt.lane_count);
   lane_blocked_.assign(max_lanes, 0);
-}
-
-void MicroSim::watch_road(RoadId road, std::string series_name) {
-  watches_.push_back({road, result_.road_series.size()});
-  result_.road_series.emplace_back(std::move(series_name));
 }
 
 int MicroSim::lane_count(LinkId link) const {
@@ -124,21 +92,11 @@ int MicroSim::lane_count(LinkId link) const {
 
 int MicroSim::road_occupancy(RoadId road) const { return roads_[road.index()].occupancy; }
 
-void MicroSim::set_road_capacity(RoadId road, int capacity) {
-  road_capacity_[road.index()] = std::max(0, capacity);
-}
-
 int MicroSim::queued_on_road(RoadId road) const {
   int total = 0;
   for (LinkId link : net_.links_from(road)) total += lane_count(link);
   return total;
 }
-
-net::PhaseIndex MicroSim::displayed_phase(IntersectionId node) const {
-  return displayed_[node.index()];
-}
-
-int MicroSim::vehicles_in_network() const { return in_network_count_; }
 
 std::vector<double> MicroSim::lane_positions(LinkId link) const {
   const LaneStore& vehicles = lane_of(link).vehicles;
@@ -161,11 +119,11 @@ int MicroSim::lane_queued_count(const Lane& lane, double threshold_mps) const {
                                         [&](double v) { return v < threshold_mps; }));
 }
 
-int MicroSim::road_queued_count(RoadId road, double threshold_mps) const {
+int MicroSim::watch_reading(RoadId road) const {
   const RoadRt& rt = roads_[road.index()];
   int count = 0;
   for (const Lane& lane : std::span(lanes_).subspan(rt.lane_begin, rt.lane_count)) {
-    count += lane_queued_count(lane, threshold_mps);
+    count += lane_queued_count(lane, config_.approach_queue_threshold_mps);
   }
   return count;
 }
@@ -206,68 +164,12 @@ const core::IntersectionObservation& MicroSim::observe(const net::Intersection& 
   return obs;
 }
 
-void MicroSim::control_step() {
-  // An imperfect sensor draws from rng_ on every reading, so a skipped
-  // observation would shift the stream. A perfect one hands the controller
-  // the memo counts as they are.
-  const bool perfect = config_.sensor.perfect();
-  const std::vector<net::Intersection>& nodes = net_.intersections();
-  for (std::size_t j = 0; j < nodes.size(); ++j) {
-    // Idle — every queue reading 0, and no full outgoing road, whose Eq. (8)
-    // sentinel beta could make another phase win — before the controller's
-    // hold: the decision would return the displayed phase and change no
-    // state. An unchanged phase would only extend the trace's end time, which
-    // finish() sets anyway.
-    const std::uint64_t busy = queued_junctions_[j / 64] | blocked_junctions_[j / 64];
-    if (perfect && ((busy >> (j % 64)) & 1) == 0 && now_ < hold_until_[j]) continue;
-    core::SignalController& controller = *controllers_[j];
-    const net::PhaseIndex phase = controller.decide(observe(nodes[j]));
-    if (phase < 0 || phase >= static_cast<int>(nodes[j].phases.size())) {
-      throw std::logic_error("controller returned an out-of-range phase");
-    }
-    hold_until_[j] = controller.idle_hold_until();
-    // The green bits follow the displayed phase; an unchanged phase keeps them.
-    if (phase != displayed_[j]) {
-      for (LinkId lid : nodes[j].phases[static_cast<std::size_t>(displayed_[j])].links) {
-        green_links_[lid.index() / 64] &= ~(std::uint64_t{1} << (lid.index() % 64));
-      }
-      for (LinkId lid : nodes[j].phases[static_cast<std::size_t>(phase)].links) {
-        mark(green_links_, lid.index());
-      }
-      displayed_[j] = phase;
-    }
-    result_.phase_traces[j].record(now_, phase);
-  }
-}
-
-VehicleId MicroSim::alloc_vehicle() {
-  if (!free_slots_.empty()) {
-    const VehicleId vid(free_slots_.back());
-    free_slots_.pop_back();
-    const std::size_t idx = vid.index();
-    veh_meta_[idx] = VehMeta{};
-    veh_waiting_[idx] = 0.0;
-    veh_next_link_[idx] = LinkId{};
-    return vid;
-  }
-  veh_meta_.emplace_back();
-  veh_waiting_.push_back(0.0);
-  veh_next_link_.emplace_back();
-  return VehicleId(static_cast<VehicleId::value_type>(veh_meta_.size() - 1));
-}
-
 void MicroSim::admit_spawns() {
-  demand_.poll_into(now_, now_ + config_.dt_s, spawn_buffer_);
-  for (const traffic::SpawnRequest& req : spawn_buffer_) {
-    const VehicleId vid = alloc_vehicle();
-    VehMeta& m = veh_meta_[vid.index()];
-    m.route = req.route;
-    m.spawn_seq = result_.metrics.generated;
-    m.loc = Loc::Outside;
-    m.road = req.route.entry;
-    veh_next_link_[vid.index()] = traffic::route_link(net_, m.route, 0, m.road);
-    result_.metrics.generated += 1;
-    entry_buffers_[entry_slot_[m.road.index()]].push_back(vid);
+  const std::span<const VehicleId> spawned = take_spawns(now_, now_ + config_.dt_s);
+  veh_next_link_.resize(vehicles_.size());
+  for (const VehicleId vid : spawned) {
+    const traffic::Route& route = vehicles_[vid.index()].route;
+    veh_next_link_[vid.index()] = traffic::route_link(net_, route, 0, route.entry);
   }
   for (std::size_t k = 0; k < entry_buffers_.size(); ++k) {
     const RoadId entry = net_.entry_roads()[k];
@@ -278,12 +180,11 @@ void MicroSim::admit_spawns() {
     // length, so a vehicle waiting for a full lane does not physically block
     // vehicles headed for the other lanes. Order is preserved within each
     // lane; a lane that rejects its first candidate admits nobody this step.
-    // The scratch is sized to the widest road of the network (build_runtime),
+    // The scratch is sized to the widest road of the network at construction,
     // never to a fixed lane count.
     std::fill(lane_blocked_.begin(), lane_blocked_.begin() + rt.lane_count, 0);
     for (auto it = buffer.begin(); it != buffer.end() && rt.occupancy < capacity;) {
       const VehicleId vid = *it;
-      VehMeta& m = veh_meta_[vid.index()];
       const int lane = links_[veh_next_link_[vid.index()].index()].lane_index;
       if (lane_blocked_[static_cast<std::size_t>(lane)] || !entry_clear(rt, lane)) {
         lane_blocked_[static_cast<std::size_t>(lane)] = 1;
@@ -291,12 +192,12 @@ void MicroSim::admit_spawns() {
         continue;
       }
       it = buffer.erase(it);
+      enter(vid);
       rt.occupancy += 1;
       mark(active_roads_, entry.index());
-      m.loc = Loc::Lane;
+      Vehicle& m = vehicles_[vid.index()];
+      m.road = entry;
       m.lane = lane;
-      m.entry_time = now_;
-      in_network_count_ += 1;
       LaneStore& vehicles = lane_of(rt, lane).vehicles;
       // Pushed onto an empty lane, the vehicle is its head, which on a road
       // shorter than the service zone can be served this tick, on its own
@@ -304,8 +205,7 @@ void MicroSim::admit_spawns() {
       mark(ready_links_, veh_next_link_[vid.index()].index(), vehicles.empty());
       vehicles.push(vid, 0.0,
                     std::min(config_.insertion_speed_mps, net_.road(entry).speed_limit_mps),
-                    veh_waiting_[vid.index()]);
-      result_.metrics.entered += 1;
+                    m.waiting);
       // The lane just received a vehicle at its entry point; nobody else fits
       // behind it this step.
       lane_blocked_[static_cast<std::size_t>(lane)] = 1;
@@ -324,10 +224,9 @@ void MicroSim::release_junction_vehicles() {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < in_junction_.size(); ++i) {
     const VehicleId vid = in_junction_[i];
-    VehMeta& m = veh_meta_[vid.index()];
+    const Vehicle& m = vehicles_[vid.index()];
     RoadRt& target = roads_[m.road.index()];
     if (m.junction_exit <= now_ && entry_clear(target, m.lane)) {
-      m.loc = Loc::Lane;
       LaneStore& vehicles = lane_of(target, m.lane).vehicles;
       // As in admission: a new head may be inside the service zone already.
       // On an exit road the vehicle has no next movement.
@@ -336,7 +235,7 @@ void MicroSim::release_junction_vehicles() {
       }
       vehicles.push(vid, 0.0,
                     std::min(config_.insertion_speed_mps, net_.road(m.road).speed_limit_mps),
-                    veh_waiting_[vid.index()]);
+                    m.waiting);
     } else {
       in_junction_[kept++] = vid;
     }
@@ -349,7 +248,7 @@ bool MicroSim::try_grant(VehicleId vid, LinkId link) {
   // set by construction), so no green check is needed — just the headway.
   LinkRt& lrt = links_[link.index()];
   if (now_ < lrt.next_grant) return false;
-  VehMeta& m = veh_meta_[vid.index()];
+  Vehicle& m = vehicles_[vid.index()];
   const net::Link& l = net_.link(link);
   const RoadId to_road = l.to_road;
   RoadRt& target = roads_[to_road.index()];
@@ -416,12 +315,11 @@ void MicroSim::service_junctions() {
       if (lane.vehicles.pos()[0] < road.length_m - config_.service_zone_m) continue;
       if (!try_grant(vid, lid)) continue;
       lane.serviced_at = now_;
-      veh_waiting_[vid.index()] = lane.vehicles.waiting()[0];
-      VehMeta& m = veh_meta_[vid.index()];
+      Vehicle& m = vehicles_[vid.index()];
+      m.waiting = lane.vehicles.waiting()[0];
       m.junction_exit = now_ + config_.junction_crossing_s;
       rt.occupancy -= 1;
       lane.vehicles.pop_head();
-      m.loc = Loc::Junction;
       in_junction_.push_back(vid);
     }
   }
@@ -472,8 +370,12 @@ void MicroSim::sweep_lane(const net::Road& road, Lane& lane, StreamRng& rng) {
     // order. A completed vehicle is gone by decision time and must not count
     // in the waiting/memo passes below.
     const VehicleId done = lane.vehicles.ids()[0];
-    veh_waiting_[done.index()] = waiting[0];
-    complete_vehicle(done);
+    Vehicle& v = vehicles_[done.index()];
+    v.waiting = waiting[0];
+    roads_[v.road.index()].occupancy -= 1;
+    // The slot becomes reusable next step: the pop below takes the id off
+    // its lane before admission, the only allocator, runs again.
+    complete(done);
     begin = 1;
   }
   const double waiting_threshold = config_.waiting_speed_threshold_mps;
@@ -595,38 +497,7 @@ void MicroSim::zero_memo_rows(std::size_t road_index) {
   }
 }
 
-void MicroSim::complete_vehicle(VehicleId vid) {
-  VehMeta& m = veh_meta_[vid.index()];
-  m.loc = Loc::Done;
-  roads_[m.road.index()].occupancy -= 1;
-  in_network_count_ -= 1;
-  result_.metrics.completed += 1;
-  result_.metrics.queuing_time_s.add(veh_waiting_[vid.index()]);
-  result_.metrics.travel_time_s.add(now_ - m.entry_time);
-  // The slot becomes reusable next step: the sweep pops the id from its lane
-  // before admission, the only allocator, runs again.
-  free_slots_.push_back(vid.value());
-}
-
-void MicroSim::sample_watches() {
-  for (const Watch& w : watches_) {
-    // Fig. 5 plots queue lengths, i.e. what the approach detectors report.
-    result_.road_series[w.series_index].push(
-        now_, static_cast<double>(
-                  road_queued_count(w.road, config_.approach_queue_threshold_mps)));
-  }
-  result_.in_network_series.push(now_, static_cast<double>(vehicles_in_network()));
-}
-
-void MicroSim::step() {
-  if (now_ >= next_control_) {
-    control_step();
-    next_control_ += config_.control_interval_s;
-  }
-  if (now_ >= next_sample_) {
-    sample_watches();
-    next_sample_ += config_.sample_interval_s;
-  }
+void MicroSim::tick() {
   admit_spawns();
   release_junction_vehicles();
   service_junctions();
@@ -634,41 +505,12 @@ void MicroSim::step() {
   now_ += config_.dt_s;
 }
 
-stats::RunResult& MicroSim::run_until(double until_s) {
-  if (finished_) throw std::logic_error("MicroSim::run_until after finish");
-  while (now_ < until_s) step();
-  return result_;
-}
-
-stats::RunResult MicroSim::finish(double duration_s) {
-  run_until(duration_s);
-  finished_ = true;
-  // Flush the lane-carried waiting times of vehicles still on a lane back to
-  // the per-vehicle array before closing their records.
+void MicroSim::close_stays() {
   for (const Lane& lane : lanes_) {
     for (std::size_t i = 0; i < lane.vehicles.size(); ++i) {
-      veh_waiting_[lane.vehicles.ids()[i].index()] = lane.vehicles.waiting()[i];
+      vehicles_[lane.vehicles.ids()[i].index()].waiting = lane.vehicles.waiting()[i];
     }
   }
-  // Close open records in spawn order: slot recycling permutes vehicle
-  // indices, and the metric SampleSets are floating-point order-sensitive.
-  std::vector<std::pair<std::uint64_t, VehicleId>> open;
-  for (std::size_t i = 0; i < veh_meta_.size(); ++i) {
-    const VehMeta& m = veh_meta_[i];
-    if (m.loc != Loc::Lane && m.loc != Loc::Junction) continue;
-    open.emplace_back(m.spawn_seq, VehicleId(static_cast<VehicleId::value_type>(i)));
-  }
-  std::sort(open.begin(), open.end());
-  for (const auto& [seq, vid] : open) {
-    VehMeta& m = veh_meta_[vid.index()];
-    result_.metrics.in_network_at_end += 1;
-    result_.metrics.queuing_time_s.add(veh_waiting_[vid.index()]);
-    result_.metrics.travel_time_s.add(now_ - m.entry_time);
-    m.loc = Loc::Done;
-  }
-  for (stats::PhaseTrace& trace : result_.phase_traces) trace.finish(now_);
-  result_.duration_s = now_;
-  return std::move(result_);
 }
 
 }  // namespace abp::microsim

@@ -43,11 +43,11 @@
 // visits only the links that are both *ready* (the head of the lane feeding
 // the link is inside its service zone, and on a mixed lane takes that link)
 // and *green* (in the displayed phase), in ascending link id, which is the
-// (junction, phase-link) order. A control step skips the observation and
-// decision of a junction that the memo-rebuild sweep left unmarked — not
-// *queued* (every queue reading 0) and not *blocked* (no full outgoing road)
-// — whenever the sensor is perfect and the time is before the hold its
-// controller declared after its last decision
+// (junction, phase-link) order. RunCore's control step skips the
+// observation and decision of a junction that the memo-rebuild sweep left
+// unmarked — not *queued* (every queue reading 0) and not *blocked* (no full
+// outgoing road) — whenever the sensor is perfect and the time is before the
+// hold its controller declared after its last decision
 // (SignalController::idle_hold_until). Every skip is exact: skipped work
 // could not have changed any state.
 //
@@ -59,16 +59,17 @@
 // (the AoS layout paid one-plus cache lines per vehicle-step for exactly
 // this). Every lane sits in one table in road order, so the sweep walks the
 // lanes of the active roads forward through one array. The resolved next
-// movement and the carried waiting total are global arrays indexed by
-// VehicleId (touched only for head or departing vehicles), and the cold
-// metadata (route, timestamps, junction bookkeeping) sits in a VehMeta array
-// that only the junction phase reads. Only entry roads own a spawn buffer.
+// movement is a global array indexed by VehicleId (touched only for head or
+// departing vehicles), and the cold per-vehicle record (route, timestamps,
+// junction bookkeeping, the waiting total carried between lanes) sits in the
+// vehicle ledger of sim::RunCore (src/sim/run_core.hpp), which only the
+// junction phase reads. The run loop itself — clock, control step, watches,
+// spawn buffers on the entry roads, finish() — is RunCore's, shared with the
+// queue sim; MicroSim supplies the tick and the hooks.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/core/controller.hpp"
@@ -76,42 +77,34 @@
 #include "src/microsim/lane_store.hpp"
 #include "src/microsim/params.hpp"
 #include "src/net/network.hpp"
+#include "src/sim/run_core.hpp"
 #include "src/stats/run_result.hpp"
 #include "src/traffic/demand.hpp"
 #include "src/util/rng.hpp"
 
 namespace abp::microsim {
 
-class MicroSim {
+// A vehicle's record in the ledger: sim::VehicleBase plus where it is. The
+// hot kinematic state (position, speed, in-lane waiting time) lives in the
+// lane blocks (Lane::vehicles), the resolved next movement in
+// MicroSim::veh_next_link_.
+struct Vehicle : sim::VehicleBase {
+  RoadId road;  // current road (on a lane) or target road (in a junction box)
+  int lane = 0;  // lane index on `road`
+  double junction_exit = 0.0;  // time the junction box releases the vehicle
+  // Waiting time carried between lanes: a lane block takes it on push and
+  // writes it back on pop, so it is current only while the vehicle is off a
+  // lane.
+  double waiting = 0.0;
+};
+
+class MicroSim : public sim::RunCore<MicroSim, Vehicle> {
  public:
   // `network` and `demand` must outlive the simulator; `controllers` holds
-  // one controller per intersection, indexed by IntersectionId::index().
+  // the controller of each intersection, indexed by IntersectionId::index().
   MicroSim(const net::Network& network, MicroSimConfig config,
            std::vector<core::ControllerPtr> controllers, traffic::DemandGenerator& demand,
            std::uint64_t seed);
-
-  // Registers a queue-length watch: samples the number of vehicles on the
-  // incoming road `road` (all dedicated lanes, the paper's q_i).
-  void watch_road(RoadId road, std::string series_name);
-
-  // Advances the simulation to `until_s`; may be called repeatedly.
-  stats::RunResult& run_until(double until_s);
-
-  // Runs to `duration_s`, closes per-vehicle records, returns the result.
-  stats::RunResult finish(double duration_s);
-
-  [[nodiscard]] double now() const noexcept { return now_; }
-
-  // Capacity-override hook for incident injection (sim adapter): caps the
-  // number of vehicles *admitted* onto the road from now on. Vehicles already
-  // on the road drain normally; occupancy above the new value just blocks
-  // admission until it has drained, so occupancy never exceeds the design W.
-  // Observations keep reporting the design capacity — controllers know the
-  // road geometry, not the incident. Called only between ticks.
-  void set_road_capacity(RoadId road, int capacity);
-  [[nodiscard]] int road_capacity(RoadId road) const {
-    return road_capacity_[road.index()];
-  }
 
   // --- Introspection hooks used by tests ---
   // Vehicles on the dedicated lane feeding `link`.
@@ -121,41 +114,44 @@ class MicroSim {
   // Stop-line queue total of a road: lane_count over all its movements (the
   // microscopic q_i of Eq. 1; same contract as QueueSim::queued_on_road).
   [[nodiscard]] int queued_on_road(RoadId road) const;
-  [[nodiscard]] net::PhaseIndex displayed_phase(IntersectionId node) const;
-  [[nodiscard]] int vehicles_in_network() const;
   // Positions (road-start-relative) of vehicles on a lane, head first.
   [[nodiscard]] std::vector<double> lane_positions(LinkId link) const;
   // True when no two vehicles on any lane overlap (collision check).
   [[nodiscard]] bool no_overlaps() const;
 
  private:
-  enum class Loc { Outside, Lane, Junction, Done };
+  friend class sim::RunCore<MicroSim, Vehicle>;
 
-  // Cold per-vehicle metadata. The hot kinematic state (position, speed,
-  // in-lane waiting time) lives in the lane blocks (Lane::vehicles); the
-  // per-vehicle veh_waiting_ / veh_next_link_ arrays (indexed by
-  // VehicleId::index()) hold the carried waiting total and the resolved next
-  // movement.
-  struct VehMeta {
-    traffic::Route route;
-    // Global spawn ordinal. Slot recycling permutes vehicle indices, so
-    // order-sensitive end-of-run bookkeeping sorts by this instead.
-    std::uint64_t spawn_seq = 0;
-    // Index of the next junction the vehicle reaches (0 on the entry road).
-    std::size_t junction = 0;
-    Loc loc = Loc::Outside;
-    RoadId road;      // current road (Loc::Lane) or target road (Loc::Junction)
-    int lane = 0;     // lane index on `road`
-    double junction_exit = 0.0;  // time the junction box releases the vehicle
-    double entry_time = 0.0;
-  };
+  // --- RunCore hooks ---
+  // The control step skips idle junctions (RunCore's rule).
+  static constexpr bool kIdleSkip = true;
+  void tick();
+  // Fills and returns the reusable observation buffer (valid until the next
+  // observe() call); avoids re-allocating the link array per decision.
+  [[nodiscard]] const core::IntersectionObservation& observe(const net::Intersection& node);
+  // Idle as the memo-rebuild sweep left junction j: not *queued* (every
+  // queue reading 0) and not *blocked* (no full outgoing road). Only under a
+  // perfect sensor: an imperfect one draws from rng_ on every reading, so a
+  // skipped observation would shift the stream.
+  [[nodiscard]] bool idle(std::size_t j) const {
+    const std::uint64_t busy = queued_junctions_[j / 64] | blocked_junctions_[j / 64];
+    return sensor_perfect_ && ((busy >> (j % 64)) & 1) == 0;
+  }
+  void phase_changed(std::size_t /*junction*/) {}
+  // Fig. 5 plots queue lengths, i.e. what the approach detectors report:
+  // the slow vehicles over all lanes of the road (q_i of Eq. 1).
+  [[nodiscard]] int watch_reading(RoadId road) const;
+  // Writes the lane-carried waiting times of vehicles still on a lane back
+  // to their records.
+  void close_stays();
+  [[nodiscard]] static double queue_seconds(const Vehicle& v) { return v.waiting; }
 
   struct Lane {
     // The lane's vehicles, head (largest pos) first: id, position, speed and
     // the waiting time accumulated on this lane, in one block. The waiting
-    // time is carried in from the global veh_waiting_ array on push and
-    // written back on pop — a scattered access once per road traversal
-    // instead of once per queued vehicle-step.
+    // time is carried in from the vehicle's record on push and written back
+    // on pop — a scattered access once per road traversal instead of once
+    // per queued vehicle-step.
     LaneStore vehicles;
     // Movement this lane feeds; empty for the single lane of an exit road.
     std::optional<LinkId> link;
@@ -188,7 +184,7 @@ class MicroSim {
     double next_grant = 0.0;
   };
 
-  // Static per-link observation inputs, flattened once in build_runtime() so
+  // Static per-link observation inputs, flattened once at construction so
   // observe() reads one table row instead of chasing the network's links and
   // roads.
   struct LinkObs {
@@ -200,19 +196,7 @@ class MicroSim {
   };
 
   static constexpr std::uint32_t kNoJunction = ~std::uint32_t{0};
-  static constexpr std::uint32_t kNoEntrySlot = ~std::uint32_t{0};
 
-  struct Watch {
-    RoadId road;
-    std::size_t series_index;
-  };
-
-  void build_runtime();
-  void step();
-  void control_step();
-  // Allocates a vehicle slot, reusing a completed vehicle's slot when one is
-  // free so storage stays O(peak active + waiting), not O(history).
-  [[nodiscard]] VehicleId alloc_vehicle();
   void admit_spawns();
   void release_junction_vehicles();
   // Junction phase: stop-line service for the head vehicle of every ready
@@ -235,16 +219,9 @@ class MicroSim {
   static void mark(std::vector<std::uint64_t>& bitmap, std::size_t index, bool on = true) {
     bitmap[index / 64] |= std::uint64_t{on} << (index % 64);
   }
-  void complete_vehicle(VehicleId vid);
-  void sample_watches();
-  // Fills and returns the reusable observation buffer (valid until the next
-  // observe() call); avoids re-allocating the link array per decision.
-  [[nodiscard]] const core::IntersectionObservation& observe(const net::Intersection& node);
   // Queue-length detector: vehicles on the lane moving slower than the given
   // speed threshold.
   [[nodiscard]] int lane_queued_count(const Lane& lane, double threshold_mps) const;
-  // Sum of lane_queued_count over all lanes of the road (q_i of Eq. 1).
-  [[nodiscard]] int road_queued_count(RoadId road, double threshold_mps) const;
   // Lane `lane_index` of a road, and the lane that feeds `link`.
   [[nodiscard]] Lane& lane_of(const RoadRt& rt, int lane_index) {
     return lanes_[rt.lane_begin + static_cast<std::uint32_t>(lane_index)];
@@ -259,67 +236,39 @@ class MicroSim {
   // True when a vehicle can be released at the start of the lane.
   [[nodiscard]] bool entry_clear(const RoadRt& rt, int lane_index) const;
 
-  const net::Network& net_;
   MicroSimConfig config_;
-  std::vector<core::ControllerPtr> controllers_;
-  traffic::DemandGenerator& demand_;
+  bool sensor_perfect_ = true;
   // Sensor noise on controller observations. The sweep's dawdling draws come
   // from road_streams_ instead, so observations never shift a dawdle draw.
   Rng rng_;
   std::uint64_t seed_ = 0;
   // One counter-based dawdling stream per road (stream id = road index).
   std::vector<StreamRng> road_streams_;
-  // Effective admission capacity per road: the design W from the network,
-  // overridden by set_road_capacity() during incidents. Admission and grant
-  // checks read this; observations read the design capacity from net_.
-  std::vector<int> road_capacity_;
   // The lane kernel's materialized gap/leader/draw arrays, reused across
   // lanes and ticks.
   LaneKernelScratch sweep_scratch_;
 
-  double now_ = 0.0;
-  double next_control_ = 0.0;
-  double next_sample_ = 0.0;
-
-  // --- Vehicle storage (SoA; position/speed live in the lanes) ---
-  std::vector<VehMeta> veh_meta_;
-  std::vector<double> veh_waiting_;
   // The route_link() the vehicle takes at the end of its current road (the
   // entry road while it waits outside); invalid on exit roads. Resolved once
   // per road, so admission, lane choice and mixed-lane queue counting never
-  // re-resolve the movement.
+  // re-resolve the movement. Indexed by VehicleId, like the ledger.
   std::vector<LinkId> veh_next_link_;
-  // Slots of completed vehicles available for reuse.
-  std::vector<VehicleId::value_type> free_slots_;
-  // Vehicles with Loc::Lane or Loc::Junction, maintained incrementally.
-  int in_network_count_ = 0;
 
   std::vector<RoadRt> roads_;
   // Every lane of the network, road by road (RoadRt::lane_begin).
   std::vector<Lane> lanes_;
-  // Spawns waiting outside the network for space, FIFO: one buffer per entry
-  // road, in net_.entry_roads() order. entry_slot_[road] indexes it
-  // (kNoEntrySlot on every other road).
-  std::vector<std::deque<VehicleId>> entry_buffers_;
-  std::vector<std::uint32_t> entry_slot_;
   std::vector<LinkRt> links_;
-  std::vector<net::PhaseIndex> displayed_;
-  // Per-link bitmaps that stop-line service walks as ready & green, word by
-  // word, in ascending link id, which net::Network::finalize guarantees is
-  // the (junction, phase-link) order.
-  // Green: the links of every junction's displayed phase, rewritten by the
-  // control step where a junction's phase changes (the transition phase has
-  // no links, so amber clears them). Ready: the head of the lane feeding the
-  // link may be served — cleared at the start of every sweep, marked after
-  // each approach lane's update where !(head pos < road length - service
-  // zone) on the lane's link (dedicated) or on the head's own movement
-  // (mixed), and at a push onto an empty approach lane (admission, box
-  // release) on the pushed vehicle's movement. It is exact: a head moves only
-  // in the sweep, and changes identity only at such a push or at a stop-line
-  // pop, whose new head cannot be granted in the same service pass (one link
-  // per dedicated lane, serviced_at on a mixed lane); a mixed lane's head
-  // keeps its movement while it heads the lane.
-  std::vector<std::uint64_t> green_links_;
+  // Per-link bitmap that stop-line service walks as ready & green (RunCore's
+  // green_links_), word by word, in ascending link id. Ready: the head of
+  // the lane feeding the link may be served — cleared at the start of every
+  // sweep, marked after each approach lane's update where !(head pos < road
+  // length - service zone) on the lane's link (dedicated) or on the head's
+  // own movement (mixed), and at a push onto an empty approach lane
+  // (admission, box release) on the pushed vehicle's movement. It is exact:
+  // a head moves only in the sweep, and changes identity only at such a push
+  // or at a stop-line pop, whose new head cannot be granted in the same
+  // service pass (one link per dedicated lane, serviced_at on a mixed lane);
+  // a mixed lane's head keeps its movement while it heads the lane.
   std::vector<std::uint64_t> ready_links_;
   // Vehicles currently inside a junction box, unordered.
   std::vector<VehicleId> in_junction_;
@@ -347,21 +296,9 @@ class MicroSim {
   // that reads them, which opens the next tick.
   std::vector<std::uint64_t> queued_junctions_;
   std::vector<std::uint64_t> blocked_junctions_;
-  // Per junction, the controller's idle_hold_until(), cached at construction
-  // and after each of its decisions. Only decide() and reset() may change
-  // it, and the simulator never calls reset().
-  std::vector<double> hold_until_;
   std::vector<LinkObs> link_obs_;
   // Per-entry-road admission scratch, sized to the widest road once.
   std::vector<char> lane_blocked_;
-  // Reused per-tick spawn buffer filled by DemandGenerator::poll_into.
-  std::vector<traffic::SpawnRequest> spawn_buffer_;
-  // Reused by observe() so the per-decision link array is allocated once.
-  core::IntersectionObservation obs_scratch_;
-
-  std::vector<Watch> watches_;
-  stats::RunResult result_;
-  bool finished_ = false;
 };
 
 }  // namespace abp::microsim

@@ -18,8 +18,10 @@ namespace {
 // Owns the full object graph of one run: network, demand, backend. Members
 // are declared in dependency order — the backend holds references into the
 // network and the demand generator, so it is constructed last and destroyed
-// first. Both backends expose the same member names for the interface
-// surface, so one adapter covers them.
+// first. Both backends derive their run contract (watch_road, run_until,
+// finish, now, vehicles_in_network, displayed_phase, set_road_capacity) from
+// sim::RunCore and add the same two introspection hooks (road_occupancy,
+// queued_on_road), so one adapter covers them.
 //
 // Fault execution lives here, not in the backends: run_until() advances the
 // backend in slices bounded by the next due capacity event / guard check,

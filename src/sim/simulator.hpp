@@ -59,9 +59,9 @@ class Simulator {
 };
 
 // Builds the configured backend with everything it needs — grid network
-// (validated), demand generator, one controller per intersection (wrapped in
-// core::FaultInjectedController where the fault schedule names the
-// junction), resolved watches, capacity-fault events and the opt-in runtime
+// (validated), demand generator, a controller for each intersection
+// (wrapped in core::FaultInjectedController where the fault schedule names
+// the junction), resolved watches, capacity-fault events and the opt-in runtime
 // invariant guard — all owned by the returned object. Throws
 // scenario::ScenarioIoError (a std::invalid_argument) when
 // scenario::validate rejects the config, std::invalid_argument on

@@ -245,6 +245,28 @@ TEST(MicroSim, RejectsBadConstruction) {
                         core::make_controllers(util_spec(), net), demand, 1),
                std::invalid_argument);
   EXPECT_THROW(MicroSim(net, MicroSimConfig{}, {}, demand, 1), std::invalid_argument);
+  EXPECT_THROW(MicroSim(net::Network{}, MicroSimConfig{},
+                        core::make_controllers(util_spec(), net), demand, 1),
+               std::invalid_argument);
+}
+
+TEST(MicroSim, RejectsOutOfRangePhase) {
+  // A decision outside the junction's phase list is a controller bug; the
+  // control step refuses it instead of indexing past the phases.
+  const net::Network net = grid(1);
+  for (const net::PhaseIndex bad : {net::PhaseIndex{-1}, net::PhaseIndex{99}}) {
+    traffic::DemandGenerator demand(net, demand_cfg(), 1);
+    MicroSim sim(net, MicroSimConfig{}, constant_controllers(net, bad), demand, 1);
+    EXPECT_THROW(sim.run_until(5.0), std::logic_error) << "phase " << bad;
+  }
+}
+
+TEST(MicroSim, FinishIsTerminal) {
+  const net::Network net = grid(1);
+  traffic::DemandGenerator demand(net, demand_cfg(), 1);
+  MicroSim sim(net, MicroSimConfig{}, core::make_controllers(util_spec(), net), demand, 1);
+  sim.finish(60.0);
+  EXPECT_THROW(sim.run_until(120.0), std::logic_error);
 }
 
 // Forwards every call to the wrapped controller but keeps idle_hold_until's

@@ -323,6 +323,20 @@ TEST(QueueSim, RejectsBadConstruction) {
                         core::make_controllers(util_spec(), net), demand),
                std::invalid_argument);
   EXPECT_THROW(QueueSim(net, QueueSimConfig{}, {}, demand), std::invalid_argument);
+  EXPECT_THROW(QueueSim(net::Network{}, QueueSimConfig{},
+                        core::make_controllers(util_spec(), net), demand),
+               std::invalid_argument);
+}
+
+TEST(QueueSim, RejectsOutOfRangePhase) {
+  // A decision outside the junction's phase list is a controller bug; the
+  // control step refuses it instead of indexing past the phases.
+  const net::Network net = grid(1);
+  for (const net::PhaseIndex bad : {net::PhaseIndex{-1}, net::PhaseIndex{99}}) {
+    traffic::DemandGenerator demand(net, demand_cfg(), 1);
+    QueueSim sim(net, QueueSimConfig{}, constant_controllers(net, bad), demand);
+    EXPECT_THROW(sim.run_until(5.0), std::logic_error) << "phase " << bad;
+  }
 }
 
 // FNV-1a over 64-bit words, for folding a run's state into one pinnable value.
