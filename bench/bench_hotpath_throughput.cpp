@@ -33,6 +33,7 @@
 #include "src/net/grid.hpp"
 #include "src/queuesim/queue_sim.hpp"
 #include "src/scenario/scenario.hpp"
+#include "src/sim/run_setup.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/traffic/demand.hpp"
 
@@ -89,7 +90,7 @@ Row run_micro(const net::Network& net, double duration_s, std::uint64_t seed, in
   traffic::DemandGenerator demand(net, traffic::DemandConfig{}, seed);
   const microsim::MicroSimConfig config;
   microsim::MicroSim sim(net, config, core::make_controllers(spec, net), demand,
-                         seed + 0x5157u);
+                         seed + sim::kMicroSeedSalt);
   return drive(sim, "micro", grid, 1, duration_s, config.dt_s);
 }
 

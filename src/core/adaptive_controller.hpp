@@ -69,9 +69,6 @@ class AdaptiveController final : public SignalController {
     return monitor_;
   }
 
-  // True while the incident-tuned variant is in control (test hook).
-  [[nodiscard]] bool retuned_active() const noexcept { return retuned_active_; }
-
  private:
   void apply(const stats::DetectionEvent& event) {
     if (event.direction > 0 && retuned_ && !retuned_active_) {

@@ -30,10 +30,10 @@ class SignalController {
   // change only in decide() and reset(), so a simulator can cache it after
   // each decision and skip the idle calls it covers. The control step both
   // backends share (sim::RunCore) does, where the backend reports the
-  // junction idle: the micro sim with a perfect sensor, the queue sim not
-  // yet. The default, -infinity, covers no call; only a policy
-  // that can prove the property overrides it, and decorators keep the
-  // default because they have per-decision side effects of their own.
+  // junction idle: the queue sim, whose readings are exact, and the micro
+  // sim with a perfect sensor. The default, -infinity, covers no call; only
+  // a policy that can prove the property overrides it, and decorators keep
+  // the default because they have per-decision side effects of their own.
   [[nodiscard]] virtual double idle_hold_until() const {
     return -std::numeric_limits<double>::infinity();
   }

@@ -16,13 +16,12 @@ MicroSim::MicroSim(const net::Network& network, MicroSimConfig config,
               config.sample_interval_s),
       config_(config),
       sensor_perfect_(config.sensor.perfect()),
-      rng_(seed),
-      seed_(seed) {
+      rng_(seed) {
   roads_.resize(net_.roads().size());
   links_.resize(net_.links().size());
   road_streams_.reserve(net_.roads().size());
   for (std::size_t r = 0; r < net_.roads().size(); ++r) {
-    road_streams_.emplace_back(seed_, static_cast<std::uint64_t>(r));
+    road_streams_.emplace_back(seed, static_cast<std::uint64_t>(r));
   }
 
   // Lane layout: an exit road has one unsignalled lane. Any other road has
@@ -58,12 +57,7 @@ MicroSim::MicroSim(const net::Network& network, MicroSimConfig config,
     }
   }
 
-  link_obs_.reserve(net_.links().size());
   for (const net::Link& link : net_.links()) {
-    link_obs_.push_back({static_cast<std::uint32_t>(link.from_road.index()),
-                         static_cast<std::uint32_t>(link.to_road.index()),
-                         net_.road(link.from_road).capacity, net_.road(link.to_road).capacity,
-                         link.service_rate});
     roads_[link.to_road.index()].from_junction = static_cast<std::uint32_t>(link.owner.index());
   }
 
@@ -89,8 +83,6 @@ int MicroSim::lane_count(LinkId link) const {
     return veh_next_link_[vid.index()] == link;
   }));
 }
-
-int MicroSim::road_occupancy(RoadId road) const { return roads_[road.index()].occupancy; }
 
 int MicroSim::queued_on_road(RoadId road) const {
   int total = 0;
@@ -135,33 +127,6 @@ bool MicroSim::entry_clear(const RoadRt& rt, int lane_index) const {
   // The new vehicle's front bumper enters at pos 0; the rear vehicle's back
   // bumper must leave room for it plus the standstill gap.
   return rear_pos - config_.vehicle.length_m >= config_.vehicle.min_gap_m + 0.5;
-}
-
-const core::IntersectionObservation& MicroSim::observe(const net::Intersection& node) {
-  core::IntersectionObservation& obs = obs_scratch_;
-  obs.time = now_;
-  obs.links.clear();
-  obs.links.reserve(node.links.size());
-  for (LinkId lid : node.links) {
-    const LinkObs& link = link_obs_[lid.index()];
-    core::LinkState state;
-    // Queue readings pass through the detector model; occupancy and
-    // capacities are physical state, never perturbed. True counts come from
-    // the control-step memo tables (rebuilt by sweep_roads), not per-link
-    // scans.
-    state.queue =
-        core::measure_queue(link_queued_approach_[lid.index()], config_.sensor, rng_);
-    state.upstream_total =
-        core::measure_queue(road_queued_approach_[link.from_road], config_.sensor, rng_);
-    state.upstream_capacity = link.upstream_capacity;
-    state.downstream_queue =
-        core::measure_queue(road_queued_congestion_[link.to_road], config_.sensor, rng_);
-    state.downstream_total = roads_[link.to_road].occupancy;
-    state.downstream_capacity = link.downstream_capacity;
-    state.service_rate = link.service_rate;
-    obs.links.push_back(state);
-  }
-  return obs;
 }
 
 void MicroSim::admit_spawns() {
@@ -421,7 +386,7 @@ void MicroSim::sweep_lane(const net::Road& road, Lane& lane, StreamRng& rng) {
 void MicroSim::sweep_roads() {
   // When the next step opens with a controller decision, the queued-count
   // memo tables are rebuilt during this sweep — the vehicles are already in
-  // cache here, so observe() never needs a separate scan. The predicate is
+  // cache here, so a reading never needs a separate scan. The predicate is
   // bit-identical to next step's control check (same addition, same compare).
   memo_pending_ = now_ + config_.dt_s >= next_control_;
   if (memo_pending_ && config_.memo_always_rebuild) {

@@ -21,11 +21,12 @@
 //   * demand arrives via traffic::DemandGenerator; vehicles whose entry road
 //     is full or whose entry point is blocked wait outside the network.
 //
-// Controllers are invoked every control interval (the paper's mini-slot) with
-// the same observation structure the queueing simulator produces. Queue
-// readings come from speed-threshold detectors (optionally degraded by
-// MicroSimConfig::sensor); the capacity test of Eq. (8) uses physical
-// occupancy. See src/core/observation.hpp for the two-sensor rationale.
+// Controllers are invoked every control interval (the paper's mini-slot)
+// with the observation sim::RunCore builds for both backends from their
+// reading hooks. Here the queue readings come from speed-threshold detectors
+// (optionally degraded by MicroSimConfig::sensor); the capacity test of
+// Eq. (8) uses physical occupancy. See src/core/observation.hpp for the
+// two-sensor rationale.
 //
 // --- Tick structure (see docs/PERFORMANCE.md) ---
 // Each tick runs a junction phase (admission, junction-box releases,
@@ -63,9 +64,10 @@
 // departing vehicles), and the cold per-vehicle record (route, timestamps,
 // junction bookkeeping, the waiting total carried between lanes) sits in the
 // vehicle ledger of sim::RunCore (src/sim/run_core.hpp), which only the
-// junction phase reads. The run loop itself — clock, control step, watches,
-// spawn buffers on the entry roads, finish() — is RunCore's, shared with the
-// queue sim; MicroSim supplies the tick and the hooks.
+// junction phase reads. The run loop itself — clock, control step (observe,
+// decide, the idle skip), watches, spawn buffers on the entry roads,
+// finish() — is RunCore's, shared with the queue sim; MicroSim supplies the
+// tick and the hooks, the sensor model among them.
 #pragma once
 
 #include <cstdint>
@@ -110,7 +112,8 @@ class MicroSim : public sim::RunCore<MicroSim, Vehicle> {
   // Vehicles on the dedicated lane feeding `link`.
   [[nodiscard]] int lane_count(LinkId link) const;
   // Vehicles on the road (all lanes) plus inbound junction reservations.
-  [[nodiscard]] int road_occupancy(RoadId road) const;
+  // Also a RunCore hook (the full-road test of Eq. 8).
+  [[nodiscard]] int road_occupancy(RoadId road) const { return roads_[road.index()].occupancy; }
   // Stop-line queue total of a road: lane_count over all its movements (the
   // microscopic q_i of Eq. 1; same contract as QueueSim::queued_on_road).
   [[nodiscard]] int queued_on_road(RoadId road) const;
@@ -123,12 +126,20 @@ class MicroSim : public sim::RunCore<MicroSim, Vehicle> {
   friend class sim::RunCore<MicroSim, Vehicle>;
 
   // --- RunCore hooks ---
-  // The control step skips idle junctions (RunCore's rule).
-  static constexpr bool kIdleSkip = true;
   void tick();
-  // Fills and returns the reusable observation buffer (valid until the next
-  // observe() call); avoids re-allocating the link array per decision.
-  [[nodiscard]] const core::IntersectionObservation& observe(const net::Intersection& node);
+  // Queue readings pass through the detector model (MicroSimConfig::sensor)
+  // from the control-step memo tables that sweep_roads rebuilt, so a reading
+  // is a table read, not a lane scan. An imperfect sensor draws from rng_ on
+  // each reading, in the order RunCore's observe() takes them.
+  [[nodiscard]] int link_reading(LinkId link) {
+    return core::measure_queue(link_queued_approach_[link.index()], config_.sensor, rng_);
+  }
+  [[nodiscard]] int approach_reading(RoadId road) {
+    return core::measure_queue(road_queued_approach_[road.index()], config_.sensor, rng_);
+  }
+  [[nodiscard]] int congestion_reading(RoadId road) {
+    return core::measure_queue(road_queued_congestion_[road.index()], config_.sensor, rng_);
+  }
   // Idle as the memo-rebuild sweep left junction j: not *queued* (every
   // queue reading 0) and not *blocked* (no full outgoing road). Only under a
   // perfect sensor: an imperfect one draws from rng_ on every reading, so a
@@ -184,17 +195,6 @@ class MicroSim : public sim::RunCore<MicroSim, Vehicle> {
     double next_grant = 0.0;
   };
 
-  // Static per-link observation inputs, flattened once at construction so
-  // observe() reads one table row instead of chasing the network's links and
-  // roads.
-  struct LinkObs {
-    std::uint32_t from_road = 0;
-    std::uint32_t to_road = 0;
-    int upstream_capacity = 0;    // design W of from_road
-    int downstream_capacity = 0;  // design W of to_road
-    double service_rate = 0.0;
-  };
-
   static constexpr std::uint32_t kNoJunction = ~std::uint32_t{0};
 
   void admit_spawns();
@@ -241,7 +241,6 @@ class MicroSim : public sim::RunCore<MicroSim, Vehicle> {
   // Sensor noise on controller observations. The sweep's dawdling draws come
   // from road_streams_ instead, so observations never shift a dawdle draw.
   Rng rng_;
-  std::uint64_t seed_ = 0;
   // One counter-based dawdling stream per road (stream id = road index).
   std::vector<StreamRng> road_streams_;
   // The lane kernel's materialized gap/leader/draw arrays, reused across
@@ -275,7 +274,7 @@ class MicroSim : public sim::RunCore<MicroSim, Vehicle> {
   // Control-step memo tables: queued counts per road (both detector
   // thresholds) and per link (approach threshold). Rebuilt during the lane
   // sweep of the tick preceding each control step (memo_pending_), where the
-  // vehicles are already in cache, so observe() is pure table reads. A
+  // vehicles are already in cache, so the readings are pure table reads. A
   // road's visit zeroes and refills its own rows (a link's row belongs to
   // its from_road).
   std::vector<int> road_queued_approach_;
@@ -296,7 +295,6 @@ class MicroSim : public sim::RunCore<MicroSim, Vehicle> {
   // that reads them, which opens the next tick.
   std::vector<std::uint64_t> queued_junctions_;
   std::vector<std::uint64_t> blocked_junctions_;
-  std::vector<LinkObs> link_obs_;
   // Per-entry-road admission scratch, sized to the widest road once.
   std::vector<char> lane_blocked_;
 };

@@ -17,47 +17,16 @@ QueueSim::QueueSim(const net::Network& network, QueueSimConfig config,
   for (const net::Road& road : net_.roads()) roads_[road.id.index()].exit = road.is_exit();
   link_rows_.reserve(net_.links().size());
   for (const net::Link& link : net_.links()) {
-    const net::Road& from = net_.road(link.from_road);
     const net::Road& to = net_.road(link.to_road);
     const double rate_dt = link.service_rate * config_.step_s;
-    link_rows_.push_back({static_cast<std::uint32_t>(from.id.index()),
-                          static_cast<std::uint32_t>(to.id.index()), from.capacity, to.capacity,
-                          link.service_rate, rate_dt, std::max(1.0, rate_dt),
-                          to.free_flow_time_s()});
+    link_rows_.push_back({static_cast<std::uint32_t>(link.from_road.index()),
+                          static_cast<std::uint32_t>(to.id.index()), rate_dt,
+                          std::max(1.0, rate_dt), to.free_flow_time_s()});
   }
   transit_roads_.assign((net_.roads().size() + 63) / 64, 0);
 }
 
-int QueueSim::link_queue(LinkId link) const {
-  return static_cast<int>(links_[link.index()].queue.size());
-}
-
-int QueueSim::road_occupancy(RoadId road) const { return roads_[road.index()].occupancy; }
-
-int QueueSim::queued_on_road(RoadId road) const { return road_queued_[road.index()]; }
-
 double QueueSim::link_credit(LinkId link) const { return links_[link.index()].credit; }
-
-const core::IntersectionObservation& QueueSim::observe(const net::Intersection& node) {
-  core::IntersectionObservation& obs = obs_scratch_;
-  obs.time = now_;
-  obs.links.clear();
-  obs.links.reserve(node.links.size());
-  for (LinkId lid : node.links) {
-    const LinkRow& link = link_rows_[lid.index()];
-    core::LinkState state;
-    state.queue = static_cast<int>(links_[lid.index()].queue.size());
-    state.upstream_total = road_queued_[link.from_road];
-    state.upstream_capacity = link.upstream_capacity;
-    // An exit road never holds a queued vehicle, so this reads 0 there.
-    state.downstream_queue = road_queued_[link.to_road];
-    state.downstream_total = roads_[link.to_road].occupancy;
-    state.downstream_capacity = link.downstream_capacity;
-    state.service_rate = link.service_rate;
-    obs.links.push_back(state);
-  }
-  return obs;
-}
 
 void QueueSim::phase_changed(std::size_t junction) {
   for (LinkId lid : net_.intersections()[junction].links) links_[lid.index()].credit = 0.0;

@@ -19,11 +19,14 @@
 // The run loop — clock, control step, watches, the vehicle ledger and
 // finish() — is sim::RunCore's (src/sim/run_core.hpp), shared with the micro
 // sim; QueueSim supplies the tick and the hooks. At a control boundary
-// RunCore's control step decides at every junction (the queue sim reports no
-// idle junctions yet). The tick is one serial pass: demand is admitted
-// (batched: one DemandGenerator::poll_into per tick into a reused buffer;
-// spawns wait in one FIFO per entry road), then every green movement is
-// served in ascending link id, which net::Network::finalize guarantees is
+// RunCore's control step observes and decides at every junction except an
+// idle one before its controller's hold: one with no vehicle queued on an
+// approach road and no road its links enter at design capacity. The
+// readings are exact, so a skipped decision would have kept the phase, the
+// service credit and the trace. The tick is one serial pass: demand is
+// admitted (batched: one DemandGenerator::poll_into per tick into a reused
+// buffer; spawns wait in one FIFO per entry road), then every green movement
+// is served in ascending link id, which net::Network::finalize guarantees is
 // the (intersection, phase-link) order, each served vehicle moving straight
 // into the downstream road's transit FIFO. Due transits are then drained in
 // road order, routing arrivals into their movement queues and completing
@@ -72,26 +75,40 @@ class QueueSim : public sim::RunCore<QueueSim, Vehicle> {
            std::vector<core::ControllerPtr> controllers, traffic::DemandGenerator& demand);
 
   // Vehicles currently queued for a movement (test hook).
-  [[nodiscard]] int link_queue(LinkId link) const;
+  [[nodiscard]] int link_queue(LinkId link) const {
+    return static_cast<int>(links_[link.index()].queue.size());
+  }
   // All vehicles currently on a road: in transit + queued (test hook).
-  [[nodiscard]] int road_occupancy(RoadId road) const;
+  [[nodiscard]] int road_occupancy(RoadId road) const { return roads_[road.index()].occupancy; }
   // Fractional service credit currently banked by a movement (test hook for
   // the burst clamp and the green-loss credit cut).
   [[nodiscard]] double link_credit(LinkId link) const;
   // Vehicles queued at the stop line of `road`, over all its movements
   // (q_i of Eq. 1; O(1), maintained incrementally). Also a test hook.
-  [[nodiscard]] int queued_on_road(RoadId road) const;
+  [[nodiscard]] int queued_on_road(RoadId road) const { return road_queued_[road.index()]; }
 
  private:
   friend class sim::RunCore<QueueSim, Vehicle>;
 
   // --- RunCore hooks ---
-  // No idle bits yet: every control step decides at every junction.
-  static constexpr bool kIdleSkip = false;
   void tick();
-  // Fills and returns the reusable observation buffer (valid until the next
-  // observe() call); avoids re-allocating the link array per decision.
-  [[nodiscard]] const core::IntersectionObservation& observe(const net::Intersection& node);
+  // The readings are the exact counts. An exit road never holds a queued
+  // vehicle, so its congestion reading is 0.
+  [[nodiscard]] int link_reading(LinkId link) const { return link_queue(link); }
+  [[nodiscard]] int approach_reading(RoadId road) const { return queued_on_road(road); }
+  [[nodiscard]] int congestion_reading(RoadId road) const { return queued_on_road(road); }
+  // No vehicle queued on an approach road of junction j, so every link's
+  // queue reading is 0, and no road a link of j enters at its design W.
+  [[nodiscard]] bool idle(std::size_t j) const {
+    for (LinkId lid : net_.intersections()[j].links) {
+      const LinkObs& link = link_obs_[lid.index()];
+      if (queued_on_road(link.from_road) != 0 ||
+          road_occupancy(link.to_road) >= link.downstream_capacity) {
+        return false;
+      }
+    }
+    return true;
+  }
   // A phase change cuts the service credit of the junction's links.
   void phase_changed(std::size_t junction);
   [[nodiscard]] int watch_reading(RoadId road) const { return queued_on_road(road); }
@@ -122,15 +139,12 @@ class QueueSim : public sim::RunCore<QueueSim, Vehicle> {
     double credit = 0.0;
   };
 
-  // Static per-link inputs, flattened once at construction so observe() and
-  // arbitrate_and_serve() read one row per link instead of chasing the
+  // Static per-link service inputs, flattened once at construction so
+  // arbitrate_and_serve() reads one row per link instead of chasing the
   // network's links and roads.
   struct LinkRow {
     std::uint32_t from_road = 0;
     std::uint32_t to_road = 0;
-    int upstream_capacity = 0;    // design W of from_road
-    int downstream_capacity = 0;  // design W of to_road
-    double service_rate = 0.0;    // mu
     double rate_dt = 0.0;         // mu * step_s: credit gained per green tick
     double burst = 0.0;           // max(1, rate_dt): the credit cap
     double to_free_flow_s = 0.0;  // free-flow time of to_road
@@ -166,7 +180,7 @@ class QueueSim : public sim::RunCore<QueueSim, Vehicle> {
   // queue_seconds() memo: entry k is k additions of step_s from 0.0.
   std::vector<double> queued_seconds_{0.0};
   // Vehicles queued at the stop line of each road (sum over its movement
-  // queues), maintained incrementally so observe() is O(1) per reading.
+  // queues), maintained incrementally so a reading is O(1).
   std::vector<int> road_queued_;
 };
 

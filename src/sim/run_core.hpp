@@ -7,25 +7,31 @@
 // (src/microsim) and the Section-II queue sim (src/queuesim). A backend
 // derives from it (CRTP), keeps its own tick, and supplies these hooks,
 // which RunCore calls statically, never through a virtual call:
-//   tick()                the backend's step: admission, service, movement;
-//                         it advances now_ by one step.
-//   observe(node)         the junction's observation, valid until the next
-//                         observe().
-//   idle(j)               only when Backend::kIdleSkip: junction j is idle —
-//                         every queue reading is 0, and no outgoing road is
-//                         full, whose Eq. (8) sentinel beta could make another
-//                         phase win — so before its controller's hold
-//                         (SignalController::idle_hold_until) a decision
-//                         would keep the displayed phase and change no state.
-//   phase_changed(j)      junction j is about to display another phase.
-//   watch_reading(road)   the queue length a road watch samples (q_i).
-//   close_stays()         finish(): fold the state of vehicles still in the
-//                         network into their records.
-//   queue_seconds(v)      the queuing time a record contributes to the metric.
-// A backend also declares `static constexpr bool kIdleSkip`. Only when it is
-// true does the control step cache each controller's idle_hold_until() and
-// ask idle(j); otherwise every junction decides at every control step, with
-// no hold call.
+//   tick()                  the backend's step: admission, service, movement;
+//                           it advances now_ by one step.
+//   link_reading(l)         the queue reading of link l (q_i^{i'}).
+//   approach_reading(r)     the queue reading of approach road r (q_i).
+//   congestion_reading(r)   the queue reading of outgoing road r (q_{i'}).
+//   road_occupancy(r)       the vehicles counted against road r's capacity
+//                           (the full-road test of Eq. 8).
+//   idle(j)                 junction j is idle: every queue reading is 0, and
+//                           no road a link of j enters is at its design W,
+//                           whose Eq. (8) sentinel beta could make another
+//                           phase win. Before its controller's hold
+//                           (SignalController::idle_hold_until) a decision
+//                           would then keep the displayed phase and change no
+//                           state, so the control step skips it.
+//   phase_changed(j)        junction j is about to display another phase.
+//   watch_reading(road)     the queue length a road watch samples (q_i).
+//   close_stays()           finish(): fold the state of vehicles still in the
+//                           network into their records.
+//   queue_seconds(v)        the queuing time a record contributes to the
+//                           metric.
+// observe() takes the three readings of each link in the junction's link
+// order, link before approach before congestion, so a backend whose readings
+// draw from one random stream draws in a fixed sequence. The control step
+// calls the reading hooks and road_occupancy per link and idle per junction,
+// so a backend defines them in its class body, where they can be inlined.
 //
 // The ledger keeps one record per vehicle, recycled through free slots so
 // storage stays O(peak active + waiting), not O(history). Spawns wait
@@ -158,9 +164,12 @@ class RunCore {
     }
     displayed_.assign(net_.intersections().size(), net::kTransitionPhase);
     green_links_.assign((net_.links().size() + 63) / 64, 0);
-    if constexpr (Backend::kIdleSkip) {
-      hold_until_.reserve(controllers_.size());
-      for (const core::ControllerPtr& c : controllers_) hold_until_.push_back(c->idle_hold_until());
+    hold_until_.reserve(controllers_.size());
+    for (const core::ControllerPtr& c : controllers_) hold_until_.push_back(c->idle_hold_until());
+    link_obs_.reserve(net_.links().size());
+    for (const net::Link& link : net_.links()) {
+      link_obs_.push_back({link.from_road, link.to_road, net_.road(link.from_road).capacity,
+                           net_.road(link.to_road).capacity, link.service_rate});
     }
     result_.phase_traces.resize(net_.intersections().size());
     road_capacity_.reserve(net_.roads().size());
@@ -212,6 +221,17 @@ class RunCore {
     free_slots_.push_back(vid.value());
   }
 
+  // Static per-link observation inputs, flattened once at construction so
+  // observe() reads one row per link instead of chasing the network's links
+  // and roads.
+  struct LinkObs {
+    RoadId from_road;
+    RoadId to_road;
+    int upstream_capacity = 0;    // design W of from_road
+    int downstream_capacity = 0;  // design W of to_road
+    double service_rate = 0.0;    // mu
+  };
+
   const net::Network& net_;
   double now_ = 0.0;
   // The next control boundary; a tick may read it to prepare that step.
@@ -230,8 +250,7 @@ class RunCore {
   // Vehicles waiting outside the network for space, FIFO: one buffer per
   // entry road, in net_.entry_roads() order.
   std::vector<std::deque<VehicleId>> entry_buffers_;
-  // Reused by observe() so the per-decision link array is allocated once.
-  core::IntersectionObservation obs_scratch_;
+  std::vector<LinkObs> link_obs_;
   stats::RunResult result_;
 
  private:
@@ -244,6 +263,28 @@ class RunCore {
 
   [[nodiscard]] Backend& self() { return static_cast<Backend&>(*this); }
 
+  // The junction's observation, valid until the next observe() call: the
+  // backend's readings, occupancy and the design capacities per link.
+  const core::IntersectionObservation& observe(const net::Intersection& node) {
+    core::IntersectionObservation& obs = obs_scratch_;
+    obs.time = now_;
+    obs.links.clear();
+    obs.links.reserve(node.links.size());
+    for (LinkId lid : node.links) {
+      const LinkObs& link = link_obs_[lid.index()];
+      core::LinkState state;
+      state.queue = self().link_reading(lid);
+      state.upstream_total = self().approach_reading(link.from_road);
+      state.upstream_capacity = link.upstream_capacity;
+      state.downstream_queue = self().congestion_reading(link.to_road);
+      state.downstream_total = self().road_occupancy(link.to_road);
+      state.downstream_capacity = link.downstream_capacity;
+      state.service_rate = link.service_rate;
+      obs.links.push_back(state);
+    }
+    return obs;
+  }
+
   // One decision per junction: observe, decide, check the phase, rewrite the
   // green bits where it changes and record the trace.
   void control_step() {
@@ -252,15 +293,15 @@ class RunCore {
       // An idle junction's decision before its controller's hold would
       // return the displayed phase and change no state. An unchanged phase
       // would only extend the trace's end time, which finish() sets anyway.
-      if constexpr (Backend::kIdleSkip) {
-        if (self().idle(j) && now_ < hold_until_[j]) continue;
-      }
+      // The hold is tested first: a junction whose controller covers no call
+      // (hold -infinity, every decorator) never pays for idle().
+      if (now_ < hold_until_[j] && self().idle(j)) continue;
       core::SignalController& controller = *controllers_[j];
-      const net::PhaseIndex phase = controller.decide(self().observe(nodes[j]));
+      const net::PhaseIndex phase = controller.decide(observe(nodes[j]));
       if (phase < 0 || phase >= static_cast<int>(nodes[j].phases.size())) {
         throw std::logic_error("controller returned an out-of-range phase");
       }
-      if constexpr (Backend::kIdleSkip) hold_until_[j] = controller.idle_hold_until();
+      hold_until_[j] = controller.idle_hold_until();
       if (phase != displayed_[j]) {
         self().phase_changed(j);
         for (LinkId lid : nodes[j].phases[static_cast<std::size_t>(displayed_[j])].links) {
@@ -301,9 +342,11 @@ class RunCore {
   double next_sample_ = 0.0;
   std::vector<net::PhaseIndex> displayed_;
   // Per junction, the controller's idle_hold_until(), cached at construction
-  // and after each of its decisions (kIdleSkip backends only). Only decide()
-  // and reset() may change it, and the simulator never calls reset().
+  // and after each of its decisions. Only decide() and reset() may change it,
+  // and the simulator never calls reset().
   std::vector<double> hold_until_;
+  // Reused by observe() so the per-decision link array is allocated once.
+  core::IntersectionObservation obs_scratch_;
   std::vector<Watch> watches_;
   // Slots of completed vehicles available for reuse.
   std::vector<VehicleId::value_type> free_slots_;

@@ -46,8 +46,6 @@ class SimulatorGuard {
   void check(const Simulator& simulator, const stats::NetworkMetrics& metrics,
              stats::GuardReport& report) const;
 
-  [[nodiscard]] scenario::GuardPolicy policy() const noexcept { return policy_; }
-
  private:
   void handle(double now_s, std::string message, stats::GuardReport& report) const;
 

@@ -23,6 +23,7 @@
 #include "src/net/grid.hpp"
 #include "src/queuesim/queue_sim.hpp"
 #include "src/scenario/scenario.hpp"
+#include "src/sim/run_setup.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/traffic/demand.hpp"
 
@@ -66,7 +67,7 @@ void run_both_backends(const net::Network& net, const core::ControllerSpec& spec
     SCOPED_TRACE("micro");
     traffic::DemandGenerator demand(net, dcfg, kSeed);
     microsim::MicroSim sim(net, microsim::MicroSimConfig{},
-                           core::make_controllers(spec, net), demand, kSeed + 0x5157u);
+                           core::make_controllers(spec, net), demand, kSeed + sim::kMicroSeedSalt);
     check_invariants_every_tick(sim, net, duration_s);
   }
 }

@@ -28,6 +28,7 @@
 #include "src/queuesim/queue_sim.hpp"
 #include "src/scenario/scenario.hpp"
 #include "src/scenario/scenario_io.hpp"
+#include "src/sim/run_setup.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/traffic/demand.hpp"
 
@@ -263,7 +264,7 @@ TEST(FaultInjection, CapacityOverrideHookClosesAndReopensRoads) {
     SCOPED_TRACE("micro");
     traffic::DemandGenerator demand(net, dcfg, kSeed);
     microsim::MicroSim sim(net, microsim::MicroSimConfig{},
-                           core::make_controllers(spec, net), demand, kSeed + 0x5157u);
+                           core::make_controllers(spec, net), demand, kSeed + sim::kMicroSeedSalt);
     for (RoadId entry : net.entry_roads()) sim.set_road_capacity(entry, 0);
     const stats::RunResult& r = sim.run_until(60.0);
     EXPECT_GT(r.metrics.generated, 0u);

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <deque>
 #include <random>
@@ -13,6 +12,7 @@
 #include "src/core/factory.hpp"
 #include "src/microsim/lane_store.hpp"
 #include "src/net/grid.hpp"
+#include "tests/result_compare.hpp"
 
 namespace abp::microsim {
 namespace {
@@ -269,21 +269,6 @@ TEST(MicroSim, FinishIsTerminal) {
   EXPECT_THROW(sim.run_until(120.0), std::logic_error);
 }
 
-// Forwards every call to the wrapped controller but keeps idle_hold_until's
-// -infinity default, so MicroSim never skips a decision of the junction.
-class NeverSkippedController final : public core::SignalController {
- public:
-  explicit NeverSkippedController(core::ControllerPtr inner) : inner_(std::move(inner)) {}
-  net::PhaseIndex decide(const core::IntersectionObservation& obs) override {
-    return inner_->decide(obs);
-  }
-  void reset() override { inner_->reset(); }
-  std::string name() const override { return inner_->name(); }
-
- private:
-  core::ControllerPtr inner_;
-};
-
 // FNV-1a over every tick's displayed phases, road occupancies, lane counts
 // and lane positions, plus the closing metrics.
 std::uint64_t run_digest(const net::Network& net, const traffic::DemandConfig& demand_config,
@@ -293,40 +278,32 @@ std::uint64_t run_digest(const net::Network& net, const traffic::DemandConfig& d
   std::vector<core::ControllerPtr> controllers = core::make_controllers(util_spec(), net);
   if (!allow_idle_skip) {
     for (core::ControllerPtr& c : controllers) {
-      c = std::make_unique<NeverSkippedController>(std::move(c));
+      c = std::make_unique<testing::NeverSkippedController>(std::move(c));
     }
   }
   MicroSim sim(net, config, std::move(controllers), demand, 3);
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  auto add = [&hash](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  };
+  testing::StateDigest digest;
   for (int t = 1; t * 0.5 <= duration_s; ++t) {
     sim.run_until(t * 0.5);
     for (const net::Intersection& node : net.intersections()) {
-      add(static_cast<std::uint64_t>(sim.displayed_phase(node.id)));
+      digest.add(sim.displayed_phase(node.id));
     }
-    for (const net::Road& road : net.roads()) {
-      add(static_cast<std::uint64_t>(sim.road_occupancy(road.id)));
-    }
+    for (const net::Road& road : net.roads()) digest.add(sim.road_occupancy(road.id));
     for (const net::Link& link : net.links()) {
-      for (double p : sim.lane_positions(link.id)) add(std::bit_cast<std::uint64_t>(p));
+      for (double p : sim.lane_positions(link.id)) digest.add(p);
     }
   }
   const stats::RunResult r = sim.finish(duration_s);
-  add(r.metrics.completed);
-  add(std::bit_cast<std::uint64_t>(r.metrics.queuing_time_s.mean()));
+  digest.add(static_cast<std::uint64_t>(r.metrics.completed));
+  digest.add(r.metrics.queuing_time_s.mean());
   for (const stats::PhaseTrace& trace : r.phase_traces) {
     for (const stats::PhaseTrace::Sample& sample : trace.samples()) {
-      add(std::bit_cast<std::uint64_t>(sample.time));
-      add(static_cast<std::uint64_t>(sample.phase));
+      digest.add(sample.time);
+      digest.add(sample.phase);
     }
-    add(std::bit_cast<std::uint64_t>(trace.end_time()));
+    digest.add(trace.end_time());
   }
-  return hash;
+  return digest.value();
 }
 
 // Skipping the decision of an idle junction (perfect sensor, no vehicle on

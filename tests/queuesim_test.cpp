@@ -5,14 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/factory.hpp"
 #include "src/net/grid.hpp"
+#include "tests/result_compare.hpp"
 
 namespace abp::queuesim {
 namespace {
+
+using testing::fold_queue_state;
+using testing::StateDigest;
 
 // Controller that always displays one fixed phase (test instrument).
 class ConstantController final : public core::SignalController {
@@ -45,10 +51,11 @@ class ScheduledController final : public core::SignalController {
   int decisions_ = 0;
 };
 
-net::Network grid(int n = 1) {
+net::Network grid(int n = 1, int capacity = net::GridConfig{}.capacity) {
   net::GridConfig cfg;
   cfg.rows = n;
   cfg.cols = n;
+  cfg.capacity = capacity;
   return net::build_grid(cfg);
 }
 
@@ -67,9 +74,11 @@ core::ControllerSpec util_spec() {
   return spec;
 }
 
-traffic::DemandConfig demand_cfg(traffic::PatternKind p = traffic::PatternKind::II) {
+traffic::DemandConfig demand_cfg(traffic::PatternKind p = traffic::PatternKind::II,
+                                 double scale = 1.0) {
   traffic::DemandConfig cfg;
   cfg.pattern = p;
+  cfg.interarrival_scale = scale;
   return cfg;
 }
 
@@ -339,50 +348,79 @@ TEST(QueueSim, RejectsOutOfRangePhase) {
   }
 }
 
-// FNV-1a over 64-bit words, for folding a run's state into one pinnable value.
-class StateDigest {
- public:
-  void add(std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xffu;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(int value) { add(static_cast<std::uint64_t>(static_cast<std::int64_t>(value))); }
-  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 TEST(QueueSim, MidRunStateDigestIsPinned) {
   // Beyond the golden metric pins: after every tick of a 300 s 2x2 run, the
-  // full observable state (vehicles in the network, every road's occupancy
-  // and queued count, every movement queue and the bits of its banked
-  // credit, every displayed phase) is folded into one digest. A rewrite of
-  // the tick must reproduce the pinned value, so it is checked tick by tick,
-  // not only at the end of the run.
+  // full observable state is folded into one digest. A rewrite of the tick
+  // must reproduce the pinned value, so it is checked tick by tick, not only
+  // at the end of the run.
   const net::Network net = grid(2);
   traffic::DemandGenerator demand(net, demand_cfg(traffic::PatternKind::I), 41);
   QueueSim sim(net, QueueSimConfig{}, core::make_controllers(util_spec(), net), demand);
   StateDigest digest;
   for (int t = 1; t <= 300; ++t) {
     sim.run_until(static_cast<double>(t));
-    digest.add(sim.vehicles_in_network());
-    for (const net::Road& road : net.roads()) {
-      digest.add(sim.road_occupancy(road.id));
-      digest.add(sim.queued_on_road(road.id));
-    }
-    for (const net::Link& l : net.links()) {
-      digest.add(sim.link_queue(l.id));
-      digest.add(sim.link_credit(l.id));
-    }
-    for (const net::Intersection& node : net.intersections()) {
-      digest.add(sim.displayed_phase(node.id));
-    }
+    fold_queue_state(digest, sim, net);
   }
   EXPECT_EQ(digest.value(), 0x6f5df96ce511294eULL) << std::hex << digest.value();
+}
+
+// fold_queue_state after every tick, plus the closing metrics and phase
+// traces.
+std::uint64_t run_digest(const net::Network& net, const traffic::DemandConfig& demand_config,
+                         double duration_s, bool allow_idle_skip) {
+  traffic::DemandGenerator demand(net, demand_config, 17);
+  std::vector<core::ControllerPtr> controllers = core::make_controllers(util_spec(), net);
+  if (!allow_idle_skip) {
+    for (core::ControllerPtr& c : controllers) {
+      c = std::make_unique<testing::NeverSkippedController>(std::move(c));
+    }
+  }
+  QueueSim sim(net, QueueSimConfig{}, std::move(controllers), demand);
+  StateDigest digest;
+  for (int t = 1; t <= static_cast<int>(duration_s); ++t) {
+    sim.run_until(static_cast<double>(t));
+    fold_queue_state(digest, sim, net);
+  }
+  const stats::RunResult r = sim.finish(duration_s);
+  digest.add(static_cast<std::uint64_t>(r.metrics.completed));
+  digest.add(r.metrics.queuing_time_s.mean());
+  for (const stats::PhaseTrace& trace : r.phase_traces) {
+    for (const stats::PhaseTrace::Sample& sample : trace.samples()) {
+      digest.add(sample.time);
+      digest.add(sample.phase);
+    }
+    digest.add(trace.end_time());
+  }
+  return digest.value();
+}
+
+// Skipping the decision of an idle junction (no vehicle queued on its
+// approach roads, no outgoing road at its design capacity, UTIL-BP holding)
+// must be invisible: tick-by-tick state and traces equal those of a run
+// that decides every junction at every control step. The 2x2 cases run
+// roads of one and two vehicles under thinned pattern I demand, so an
+// outgoing road is often full while the approaches are empty — where
+// Eq. (8)'s beta sentinel can make UTIL-BP leave its phase, so the skip must
+// not apply. The W = 6 and W = 10 cases bind capacity under heavier demand.
+TEST(QueueSim, IdleDecisionSkipIsInvisible) {
+  struct Case {
+    int size;
+    int capacity;
+    traffic::PatternKind pattern;
+    double interarrival_scale;
+  };
+  for (const Case& c : {Case{2, 1, traffic::PatternKind::I, 10.0},
+                        Case{2, 2, traffic::PatternKind::I, 3.0},
+                        Case{3, 6, traffic::PatternKind::III, 1.0},
+                        Case{4, 120, traffic::PatternKind::I, 1.0},
+                        Case{3, 10, traffic::PatternKind::II, 1.0}}) {
+    SCOPED_TRACE(::testing::Message() << c.size << "x" << c.size << ", capacity "
+                                      << c.capacity << ", interarrival scale "
+                                      << c.interarrival_scale);
+    const net::Network net = grid(c.size, c.capacity);
+    const traffic::DemandConfig demand = demand_cfg(c.pattern, c.interarrival_scale);
+    EXPECT_EQ(run_digest(net, demand, 900.0, true), run_digest(net, demand, 900.0, false));
+  }
 }
 
 TEST(QueueSim, FinishIsTerminal) {

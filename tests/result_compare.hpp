@@ -1,14 +1,77 @@
-// Deep bit-exact comparison of two RunResults for the refactor pins
-// (memo-table elision). Exact double equality on purpose: the
-// transformations under test must preserve the arithmetic bit for bit, not
-// approximately.
+// Instruments for the refactor pins: deep bit-exact comparison of two
+// RunResults (memo-table elision), the state digest the mid-run pins fold a
+// run into, and a controller decorator that turns off the idle-decision
+// skip. Exact double equality on purpose: the transformations under test
+// must preserve the arithmetic bit for bit, not approximately.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+
+#include "src/core/controller.hpp"
+#include "src/net/network.hpp"
+#include "src/queuesim/queue_sim.hpp"
 #include "src/stats/run_result.hpp"
 
 namespace abp::testing {
+
+// Forwards every call to the wrapped controller but keeps idle_hold_until's
+// -infinity default, so a simulator never skips a decision of the junction.
+class NeverSkippedController final : public core::SignalController {
+ public:
+  explicit NeverSkippedController(core::ControllerPtr inner) : inner_(std::move(inner)) {}
+  net::PhaseIndex decide(const core::IntersectionObservation& obs) override {
+    return inner_->decide(obs);
+  }
+  void reset() override { inner_->reset(); }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  core::ControllerPtr inner_;
+};
+
+// FNV-1a over 64-bit words, for folding a run's state into one pinnable
+// value. Cast a std::uint32_t or std::size_t argument to std::uint64_t: the
+// first is ambiguous between the overloads, the second is on platforms
+// where std::uint64_t is another type.
+class StateDigest {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(int value) { add(static_cast<std::uint64_t>(static_cast<std::int64_t>(value))); }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Folds the queue sim's full observable state after a tick: vehicles in the
+// network, every road's occupancy and queued count, every movement queue and
+// the bits of its banked credit, and every displayed phase.
+inline void fold_queue_state(StateDigest& digest, const queuesim::QueueSim& queue,
+                             const net::Network& network) {
+  digest.add(queue.vehicles_in_network());
+  for (const net::Road& road : network.roads()) {
+    digest.add(queue.road_occupancy(road.id));
+    digest.add(queue.queued_on_road(road.id));
+  }
+  for (const net::Link& link : network.links()) {
+    digest.add(queue.link_queue(link.id));
+    digest.add(queue.link_credit(link.id));
+  }
+  for (const net::Intersection& node : network.intersections()) {
+    digest.add(queue.displayed_phase(node.id));
+  }
+}
 
 inline void expect_metrics_identical(const stats::NetworkMetrics& a,
                                      const stats::NetworkMetrics& b) {

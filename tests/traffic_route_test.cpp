@@ -9,6 +9,7 @@
 
 #include "src/net/grid.hpp"
 #include "src/traffic/demand.hpp"
+#include "tests/result_compare.hpp"
 
 namespace abp::traffic {
 namespace {
@@ -174,21 +175,15 @@ std::uint64_t route_digest(PatternKind pattern) {
   DemandGenerator gen(net, cfg, 1);
   const std::vector<SpawnRequest> spawns = gen.poll(0.0, 3600.0);
   EXPECT_GE(spawns.size(), 2000u);
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  auto add = [&hash](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  };
+  testing::StateDigest digest;
   for (std::size_t i = 0; i < 2000 && i < spawns.size(); ++i) {
     const Route& route = spawns[i].route;
-    add(route.entry.value());
+    digest.add(static_cast<std::uint64_t>(route.entry.value()));
     const std::vector<LinkId> links = links_of_route(net, route);
-    for (LinkId link : links) add(link.value());
-    add(links.size());
+    for (LinkId link : links) digest.add(static_cast<std::uint64_t>(link.value()));
+    digest.add(static_cast<std::uint64_t>(links.size()));
   }
-  return hash;
+  return digest.value();
 }
 
 // The values were captured when a route was its expanded per-junction turn
