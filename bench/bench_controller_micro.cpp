@@ -76,7 +76,7 @@ void BM_ObservationScaling(benchmark::State& state) {
     plan.phases.push_back(std::move(phase));
   }
   core::UtilBpConfig cfg;
-  core::UtilBpController controller(std::move(plan), cfg);
+  core::UtilBpController controller(plan, cfg);
   Rng rng(13);
   core::IntersectionObservation obs;
   obs.links.resize(static_cast<std::size_t>(links));

@@ -32,19 +32,18 @@ void FixedSlotBpController::reset() {
   amber_until_ = 0.0;
 }
 
-std::vector<double> FixedSlotBpController::link_weights(
-    const IntersectionObservation& obs) const {
-  std::vector<double> weights;
-  weights.reserve(obs.links.size());
-  for (const LinkState& l : obs.links) {
+void FixedSlotBpController::fill_link_weights(const IntersectionObservation& obs) {
+  weights_.resize(obs.links.size());
+  for (std::size_t i = 0; i < obs.links.size(); ++i) {
+    const LinkState& l = obs.links[i];
     if (rule_ == FixedSlotRule::Original) {
-      weights.push_back(link_gain_original(l, pressure_));
+      weights_[i] = link_gain_original(l, pressure_);
       continue;
     }
     // CAP-BP: occupancy-normalized pressures; a full downstream road yields
     // zero weight so the policy never commands flow into it.
     if (l.downstream_total >= l.downstream_capacity) {
-      weights.push_back(0.0);
+      weights_[i] = 0.0;
       continue;
     }
     const double occupancy_in =
@@ -52,9 +51,8 @@ std::vector<double> FixedSlotBpController::link_weights(
     const double occupancy_out = static_cast<double>(l.downstream_queue) /
                                  static_cast<double>(std::max(l.downstream_capacity, 1));
     const double diff = pressure(pressure_, occupancy_in) - pressure(pressure_, occupancy_out);
-    weights.push_back(std::max(0.0, diff * l.service_rate));
+    weights_[i] = std::max(0.0, diff * l.service_rate);
   }
-  return weights;
 }
 
 double FixedSlotBpController::servable(const IntersectionObservation& obs,
@@ -70,12 +68,12 @@ double FixedSlotBpController::servable(const IntersectionObservation& obs,
   return total;
 }
 
-net::PhaseIndex FixedSlotBpController::select_phase(const IntersectionObservation& obs) const {
-  const std::vector<double> weights = link_weights(obs);
+net::PhaseIndex FixedSlotBpController::select_phase(const IntersectionObservation& obs) {
+  fill_link_weights(obs);
   net::PhaseIndex best = net::kTransitionPhase;
   double best_score = 0.0;
   for (int j = 1; j <= plan_.num_control_phases(); ++j) {
-    const double score = phase_gain(plan_.phases[static_cast<std::size_t>(j)], weights);
+    const double score = phase_gain(plan_.phases[static_cast<std::size_t>(j)], weights_);
     // Strictly-positive score required; the incumbent green wins ties to
     // avoid spending amber on an equivalent alternative.
     if (score > best_score || (score == best_score && score > 0.0 && j == last_green_)) {

@@ -59,8 +59,9 @@ class FixedSlotBpController final : public SignalController {
   [[nodiscard]] const FixedSlotBpConfig& config() const noexcept { return config_; }
 
  private:
-  [[nodiscard]] std::vector<double> link_weights(const IntersectionObservation& obs) const;
-  [[nodiscard]] net::PhaseIndex select_phase(const IntersectionObservation& obs) const;
+  // Fills weights_ with each link's slot-decision weight.
+  void fill_link_weights(const IntersectionObservation& obs);
+  [[nodiscard]] net::PhaseIndex select_phase(const IntersectionObservation& obs);
   // Vehicles the phase could serve this slot, for the work-conserving fallback.
   [[nodiscard]] double servable(const IntersectionObservation& obs,
                                 net::PhaseIndex phase) const;
@@ -79,6 +80,9 @@ class FixedSlotBpController final : public SignalController {
   // Green phase of the previous slot (to decide whether amber is needed).
   net::PhaseIndex last_green_ = net::kTransitionPhase;
   double amber_until_ = 0.0;
+  // Per-link weights of the current slot decision, reused so decide()
+  // allocates nothing.
+  std::vector<double> weights_;
 };
 
 }  // namespace abp::core

@@ -11,6 +11,10 @@
 //             if none exists, pick the phase with the largest single link
 //             gain. Switching to a different phase first runs the amber
 //             transition of length Delta-k.
+// decide() walks the flattened phase table once: each link's Eq. (8) gain is
+// folded into its phase's Eq. (10) total and Eq. (11) maximum as it is
+// computed. Case 1 computes no gain, Case 2 only the current phase's, and
+// Case 3 reuses those and keeps its choice as the other phases go by.
 #pragma once
 
 #include <string>
@@ -48,7 +52,7 @@ struct UtilBpConfig {
 class UtilBpController final : public SignalController {
  public:
   // `pressure_capacity` is the W a Normalized pressure_kind divides by.
-  UtilBpController(IntersectionPlan plan, UtilBpConfig config,
+  UtilBpController(const IntersectionPlan& plan, UtilBpConfig config,
                    double pressure_capacity = kDefaultPressureCapacity);
 
   [[nodiscard]] net::PhaseIndex decide(const IntersectionObservation& obs) override;
@@ -65,19 +69,24 @@ class UtilBpController final : public SignalController {
   [[nodiscard]] net::PhaseIndex current_phase() const noexcept { return current_; }
 
  private:
-  [[nodiscard]] double gstar_for(const IntersectionObservation& obs,
-                                 std::span<const double> gains) const;
-  [[nodiscard]] net::PhaseIndex select_phase(std::span<const double> gains) const;
+  // Eq. (8) gains of the phase's links, folded into its Eq. (10)/(11) sums.
+  [[nodiscard]] PhaseGains gains_of_phase(int phase, const IntersectionObservation& obs,
+                                          double wstar_value) const;
+  // The hysteresis threshold g*(k) of Case 2, given the current phase's gains.
+  [[nodiscard]] double gstar_for(const IntersectionObservation& obs, double wstar_value,
+                                 const PhaseGains& incumbent) const;
 
-  IntersectionPlan plan_;
+  // The plan's phases, flattened once at construction: phase j activates
+  // the local links phase_links_[phase_start_[j] .. phase_start_[j + 1]), in
+  // plan order. Phase 0 is the transition phase.
+  std::vector<int> phase_start_;
+  std::vector<int> phase_links_;
+  int num_links_ = 0;
   UtilBpConfig config_;
   GainParams gain_params_;
   net::PhaseIndex current_ = net::kTransitionPhase;
   // t_Deltak of Algorithm 1: expiry time of the running transition phase.
   double transition_until_ = -1.0;
-  // Per-link gains of the current decision, reused so decide() allocates
-  // nothing.
-  std::vector<double> gains_;
 };
 
 }  // namespace abp::core

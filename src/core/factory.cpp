@@ -23,8 +23,7 @@ ControllerPtr make_controller(const ControllerSpec& spec, IntersectionPlan plan,
                               double pressure_capacity) {
   switch (spec.type) {
     case ControllerType::UtilBp:
-      return std::make_unique<UtilBpController>(std::move(plan), spec.util,
-                                                pressure_capacity);
+      return std::make_unique<UtilBpController>(plan, spec.util, pressure_capacity);
     case ControllerType::CapBp:
       return std::make_unique<FixedSlotBpController>(
           std::move(plan), spec.fixed_slot, FixedSlotRule::CapacityAware, pressure_capacity);

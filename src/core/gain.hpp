@@ -9,8 +9,14 @@
 //            outgoing road) and alpha (empty incoming lane),
 //   Eq. (10) phase gain g(c_j,k) = sum of constituent link gains,
 //   Eq. (11) gmax(c_j,k) = max of constituent link gains.
+// Every helper is inline, so a controller's decision pass (UtilBpController)
+// folds them into its one loop over the phase table instead of calling out
+// per link and per phase.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,42 +65,112 @@ struct GainParams {
 };
 
 // Applies the pressure mapping b = f(queue).
-[[nodiscard]] double pressure(const Pressure& p, double queue);
+[[nodiscard]] inline double pressure(const Pressure& p, double queue) {
+  switch (p.kind) {
+    case PressureKind::Identity:
+      return queue;
+    case PressureKind::Sqrt:
+      return std::sqrt(std::max(0.0, queue));
+    case PressureKind::Quadratic:
+      return queue * queue;
+    case PressureKind::Normalized:
+      return queue / p.capacity;
+  }
+  return queue;
+}
 
 // Eq. (7): the largest outgoing-road capacity observable at the junction.
-[[nodiscard]] double wstar(const IntersectionObservation& obs);
+[[nodiscard]] inline double wstar(const IntersectionObservation& obs) {
+  double w = 0.0;
+  for (const LinkState& l : obs.links) {
+    w = std::max(w, static_cast<double>(l.downstream_capacity));
+  }
+  return w;
+}
 
 // Eq. (5): original back-pressure gain; uses the *total* incoming queue.
-[[nodiscard]] double link_gain_original(const LinkState& link, const Pressure& p = {});
+[[nodiscard]] inline double link_gain_original(const LinkState& link, const Pressure& p = {}) {
+  const double diff = pressure(p, link.upstream_total) - pressure(p, link.downstream_queue);
+  return std::max(0.0, diff * link.service_rate);
+}
 
 // Eq. (6): modified gain; per-lane incoming queue, shifted by W* so that
 // negative pressure differences still compete for service.
-[[nodiscard]] double link_gain_modified(const LinkState& link, double wstar_value,
-                                        const Pressure& p = {});
+[[nodiscard]] inline double link_gain_modified(const LinkState& link, double wstar_value,
+                                               const Pressure& p = {}) {
+  const double diff = pressure(p, link.queue) - pressure(p, link.downstream_queue);
+  return (diff + wstar_value) * link.service_rate;
+}
 
 // Eq. (8): utilization-aware gain with the full/empty sentinels.
-[[nodiscard]] double link_gain_util(const LinkState& link, double wstar_value,
-                                    const GainParams& params);
+[[nodiscard]] inline double link_gain_util(const LinkState& link, double wstar_value,
+                                           const GainParams& params) {
+  if (link.downstream_total >= link.downstream_capacity) return params.beta;
+  if (link.queue == 0) return params.alpha;
+  return link_gain_modified(link, wstar_value, params.pressure);
+}
 
-// Gains of all links of an observation under Eq. (8), in link order.
-[[nodiscard]] std::vector<double> all_link_gains_util(const IntersectionObservation& obs,
-                                                      const GainParams& params);
-// Same, written into `gains` (resized to the link count), so a caller that
-// keeps the buffer allocates nothing per decision.
-void all_link_gains_util(const IntersectionObservation& obs, const GainParams& params,
-                         std::vector<double>& gains);
+// Gains of all links of an observation under Eq. (8), written into `gains`
+// (resized to the link count) in link order, so a caller that keeps the
+// buffer allocates nothing per decision.
+inline void all_link_gains_util(const IntersectionObservation& obs, const GainParams& params,
+                                std::vector<double>& gains) {
+  const double w = wstar(obs);
+  gains.resize(obs.links.size());
+  for (std::size_t i = 0; i < obs.links.size(); ++i) {
+    gains[i] = link_gain_util(obs.links[i], w, params);
+  }
+}
+// Same, into a fresh vector.
+[[nodiscard]] inline std::vector<double> all_link_gains_util(const IntersectionObservation& obs,
+                                                             const GainParams& params) {
+  std::vector<double> gains;
+  all_link_gains_util(obs, params, gains);
+  return gains;
+}
+
+// Eq. (10) and (11) of one phase, folded link by link in phase order: the
+// total gain (0 for an empty phase), the maximum link gain (-infinity) and
+// the index of the first link attaining it (-1).
+struct PhaseGains {
+  double total = 0.0;
+  double max = -std::numeric_limits<double>::infinity();
+  int argmax = -1;
+
+  void add(int link, double gain) {
+    total += gain;
+    if (gain > max) {
+      max = gain;
+      argmax = link;
+    }
+  }
+};
+
+// PhaseGains of a phase given per-link gains.
+[[nodiscard]] inline PhaseGains phase_gains(std::span<const int> phase_links,
+                                            std::span<const double> link_gains) {
+  PhaseGains g;
+  for (int idx : phase_links) g.add(idx, link_gains[static_cast<std::size_t>(idx)]);
+  return g;
+}
 
 // Eq. (10): total gain of a phase given per-link gains. Empty phase -> 0.
-[[nodiscard]] double phase_gain(std::span<const int> phase_links,
-                                std::span<const double> link_gains);
+[[nodiscard]] inline double phase_gain(std::span<const int> phase_links,
+                                       std::span<const double> link_gains) {
+  return phase_gains(phase_links, link_gains).total;
+}
 
 // Eq. (11): maximum link gain within a phase. Empty phase -> -infinity.
-[[nodiscard]] double phase_gain_max(std::span<const int> phase_links,
-                                    std::span<const double> link_gains);
+[[nodiscard]] inline double phase_gain_max(std::span<const int> phase_links,
+                                           std::span<const double> link_gains) {
+  return phase_gains(phase_links, link_gains).max;
+}
 
 // Index (into the observation) of the link attaining phase_gain_max;
 // -1 for an empty phase. Ties resolve to the first link in phase order.
-[[nodiscard]] int phase_argmax_link(std::span<const int> phase_links,
-                                    std::span<const double> link_gains);
+[[nodiscard]] inline int phase_argmax_link(std::span<const int> phase_links,
+                                           std::span<const double> link_gains) {
+  return phase_gains(phase_links, link_gains).argmax;
+}
 
 }  // namespace abp::core

@@ -22,11 +22,13 @@ const stats::DetectionEvent* JunctionMonitor::update(
   const double now = obs.time;
 
   // Age out pending alarms that fell off the fusion window.
-  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                [&](const PendingAlarm& a) {
-                                  return now - a.time_s > config_.fuse_window_s;
-                                }),
-                 pending_.end());
+  if (!pending_.empty()) {
+    pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
+                                  [&](const PendingAlarm& a) {
+                                    return now - a.time_s > config_.fuse_window_s;
+                                  }),
+                   pending_.end());
+  }
 
   // Accumulate this decision's queue readings into the aggregation window.
   // Raw per-decision readings rise and fall with the signal cycle — feeding

@@ -24,6 +24,7 @@ QueueSim::QueueSim(const net::Network& network, QueueSimConfig config,
                           std::max(1.0, rate_dt), to.free_flow_time_s()});
   }
   transit_roads_.assign((net_.roads().size() + 63) / 64, 0);
+  transit_due_.assign(net_.roads().size(), 0.0);
 }
 
 double QueueSim::link_credit(LinkId link) const { return links_[link.index()].credit; }
@@ -59,8 +60,7 @@ void QueueSim::admit_spawns() {
       buffer.pop_front();
       enter(vid);
       road.occupancy += 1;
-      road.transit.push_back({now_ + net_.road(entry).free_flow_time_s(), vid});
-      mark_transit(entry.index());
+      push_transit(entry.index(), now_ + net_.road(entry).free_flow_time_s(), vid);
     }
     if (!buffer.empty()) {
       result_.metrics.entry_blocked_time_s +=
@@ -93,8 +93,7 @@ void QueueSim::arbitrate_and_serve() {
         Vehicle& v = vehicles_[vid.index()];
         v.queued_ticks += tick_ - v.stay_start;
         v.junction += 1;
-        downstream.transit.push_back({arrive, vid});
-        mark_transit(link.to_road);
+        push_transit(link.to_road, arrive, vid);
       }
     }
   }
@@ -104,6 +103,7 @@ void QueueSim::drain_due_transits() {
   for (std::size_t w = 0; w < transit_roads_.size(); ++w) {
     for (std::uint64_t bits = transit_roads_[w]; bits != 0; bits &= bits - 1) {
       const std::size_t r = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      if (transit_due_[r] > now_) continue;
       RoadState& state = roads_[r];
       while (!state.transit.empty() && state.transit.front().arrive_time <= now_) {
         const VehicleId vid = state.transit.front().vehicle;
@@ -115,7 +115,11 @@ void QueueSim::drain_due_transits() {
           route_vehicle_into_queue(vid, RoadId(static_cast<RoadId::value_type>(r)));
         }
       }
-      if (state.transit.empty()) transit_roads_[w] &= ~(std::uint64_t{1} << (r % 64));
+      if (state.transit.empty()) {
+        transit_roads_[w] &= ~(std::uint64_t{1} << (r % 64));
+      } else {
+        transit_due_[r] = state.transit.front().arrive_time;
+      }
     }
   }
 }

@@ -159,11 +159,18 @@ class QueueSim : public sim::RunCore<QueueSim, Vehicle> {
   void arbitrate_and_serve();
   // Pops the due transits of every road whose FIFO is non-empty, in road
   // order: arrivals join their movement queue, and on an exit road the
-  // vehicle completes.
+  // vehicle completes. A road whose front transit is not yet due costs one
+  // test of its front-due time.
   void drain_due_transits();
-  // A road's transit FIFO received a vehicle.
-  void mark_transit(std::size_t road) {
-    transit_roads_[road / 64] |= std::uint64_t{1} << (road % 64);
+  // Appends a vehicle to a road's transit FIFO; a push onto an empty FIFO
+  // marks the road and sets its front-due time.
+  void push_transit(std::size_t road, double arrive_time, VehicleId vid) {
+    RoadState& state = roads_[road];
+    if (state.transit.empty()) {
+      transit_roads_[road / 64] |= std::uint64_t{1} << (road % 64);
+      transit_due_[road] = arrive_time;
+    }
+    state.transit.push_back({arrive_time, vid});
   }
   void route_vehicle_into_queue(VehicleId vid, RoadId road);
 
@@ -174,9 +181,15 @@ class QueueSim : public sim::RunCore<QueueSim, Vehicle> {
   std::vector<RoadState> roads_;
   std::vector<LinkQueueState> links_;
   std::vector<LinkRow> link_rows_;
-  // Per-road bitmap: the road's transit FIFO is non-empty. Set at every push
-  // (admission, service), cleared by the drain when it empties the FIFO.
+  // Per-road bitmap: the road's transit FIFO is non-empty. Set at a push onto
+  // an empty FIFO (admission, service), cleared by the drain when it empties
+  // the FIFO.
   std::vector<std::uint64_t> transit_roads_;
+  // Per road with a non-empty transit FIFO, the arrival time of its front
+  // vehicle: set at a push onto an empty FIFO and after each drain of the
+  // road. Arrival stamps are now_ plus the road's free-flow time, so they
+  // never decrease along a FIFO and the front is the earliest.
+  std::vector<double> transit_due_;
   // queue_seconds() memo: entry k is k additions of step_s from 0.0.
   std::vector<double> queued_seconds_{0.0};
   // Vehicles queued at the stop line of each road (sum over its movement

@@ -268,11 +268,11 @@ class RunCore {
   const core::IntersectionObservation& observe(const net::Intersection& node) {
     core::IntersectionObservation& obs = obs_scratch_;
     obs.time = now_;
-    obs.links.clear();
-    obs.links.reserve(node.links.size());
-    for (LinkId lid : node.links) {
+    obs.links.resize(node.links.size());
+    for (std::size_t i = 0; i < node.links.size(); ++i) {
+      const LinkId lid = node.links[i];
       const LinkObs& link = link_obs_[lid.index()];
-      core::LinkState state;
+      core::LinkState& state = obs.links[i];
       state.queue = self().link_reading(lid);
       state.upstream_total = self().approach_reading(link.from_road);
       state.upstream_capacity = link.upstream_capacity;
@@ -280,7 +280,6 @@ class RunCore {
       state.downstream_total = self().road_occupancy(link.to_road);
       state.downstream_capacity = link.downstream_capacity;
       state.service_rate = link.service_rate;
-      obs.links.push_back(state);
     }
     return obs;
   }

@@ -5,7 +5,7 @@
 
 namespace abp::stats {
 
-void PhaseTrace::record(double time, net::PhaseIndex phase) {
+void PhaseTrace::record_change(double time, net::PhaseIndex phase) {
   if (finished_) throw std::logic_error("PhaseTrace::record after finish");
   if (!samples_.empty()) {
     if (time < samples_.back().time) {

@@ -7,6 +7,7 @@
 // one amber period).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "src/net/phase.hpp"
@@ -21,8 +22,16 @@ class PhaseTrace {
   };
 
   // Records the displayed phase at `time`; consecutive identical phases are
-  // compressed. Times must be non-decreasing.
-  void record(double time, net::PhaseIndex phase);
+  // compressed. Times must be non-decreasing. The repeat of the last phase,
+  // what a junction records at most control steps, is handled inline.
+  void record(double time, net::PhaseIndex phase) {
+    if (!finished_ && !samples_.empty() && samples_.back().phase == phase &&
+        time >= samples_.back().time) {
+      end_time_ = std::max(end_time_, time);
+      return;
+    }
+    record_change(time, phase);
+  }
   // Closes the trace at `end_time` so the last segment has a duration.
   void finish(double end_time);
 
@@ -40,6 +49,10 @@ class PhaseTrace {
   [[nodiscard]] std::vector<double> control_phase_durations() const;
 
  private:
+  // record() for everything but a valid repeat: the checks, and a new
+  // sample when the phase changed.
+  void record_change(double time, net::PhaseIndex phase);
+
   std::vector<Sample> samples_;
   double end_time_ = 0.0;
   bool finished_ = false;

@@ -143,14 +143,14 @@ TEST(FixedSlotBp, OriginalRuleBlindToCapacity) {
   IntersectionObservation obs = obs_at(0.0, {100, 3}, {0, 0});
   obs.links[0].downstream_total = 120;  // full, but raw pressures ignore it
   obs.links[0].downstream_queue = 0;
-  c.decide(obs);
+  EXPECT_EQ(c.decide(obs), net::kTransitionPhase);  // the amber before phase 1
   EXPECT_EQ(c.decide(obs_at(4.0, {100, 3}, {0, 0}, 120)), 1);
 }
 
 TEST(FixedSlotBp, ResetRestartsSlotClock) {
   FixedSlotBpController c(two_phase_plan(), cap_config(16.0));
-  c.decide(obs_at(0.0, {10, 2}, {0, 0}));
-  c.decide(obs_at(4.0, {10, 2}, {0, 0}));
+  (void)c.decide(obs_at(0.0, {10, 2}, {0, 0}));
+  (void)c.decide(obs_at(4.0, {10, 2}, {0, 0}));
   c.reset();
   // A fresh first slot begins at the next decision time.
   EXPECT_EQ(c.decide(obs_at(100.0, {2, 10}, {0, 0})), net::kTransitionPhase);

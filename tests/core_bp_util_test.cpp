@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -86,7 +90,7 @@ TEST(UtilBp, RejectsPlanWithoutControlPhases) {
 
 TEST(UtilBp, RejectsMismatchedObservation) {
   UtilBpController c(two_phase_plan(), paper_config());
-  EXPECT_THROW(c.decide(obs_at(0.0, {1}, {0})), std::invalid_argument);
+  EXPECT_THROW((void)c.decide(obs_at(0.0, {1}, {0})), std::invalid_argument);
 }
 
 TEST(UtilBp, FirstDecisionPicksAPhaseImmediately) {
@@ -412,6 +416,268 @@ TEST(UtilBp, IdleHookFalseForEveryOtherController) {
   ASSERT_TRUE(0.5 < bare.idle_hold_until());
   EXPECT_FALSE(0.5 < faulty.idle_hold_until());
   EXPECT_FALSE(0.5 < adaptive.idle_hold_until());
+}
+
+// UTIL-BP as it was written before its decision became one flat pass over a
+// flattened phase table: every gain first, then Case 1, then W* again in
+// g*, then one call per phase and quantity. decide(), select_phase() and
+// gstar_for() are kept verbatim, as the reference the flat pass must match.
+class ReferenceUtilBp {
+ public:
+  ReferenceUtilBp(IntersectionPlan plan, UtilBpConfig config, double pressure_capacity)
+      : plan_(std::move(plan)),
+        config_(config),
+        gain_params_{config_.alpha, config_.beta,
+                     Pressure(config_.pressure_kind, pressure_capacity)} {}
+
+  double idle_hold_until() const {
+    if (current_ == net::kTransitionPhase) return transition_until_;
+    return plan_.phases[static_cast<std::size_t>(current_)].empty()
+               ? -std::numeric_limits<double>::infinity()
+               : std::numeric_limits<double>::infinity();
+  }
+
+  void reset() {
+    current_ = net::kTransitionPhase;
+    transition_until_ = -1.0;
+  }
+
+  double transition_until() const { return transition_until_; }
+  net::PhaseIndex current_phase() const { return current_; }
+
+  double gstar_for(const IntersectionObservation& obs, std::span<const double> gains) const {
+    switch (config_.gstar_policy) {
+      case GStarPolicy::Zero:
+        return 0.0;
+      case GStarPolicy::Constant:
+        return config_.gstar_constant;
+      case GStarPolicy::WStarMu: {
+        // Eq. (12): W* times the service rate of the current phase's max-gain
+        // link L_max(c(k-1), k).
+        const auto& phase = plan_.phases[static_cast<std::size_t>(current_)];
+        const int lmax = phase_argmax_link(phase, gains);
+        if (lmax < 0) return 0.0;
+        return wstar(obs) * obs.links[static_cast<std::size_t>(lmax)].service_rate;
+      }
+    }
+    return 0.0;
+  }
+
+  net::PhaseIndex select_phase(std::span<const double> gains) const {
+    const int phases = plan_.num_control_phases();
+    // Scenario 1 (Lines 6-8): some phase guarantees utilization in the next
+    // mini-slot. Among those, maximize the *total* gain — the best effort
+    // against instability.
+    double best_gmax = -std::numeric_limits<double>::infinity();
+    for (int j = 1; j <= phases; ++j) {
+      best_gmax = std::max(
+          best_gmax, phase_gain_max(plan_.phases[static_cast<std::size_t>(j)], gains));
+    }
+    if (best_gmax > config_.alpha) {
+      net::PhaseIndex best = net::kTransitionPhase;
+      double best_total = -std::numeric_limits<double>::infinity();
+      for (int j = 1; j <= phases; ++j) {
+        const auto& phase = plan_.phases[static_cast<std::size_t>(j)];
+        if (phase_gain_max(phase, gains) <= config_.alpha) continue;
+        const double total = phase_gain(phase, gains);
+        // Strict improvement required, except that the incumbent phase wins
+        // ties: switching on a tie would only buy an extra amber period.
+        if (total > best_total || (total == best_total && j == current_)) {
+          best_total = total;
+          best = j;
+        }
+      }
+      return best;
+    }
+    // Scenario 2 (Line 10): utilization will be poor regardless; fall back to
+    // the phase with the single highest link gain.
+    net::PhaseIndex best = 1;
+    double best_g = -std::numeric_limits<double>::infinity();
+    for (int j = 1; j <= phases; ++j) {
+      const double g = phase_gain_max(plan_.phases[static_cast<std::size_t>(j)], gains);
+      if (g > best_g || (g == best_g && j == current_)) {
+        best_g = g;
+        best = j;
+      }
+    }
+    return best;
+  }
+
+  net::PhaseIndex decide(const IntersectionObservation& obs) {
+    if (static_cast<int>(obs.links.size()) != plan_.num_links) {
+      throw std::invalid_argument("observation size does not match plan");
+    }
+    all_link_gains_util(obs, gain_params_, gains_);
+    const std::span<const double> gains = gains_;
+
+    // Case 1: transition phase still running (Lines 1-2).
+    if (current_ == net::kTransitionPhase && obs.time < transition_until_) {
+      return net::kTransitionPhase;
+    }
+
+    // Case 2: current control phase still offers good utilization (Lines 3-4).
+    if (current_ != net::kTransitionPhase) {
+      const auto& phase = plan_.phases[static_cast<std::size_t>(current_)];
+      if (phase_gain_max(phase, gains) > gstar_for(obs, gains)) {
+        return current_;
+      }
+    }
+
+    // Case 3: select a (possibly new) control phase (Lines 5-18).
+    const net::PhaseIndex chosen = select_phase(gains);
+    if (chosen == current_ || current_ == net::kTransitionPhase) {
+      current_ = chosen;
+      return current_;
+    }
+    current_ = net::kTransitionPhase;
+    transition_until_ = obs.time + config_.amber_duration_s;
+    return net::kTransitionPhase;
+  }
+
+ private:
+  IntersectionPlan plan_;
+  UtilBpConfig config_;
+  GainParams gain_params_;
+  net::PhaseIndex current_ = net::kTransitionPhase;
+  double transition_until_ = -1.0;
+  std::vector<double> gains_;
+};
+
+// Phases 2 and 4 share link 1, phase 3 is empty and link 5 belongs to no
+// phase (it still counts toward W*).
+IntersectionPlan sparse_plan() {
+  IntersectionPlan plan;
+  plan.num_links = 6;
+  plan.phases = {{}, {0, 2}, {1, 3}, {}, {1, 4}};
+  return plan;
+}
+
+// Readings drawn from small ranges, so that Eq. (8) often yields exactly
+// alpha (empty lane), beta (full outgoing road), equal modified gains
+// across links, and modified gains equal to alpha or beta themselves
+// (W* = 2, diff = -3 or -4).
+IntersectionObservation tie_prone_obs(Rng& rng, double time, int num_links) {
+  static constexpr int kCapacities[] = {2, 3, 120};
+  static constexpr double kRates[] = {1.0, 0.5, 2.0};
+  IntersectionObservation obs;
+  obs.time = time;
+  const int capacity = kCapacities[rng.uniform_int(0, 2)];
+  for (int i = 0; i < num_links; ++i) {
+    LinkState l;
+    l.queue = static_cast<int>(rng.uniform_int(0, 3));
+    l.upstream_total = l.queue + static_cast<int>(rng.uniform_int(0, 2));
+    l.upstream_capacity = capacity;
+    l.downstream_capacity = rng.bernoulli(0.8) ? capacity : kCapacities[rng.uniform_int(0, 2)];
+    l.downstream_queue = static_cast<int>(rng.uniform_int(0, 6));
+    l.downstream_total = rng.bernoulli(0.2)
+                             ? l.downstream_capacity
+                             : static_cast<int>(rng.uniform_int(0, l.downstream_capacity - 1));
+    l.service_rate = rng.bernoulli(0.7) ? 1.0 : kRates[rng.uniform_int(0, 2)];
+    obs.links.push_back(l);
+  }
+  return obs;
+}
+
+// Counts, per decision, two phases with equal Eq. (10) totals or equal
+// Eq. (11) maxima, and a gain of exactly alpha or beta from the modified
+// gain of a queued lane into a road with space.
+struct TieCounts {
+  int equal_totals = 0;
+  int equal_maxima = 0;
+  int sentinel_valued = 0;
+};
+
+void count_ties(const IntersectionPlan& plan, const IntersectionObservation& obs,
+                const GainParams& params, TieCounts& counts) {
+  const std::vector<double> gains = all_link_gains_util(obs, params);
+  bool totals = false;
+  bool maxima = false;
+  for (std::size_t a = 1; a < plan.phases.size(); ++a) {
+    for (std::size_t b = a + 1; b < plan.phases.size(); ++b) {
+      totals = totals || phase_gain(plan.phases[a], gains) == phase_gain(plan.phases[b], gains);
+      maxima = maxima ||
+               phase_gain_max(plan.phases[a], gains) == phase_gain_max(plan.phases[b], gains);
+    }
+  }
+  bool sentinel = false;
+  for (std::size_t i = 0; i < obs.links.size(); ++i) {
+    const LinkState& l = obs.links[i];
+    const bool modified = l.queue > 0 && l.downstream_total < l.downstream_capacity;
+    sentinel = sentinel || (modified && (gains[i] == params.alpha || gains[i] == params.beta));
+  }
+  counts.equal_totals += totals ? 1 : 0;
+  counts.equal_maxima += maxima ? 1 : 0;
+  counts.sentinel_valued += sentinel ? 1 : 0;
+}
+
+// The flat pass against the reference: seeded tie-prone observation streams
+// through both controllers, for every g* policy x pressure preset on three
+// plans, with decision gaps of 0, 0.5 and 1 s and ambers of 0, 0.5, 1 and
+// 4 s, so ambers run, expire exactly at a decision time and are re-entered.
+// After every call the phases and idle_hold_until() must be equal.
+TEST(UtilBp, FlatPassMatchesReference) {
+  struct GStarCase {
+    GStarPolicy policy;
+    double constant;
+  };
+  const GStarCase gstar_cases[] = {{GStarPolicy::WStarMu, 0.0},
+                                   {GStarPolicy::Zero, 0.0},
+                                   {GStarPolicy::Constant, -1.0},  // = alpha
+                                   {GStarPolicy::Constant, 2.0}};
+  const PressureKind kinds[] = {PressureKind::Identity, PressureKind::Sqrt,
+                                PressureKind::Quadratic, PressureKind::Normalized};
+  const IntersectionPlan plans[] = {fig1_plan(), two_phase_plan(), sparse_plan()};
+  const double ambers[] = {0.0, 0.5, 1.0, 4.0};
+  const double gaps[] = {0.0, 0.5, 1.0};
+
+  TieCounts ties;
+  int amber_expiries = 0;
+  int switches = 0;
+  std::uint64_t seed = 1;
+  for (const GStarCase& gstar : gstar_cases) {
+    for (PressureKind kind : kinds) {
+      for (const IntersectionPlan& plan : plans) {
+        for (double amber : ambers) {
+          UtilBpConfig cfg = paper_config();
+          cfg.gstar_policy = gstar.policy;
+          cfg.gstar_constant = gstar.constant;
+          cfg.pressure_kind = kind;
+          cfg.amber_duration_s = amber;
+          const double capacity = 3.0;
+          UtilBpController flat(plan, cfg, capacity);
+          ReferenceUtilBp reference(plan, cfg, capacity);
+          const GainParams params{cfg.alpha, cfg.beta, Pressure(kind, capacity)};
+          Rng rng(seed++);
+          double time = 0.0;
+          for (int k = 0; k < 600; ++k) {
+            time += gaps[rng.uniform_int(0, 2)];
+            if (rng.bernoulli(0.005)) {
+              flat.reset();
+              reference.reset();
+            }
+            const IntersectionObservation obs = tie_prone_obs(rng, time, plan.num_links);
+            count_ties(plan, obs, params, ties);
+            const bool expiring = reference.current_phase() == net::kTransitionPhase &&
+                                  time == reference.transition_until();
+            const net::PhaseIndex before = reference.current_phase();
+            const net::PhaseIndex expected = reference.decide(obs);
+            ASSERT_EQ(flat.decide(obs), expected)
+                << "k=" << k << " t=" << time << " seed=" << seed - 1;
+            ASSERT_EQ(flat.idle_hold_until(), reference.idle_hold_until()) << "k=" << k;
+            ASSERT_EQ(flat.current_phase(), reference.current_phase()) << "k=" << k;
+            amber_expiries += expiring ? 1 : 0;
+            switches += (before != net::kTransitionPhase && expected == net::kTransitionPhase);
+          }
+        }
+      }
+    }
+  }
+  // The streams must actually reach the edge cases they are meant to force.
+  EXPECT_GT(ties.equal_totals, 1000);
+  EXPECT_GT(ties.equal_maxima, 1000);
+  EXPECT_GT(ties.sentinel_valued, 100);
+  EXPECT_GT(amber_expiries, 100);
+  EXPECT_GT(switches, 1000);
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(FixedTime, CycleAnchorsAtFirstDecision) {
 TEST(FixedTime, ResetReanchors) {
   FixedTimeConfig cfg{.green_duration_s = 10.0, .amber_duration_s = 4.0};
   FixedTimeController c(four_phase_plan(), cfg);
-  c.decide(obs_at(0.0));
+  (void)c.decide(obs_at(0.0));
   c.reset();
   EXPECT_EQ(c.decide(obs_at(7.0)), net::kTransitionPhase);
   EXPECT_EQ(c.decide(obs_at(11.0)), 1);

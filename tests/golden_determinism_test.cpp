@@ -331,6 +331,99 @@ TEST(GoldenDeterminism, QueueSimSparseMidRunStateDigestIsPinned) {
   EXPECT_LT(decisions * 10, possible * 6) << decisions << " of " << possible << " decisions";
 }
 
+// perfbench's incident16_queue drill at 8x8: the queue backend, pattern II,
+// UTIL-BP behind the adapting changepoint detector (an upward event switches
+// the junction to the retuned g* = 0 variant), the guard recording every
+// 10 s, capacity faults at factors 0.0 and 0.25, a sensor dropout and a
+// controller outage, 1,800 s at seed 7. Pins the closing metrics, every
+// detection event bit for bit, and every phase trace. Captured before UTIL-BP
+// decided in one flat pass.
+scenario::ScenarioConfig adaptive_incident_config() {
+  scenario::ScenarioConfig cfg =
+      scenario::paper_scenario(traffic::PatternKind::II, core::ControllerType::UtilBp);
+  cfg.grid.rows = 8;
+  cfg.grid.cols = 8;
+  cfg.seed = kSeed;
+  cfg.simulator = scenario::SimulatorKind::Queue;
+  cfg.duration_s = 1800.0;
+  cfg.detector.enabled = true;
+  cfg.detector.adapt = true;
+  cfg.guard.enabled = true;
+  cfg.guard.policy = scenario::GuardPolicy::Record;
+  cfg.guard.interval_s = 10.0;
+  cfg.faults.capacity.push_back({{3, 4, net::Side::North}, 300.0, 1300.0, 0.0});
+  cfg.faults.capacity.push_back({{5, 2, net::Side::East}, 450.0, 1200.0, 0.25});
+  cfg.faults.sensors.push_back({{2, 5}, 540.0, 1080.0, core::SensorFaultKind::Dropout, 0, 0});
+  cfg.faults.controllers.push_back({{6, 6}, 720.0, 1260.0});
+  return cfg;
+}
+
+struct PinnedEvent {
+  double time_s;
+  int row;
+  int col;
+  int direction;
+  double statistic;
+  std::vector<int> links;
+};
+
+TEST(GoldenDeterminism, QueueSimAdaptiveIncidentIsPinned) {
+  const stats::RunResult r = scenario::run_scenario(adaptive_incident_config());
+  const stats::NetworkMetrics& m = r.metrics;
+  EXPECT_EQ(m.generated, 9696u);
+  EXPECT_EQ(m.entered, 9696u);
+  EXPECT_EQ(m.completed, 8364u);
+  EXPECT_EQ(m.in_network_at_end, 1332u);
+  EXPECT_EQ(m.queuing_time_s.count(), 9696u);
+  EXPECT_EQ(m.travel_time_s.count(), 9696u);
+  EXPECT_EQ(m.queuing_time_s.mean(), 0x1.8f69663b24548p+6)  // 99.85292904
+      << std::hexfloat << m.queuing_time_s.mean();
+  EXPECT_EQ(m.travel_time_s.mean(), 0x1.c3d57de346202p+7)  // 225.91700701
+      << std::hexfloat << m.travel_time_s.mean();
+  EXPECT_EQ(m.entry_blocked_time_s, 0x0p+0) << std::hexfloat << m.entry_blocked_time_s;
+  EXPECT_EQ(r.guard.checks, 181u);
+  EXPECT_TRUE(r.guard.violations.empty());
+
+  // Seconds in the trailing comments. Every upward event switches its
+  // junction to the retuned variant; the seventh, the one downward shift,
+  // switches (1, 4) back to the primary.
+  const std::vector<PinnedEvent> expected = {
+      {0x1.a3p+8, 2, 4, +1, 0x1.1155555555556p+4, {1, 4}},          // 419
+      {0x1.fd8p+9, 2, 4, +1, 0x1.a1a8cdb6c314ep+3, {1, 2, 8}},      // 1019
+      {0x1.1ccp+10, 2, 5, +1, 0x1.79eeeeeeeeeefp+5, {4, 10}},       // 1139
+      {0x1.2bcp+10, 1, 4, +1, 0x1.5e44444444444p+4, {1, 7}},        // 1199
+      {0x1.49cp+10, 2, 4, +1, 0x1.9333333333333p+3, {3, 5}},        // 1319
+      {0x1.67cp+10, 2, 3, +1, 0x1.3422222222222p+4, {4, 10}},       // 1439
+      {0x1.94cp+10, 1, 4, -1, 0x1.6a4701f796f32p+4, {1, 11}},       // 1619
+      {0x1.94cp+10, 2, 4, +1, 0x1.7f48ba1d03249p+3, {7, 8}},        // 1619
+      {0x1.b2cp+10, 3, 4, +1, 0x1.d688888888888p+4, {1, 4, 10}},    // 1739
+  };
+  EXPECT_EQ(r.detections.samples, 113940u);
+  ASSERT_FALSE(r.detections.events.empty());
+  ASSERT_EQ(r.detections.events.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const stats::DetectionEvent& e = r.detections.events[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(e.time_s, expected[i].time_s) << std::hexfloat << e.time_s;
+    EXPECT_EQ(e.row, expected[i].row);
+    EXPECT_EQ(e.col, expected[i].col);
+    EXPECT_EQ(e.direction, expected[i].direction);
+    EXPECT_EQ(e.statistic, expected[i].statistic) << std::hexfloat << e.statistic;
+    EXPECT_EQ(e.links, expected[i].links);
+  }
+
+  StateDigest traces;
+  for (const stats::PhaseTrace& trace : r.phase_traces) {
+    traces.add(static_cast<std::uint64_t>(trace.samples().size()));
+    for (const stats::PhaseTrace::Sample& s : trace.samples()) {
+      traces.add(s.time);
+      traces.add(s.phase);
+    }
+    traces.add(trace.end_time());
+  }
+  EXPECT_EQ(traces.value(), 0xdca466ef41af4665ULL) << std::hex << traces.value();
+}
+
 // One run per non-identity pressure preset (Eq. 4), back-pressure controller
 // and backend, on the paper's 3x3 grid under pattern I for 900 s at seed 77.
 // Every pin above runs the identity mapping; these pin the other three

@@ -29,6 +29,8 @@ TEST(PhaseTrace, RejectsTimeTravel) {
   PhaseTrace trace;
   trace.record(5.0, 1);
   EXPECT_THROW(trace.record(4.0, 2), std::invalid_argument);
+  // A repeat of the last phase, which record() compresses inline, too.
+  EXPECT_THROW(trace.record(4.0, 1), std::invalid_argument);
 }
 
 TEST(PhaseTrace, RejectsRecordAfterFinish) {
@@ -36,6 +38,7 @@ TEST(PhaseTrace, RejectsRecordAfterFinish) {
   trace.record(0.0, 1);
   trace.finish(1.0);
   EXPECT_THROW(trace.record(2.0, 2), std::logic_error);
+  EXPECT_THROW(trace.record(2.0, 1), std::logic_error);
 }
 
 TEST(PhaseTrace, TransitionCountIgnoresInitialAmber) {

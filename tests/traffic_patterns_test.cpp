@@ -55,7 +55,7 @@ TEST(ArrivalRow, MatchesPaperTableII) {
 }
 
 TEST(ArrivalRow, MixedHasNoSingleRow) {
-  EXPECT_THROW(arrival_row(PatternKind::Mixed), std::invalid_argument);
+  EXPECT_THROW((void)arrival_row(PatternKind::Mixed), std::invalid_argument);
 }
 
 TEST(PatternAt, NonMixedIsTimeInvariant) {
